@@ -183,17 +183,24 @@ def parse_config(argv=None, json_doc=None) -> RunConfig:
 
 
 def _parse_argv(argv) -> RunConfig:
+    # global flags go before or after the subcommand; a flag left out sets
+    # nothing, so a subcommand never overwrites a value given before it and
+    # RunConfig's defaults apply
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--config", help="JSON run configuration (overrides all flags)")
+    common.add_argument("--seed", type=int)
+    common.add_argument("--threads", type=int)
+    common.add_argument("--out-dir")
+    common.add_argument("--format", choices=("csv", "json"))
     parser = argparse.ArgumentParser(
-        prog="clusterbispec",
+        prog="clusterbispec", parents=[common],
         description="Branching-cluster spectra, bispectra, matched reversible "
                     "nulls, and orientation contrasts "
                     "(Fourier convention e^{-i omega t}).")
-    parser.add_argument("--config", help="JSON run configuration (overrides all flags)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--out-dir", default=".")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
     sub = parser.add_subparsers(dest="command")
+
+    def add_command(name, help):
+        return sub.add_parser(name, parents=[common], help=help)
 
     def add_model(p, theta=True):
         p.add_argument("--nu", type=float, default=1.0)
@@ -203,17 +210,17 @@ def _parse_argv(argv) -> RunConfig:
         if theta:
             p.add_argument("--theta", type=float, default=0.0)
 
-    p = sub.add_parser("simulate", help="simulate the sign-biased process on [0, T]")
+    p = add_command("simulate", help="simulate the sign-biased process on [0, T]")
     add_model(p)
     p.add_argument("--T", type=float)
     p.add_argument("--pad-tol", type=float, default=1e-6)
 
-    p = sub.add_parser("spectrum", help="Bartlett spectrum on a frequency grid")
+    p = add_command("spectrum", help="Bartlett spectrum on a frequency grid")
     add_model(p, theta=False)
     p.add_argument("--omega-max", type=float, default=20.0)
     p.add_argument("--n", type=int, default=256)
 
-    p = sub.add_parser("bispectrum", help="third-order transform on an n-by-n grid")
+    p = add_command("bispectrum", help="third-order transform on an n-by-n grid")
     add_model(p, theta=False)
     p.add_argument("--omega-max", type=float, default=20.0)
     p.add_argument("--n", type=int, default=64)
@@ -221,17 +228,17 @@ def _parse_argv(argv) -> RunConfig:
     p.add_argument("--factorial", action="store_true",
                    help="emit the factorial transform instead of the complete one")
 
-    p = sub.add_parser("invert", help="invert B_fac to the lag-domain cumulant grid")
+    p = add_command("invert", help="invert B_fac to the lag-domain cumulant grid")
     add_model(p, theta=False)
     p.add_argument("--half-width", type=float)
     p.add_argument("--n", type=int, default=512)
 
-    p = sub.add_parser("match", help="build the reversible spectral match")
+    p = add_command("match", help="build the reversible spectral match")
     p.add_argument("action", nargs="?", default="build")
     add_model(p, theta=False)
     p.add_argument("--out", help="output JSON path for the matched kernel")
 
-    p = sub.add_parser("contrast", help="odd orientation contrasts")
+    p = add_command("contrast", help="odd orientation contrasts")
     p.add_argument("action", choices=("run", "scan"))
     add_model(p, theta=False)
     p.add_argument("--events", help="event CSV (contrast run)")
@@ -244,17 +251,17 @@ def _parse_argv(argv) -> RunConfig:
     # let `--theta -1,0,1` through argparse's leading-dash heuristic
     p._negative_number_matcher = re.compile(r"^-\d+(\.\d*)?([,-].*)?$")
 
-    p = sub.add_parser("mc-validate", help="Monte-Carlo oracle suites")
+    p = add_command("mc-validate", help="Monte-Carlo oracle suites")
     p.add_argument("--suite", choices=("bispectrum", "bartlett", "moments"))
     p.add_argument("--level", choices=("quick", "full"), default="quick")
     add_model(p, theta=False)
 
-    p = sub.add_parser("asym-check", help="small-frequency diagonal limit check")
+    p = add_command("asym-check", help="small-frequency diagonal limit check")
     add_model(p, theta=False)
     p.add_argument("--tmin", type=float, default=1e-4)
 
     ns = parser.parse_args(argv)
-    if ns.config:
+    if getattr(ns, "config", None):
         return RunConfig.from_json(Path(ns.config).read_text())
 
     opt = {}
@@ -265,7 +272,9 @@ def _parse_argv(argv) -> RunConfig:
             opt[key] = getattr(ns, key)
     if getattr(ns, "theta_list", None) and ns.command == "contrast":
         opt["theta"] = [float(t) for t in ns.theta_list.split(",") if t]
-    return RunConfig(ns.command or "", ns.seed, ns.threads, ns.out_dir, ns.format, opt)
+    flags = {key: getattr(ns, key) for key in ("seed", "threads", "out_dir", "format")
+             if hasattr(ns, key)}
+    return RunConfig(ns.command or "", options=opt, **flags)
 
 
 # ---------------------------------------------------------------------------

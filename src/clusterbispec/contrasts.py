@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .cumulant3 import CumulantGrid, SupportExceedsGrid, odd_part
-from .simulate import EventSeries, ModelParams, simulate_window_batched
+from .simulate import EventSeries, ModelParams, replicate_windows
 
 __all__ = [
     "OddTestFunction",
@@ -276,8 +276,8 @@ def linearity_scan(params: ModelParams, f: OddTestFunction, T, theta_list,
                    replicates, seed, pad_tol=1e-6) -> LinearityScan:
     """Mean statistic versus theta with a least-squares line through the data.
 
-    Each (theta, replicate) cell simulates an independent window (replicate
-    engine, one substream per cell) and evaluates the pruned statistic.  The
+    Each (theta, replicate) cell simulates an independent window (one child
+    stream of ``seed`` per cell) and evaluates the pruned statistic.  The
     fitted intercept should be consistent with 0 and the slope with mu_{T,g}.
     """
     thetas = np.asarray(theta_list, dtype=float)
@@ -288,16 +288,11 @@ def linearity_scan(params: ModelParams, f: OddTestFunction, T, theta_list,
     replicates = int(replicates)
     means = np.empty(len(thetas))
     errs = np.empty(len(thetas))
-    root = np.random.SeedSequence(seed)
-    streams = root.spawn(len(thetas) * replicates)
+    root = np.random.SeedSequence(seed)   # each theta spawns the next `replicates` children
     for ti, theta in enumerate(thetas):
         p = ModelParams(params.nu, params.m, float(theta), params.kernel)
-        vals = np.empty(replicates)
-        for r in range(replicates):
-            rng = np.random.default_rng(streams[ti * replicates + r])
-            times = simulate_window_batched(p, T, rng, pad_tol=pad_tol)
-            series = EventSeries(times, float(T), {"kind": "scan"})
-            vals[r] = contrast_statistic(series, f)
+        vals = replicate_windows(p, T, lambda series: contrast_statistic(series, f),
+                                 replicates, root, pad_tol=pad_tol)
         means[ti] = vals.mean()
         errs[ti] = vals.std(ddof=1) / math.sqrt(replicates)
     # unweighted LS line; parameter errors propagated from the cell stderrs

@@ -28,11 +28,7 @@ __all__ = [
     "QuadratureNotConverged",
     "UnsupportedKernelScaling",
     "InvalidKernel",
-    "density",
-    "transform",
     "transform_with_bound",
-    "sample_displacement",
-    "survival",
     "scale_kernel",
     "kernel_from_spec",
     "load_tabulated_csv",
@@ -356,31 +352,11 @@ class TabulatedSymmetric(Kernel):
 # ---------------------------------------------------------------------------
 
 
-def density(kernel: Kernel, x):
-    """Density h(x); zero outside the support."""
-    return kernel.density(x)
-
-
-def transform(kernel: Kernel, omega):
-    """Fourier transform hhat(omega) = int e^{-i omega t} h(t) dt."""
-    return kernel.transform(omega)
-
-
 def transform_with_bound(kernel: Kernel, omega):
     """Transform plus an absolute error bound (0.0 for closed forms)."""
     if isinstance(kernel, Lomax):
         return _oscillatory_transform(kernel.density, omega)
     return kernel.transform(omega), 0.0
-
-
-def sample_displacement(kernel: Kernel, rng, size=None):
-    """Draw displacement(s) from the kernel using the caller's generator."""
-    return kernel.sample(rng, size)
-
-
-def survival(kernel: Kernel, x):
-    """Upper-tail probability P(X > x)."""
-    return kernel.survival(x)
 
 
 def scale_kernel(kernel: Kernel, beta: float) -> Kernel:

@@ -21,7 +21,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import IntegrationWarning, quad, trapezoid
 
 from .kernels import Exponential, InvalidKernel, Kernel, TailClass
 
@@ -63,7 +63,6 @@ class MatchSpec:
     base: Kernel
     m: float
     pn_truncation_eps: float = 1e-12
-    rho_grid: float | None = None  # tabulation spacing override for numeric bases
 
     def __post_init__(self):
         if not (0.0 < self.m < 1.0):
@@ -184,8 +183,6 @@ class _AcceptTable:
             np.linspace(0.0, x_mid, 512, endpoint=False),
             np.geomspace(x_mid, x_max, 512),
         ])
-        if spec.rho_grid is not None:
-            grid = np.arange(0.0, x_max, spec.rho_grid)
         conv = np.array([_convolution(base, x) for x in grid])
         dens = base.density(grid)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -274,7 +271,7 @@ class MatchedKernel(Kernel):
         else:
             w = np.atleast_1d(np.asarray(omega, dtype=float))
             phases = np.cos(np.multiply.outer(w, self.rho_x))
-            rho_hat = 2.0 * np.trapezoid(phases * self.rho_vals, self.rho_x, axis=-1)
+            rho_hat = 2.0 * trapezoid(phases * self.rho_vals, self.rho_x, axis=-1)
             radicand = np.clip(1.0 - self.m * (2.0 - self.m) * rho_hat,
                                (1.0 - self.m) ** 2, None)
             out = (1.0 - np.sqrt(radicand)) / self.m

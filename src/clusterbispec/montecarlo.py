@@ -9,12 +9,12 @@ reduced deterministically.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .simulate import EventSeries, ModelParams, sample_clusters_batch, simulate_window_batched
+from .simulate import EventSeries, ModelParams, replicate_windows, sample_clusters_batch
 from .spectra import b_complete, bartlett, borel_factorial3
 
 __all__ = [
@@ -152,17 +152,6 @@ def periodogram(series: EventSeries, omega):
     return np.abs(ph.sum(axis=-1)) ** 2 / series.window_end
 
 
-def _periodogram_batch(args):
-    params, T, omegas, seeds, pad_tol = args
-    out = np.empty((len(seeds), len(omegas)))
-    for i, s in enumerate(seeds):
-        rng = np.random.default_rng(np.random.SeedSequence(s))
-        times = simulate_window_batched(params, T, rng, pad_tol=pad_tol)
-        series = EventSeries(times, float(T), {"kind": "mc"})
-        out[i] = periodogram(series, omegas)
-    return out
-
-
 def mean_periodogram(params: ModelParams, T, omega_list, replicates, seed,
                      pad_tol=1e-6, threads=1) -> list[McEstimate]:
     """Replicate-averaged periodogram; targets Gamma(w) up to O(1/T) window bias.
@@ -174,19 +163,8 @@ def mean_periodogram(params: ModelParams, T, omega_list, replicates, seed,
     if np.any(omegas == 0):
         raise ValueError("omega = 0 is intensity-dominated; use nonzero frequencies")
     replicates = int(replicates)
-    base = np.random.SeedSequence(seed)
-    child_seeds = [int(s.generate_state(1)[0]) for s in base.spawn(replicates)]
-    threads = max(1, int(threads))
-    if threads == 1:
-        values = _periodogram_batch((params, T, omegas, child_seeds, pad_tol))
-    else:
-        chunks = [child_seeds[i::threads] for i in range(threads)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_periodogram_batch,
-                                  [(params, T, omegas, c, pad_tol) for c in chunks]))
-        values = np.empty((replicates, len(omegas)))
-        for i, c in enumerate(chunks):
-            values[i::threads] = parts[i][: len(c)]
+    values = replicate_windows(params, T, partial(periodogram, omega=omegas), replicates,
+                               seed, pad_tol=pad_tol, threads=threads)
     out = []
     for j in range(len(omegas)):
         col = values[:, j]

@@ -7,17 +7,20 @@ whole cluster about its root.  Padding is chosen so that the probability of
 a cluster outside the padded window reaching the observation window is below
 a configurable leakage tolerance; the infinite-window law is otherwise exact.
 
-Reproducibility: every run is keyed by a single integer seed.  Immigrant
-positions, signs, and each immigrant's cluster consume independent
-substreams derived from that seed (spawn keys), so clusters can be generated
-in parallel without changing the result.
+One engine draws every window: immigrants, signs and all clusters come from
+a single generator, with the clusters grown in generation waves.
+Reproducibility: a window is keyed by one integer seed (or one generator),
+and replicate loops spawn one child seed sequence per replicate, so results
+do not depend on how replicates are spread over worker processes.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -37,6 +40,7 @@ __all__ = [
     "padding_length",
     "sample_clusters_batch",
     "simulate_window_batched",
+    "replicate_windows",
     "ingest_events",
     "write_events",
 ]
@@ -117,7 +121,8 @@ class EventSeries:
 
     ``cluster_id`` / ``root_time`` are populated only when the simulator is
     asked to keep genealogy; ingested series leave them None.  Duplicate
-    timestamps are legal and kept as distinct indices.
+    timestamps are legal and kept as distinct indices; NaN or infinite times
+    raise :class:`NonFiniteTime`.
     """
 
     times: np.ndarray
@@ -128,6 +133,8 @@ class EventSeries:
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
+        if not np.all(np.isfinite(t)):
+            raise NonFiniteTime("event times must be finite")
         if len(t) and (t[0] < 0 or t[-1] > self.window_end or np.any(np.diff(t) < 0)):
             raise ValueError("event times must be sorted within [0, window_end]")
 
@@ -183,9 +190,8 @@ def sample_clusters_batch(n_clusters, m, kernel, rng,
     """Generate ``n_clusters`` independent clusters in generation waves.
 
     Returns (offsets, cluster_ids): displacements from each cluster's root
-    and the owning cluster index, concatenated over generations.  One shared
-    generator; fast path for Monte-Carlo loops where per-cluster substreams
-    are not required.
+    and the owning cluster index, concatenated over generations, all drawn
+    from the one generator ``rng``.
     """
     cur = np.zeros(n_clusters)
     cur_id = np.arange(n_clusters, dtype=np.int64)
@@ -223,6 +229,26 @@ def padding_length(params: ModelParams, pad_tol: float = DEFAULT_PAD_TOL) -> flo
     return params.kernel.tail_quantile(pad_tol) * generations
 
 
+def _simulate(params: ModelParams, T, rng, pad_tol, size_cap, gen_cap, keep_genealogy):
+    """The window engine: (pad, times, cluster ids, roots) of one padded window.
+
+    ``times`` are the events inside [0, T] in generation order (unsorted).
+    ``cluster ids`` index ``roots`` per kept event and are None unless
+    ``keep_genealogy``, so replicate loops pay for no gather.
+    """
+    if not T > 0:
+        raise ValueError(f"window length T must be positive, got {T}")
+    pad = padding_length(params, pad_tol)
+    lo, hi = -pad, T + pad
+    n_imm = int(rng.poisson(params.nu * (hi - lo)))
+    roots = rng.uniform(lo, hi, size=n_imm)
+    signs = np.where(rng.random(n_imm) < (1.0 + params.theta) / 2.0, 1.0, -1.0)
+    offs, cid = sample_clusters_batch(n_imm, params.m, params.kernel, rng, size_cap, gen_cap)
+    t = roots[cid] + signs[cid] * offs
+    inside = (t >= 0.0) & (t <= T)
+    return pad, t[inside], (cid[inside] if keep_genealogy else None), roots
+
+
 def simulate_window(params: ModelParams, T, seed, pad_tol=DEFAULT_PAD_TOL,
                     size_cap=DEFAULT_SIZE_CAP, gen_cap=DEFAULT_GEN_CAP,
                     keep_genealogy=False) -> EventSeries:
@@ -230,36 +256,12 @@ def simulate_window(params: ModelParams, T, seed, pad_tol=DEFAULT_PAD_TOL,
 
     Immigrants are Poisson(nu) on the padded window [-P, T+P]; each carries
     an independent signed cluster.  Deterministic given (seed, params, T):
-    immigrant positions, signs, and each cluster use fixed substreams of the
-    seed, so results are byte-identical across runs and across any parallel
-    scheduling of the per-cluster work.
+    the whole window is drawn from one generator seeded by ``seed``, so
+    reruns are byte-identical.
     """
-    if not T > 0:
-        raise ValueError(f"window length T must be positive, got {T}")
-    pad = padding_length(params, pad_tol)
-    lo, hi = -pad, T + pad
-
-    rng_imm = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    rng_sign = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-    n_imm = int(rng_imm.poisson(params.nu * (hi - lo)))
-    roots = np.sort(rng_imm.uniform(lo, hi, size=n_imm))
-    p_plus = (1.0 + params.theta) / 2.0
-    signs = np.where(rng_sign.random(n_imm) < p_plus, 1.0, -1.0)
-
-    kept_times, kept_cid, kept_root = [], [], []
-    for i in range(n_imm):
-        rng_i = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2, i)))
-        cluster = sample_cluster(params.m, params.kernel, rng_i, size_cap, gen_cap)
-        t = roots[i] + signs[i] * cluster.times
-        inside = (t >= 0.0) & (t <= T)
-        if np.any(inside):
-            kept_times.append(t[inside])
-            if keep_genealogy:
-                kept_cid.append(np.full(int(inside.sum()), i, dtype=np.int64))
-                kept_root.append(np.full(int(inside.sum()), roots[i]))
-
-    times = np.concatenate(kept_times) if kept_times else np.zeros(0)
-    order = np.argsort(times, kind="stable")
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    pad, times, cid, roots = _simulate(params, T, rng, pad_tol, size_cap, gen_cap,
+                                       keep_genealogy)
     provenance = {
         "kind": "simulated",
         "seed": int(seed),
@@ -271,31 +273,52 @@ def simulate_window(params: ModelParams, T, seed, pad_tol=DEFAULT_PAD_TOL,
         "pad": pad,
         "pad_tol": pad_tol,
     }
-    cid = root = None
-    if keep_genealogy:
-        cid = (np.concatenate(kept_cid) if kept_cid else np.zeros(0, dtype=np.int64))[order]
-        root = (np.concatenate(kept_root) if kept_root else np.zeros(0))[order]
-    return EventSeries(times[order], float(T), provenance, cid, root)
+    if not keep_genealogy:
+        times.sort(kind="stable")
+        return EventSeries(times, float(T), provenance)
+    order = np.argsort(times, kind="stable")
+    cid = cid[order]
+    return EventSeries(times[order], float(T), provenance, cid, roots[cid])
 
 
 def simulate_window_batched(params: ModelParams, T, rng, pad_tol=DEFAULT_PAD_TOL,
                             size_cap=DEFAULT_SIZE_CAP, gen_cap=DEFAULT_GEN_CAP) -> np.ndarray:
-    """Sorted event times on [0, T] from one shared generator, wave-batched.
+    """Sorted event times on [0, T] drawn from the caller's generator.
 
-    Same law as :func:`simulate_window`; used by Monte-Carlo replicate loops
-    where per-immigrant substreams would dominate the runtime.  Replicates
-    stay reproducible by seeding one generator per replicate.
+    Same engine as :func:`simulate_window`, without provenance or genealogy;
+    used by Monte-Carlo replicate loops that own their generators.
     """
-    pad = padding_length(params, pad_tol)
-    lo, hi = -pad, T + pad
-    n_imm = int(rng.poisson(params.nu * (hi - lo)))
-    roots = rng.uniform(lo, hi, size=n_imm)
-    signs = np.where(rng.random(n_imm) < (1.0 + params.theta) / 2.0, 1.0, -1.0)
-    offs, cid = sample_clusters_batch(n_imm, params.m, params.kernel, rng, size_cap, gen_cap)
-    t = roots[cid] + signs[cid] * offs
-    t = t[(t >= 0.0) & (t <= T)]
-    t.sort(kind="stable")
-    return t
+    _, times, _, _ = _simulate(params, T, rng, pad_tol, size_cap, gen_cap, False)
+    times.sort(kind="stable")
+    return times
+
+
+def _replicate(params, T, statistic, pad_tol, stream):
+    rng = np.random.default_rng(stream)
+    times = simulate_window_batched(params, T, rng, pad_tol=pad_tol)
+    return statistic(EventSeries(times, float(T), {"kind": "replicate"}))
+
+
+def replicate_windows(params: ModelParams, T, statistic, replicates, seed,
+                      pad_tol=DEFAULT_PAD_TOL, threads=1) -> np.ndarray:
+    """``statistic(series)`` on independent windows, stacked in replicate order.
+
+    Each replicate's window is drawn from its own child of ``seed`` (an
+    integer or a SeedSequence).  Children are spawned from the seed's
+    sequence, so calls that share one SeedSequence continue its child
+    numbering and never reuse a stream.  With ``threads`` > 1 replicates run
+    in that many worker processes (``statistic`` must then pickle); results
+    are identical for any worker count.
+    """
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    streams = root.spawn(int(replicates))
+    one = partial(_replicate, params, T, statistic, pad_tol)
+    threads = max(1, int(threads))
+    if threads == 1:
+        return np.array([one(s) for s in streams])
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return np.array(list(pool.map(one, streams,
+                                      chunksize=max(1, len(streams) // threads))))
 
 
 # ---------------------------------------------------------------------------

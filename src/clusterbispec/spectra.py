@@ -99,14 +99,19 @@ class _TransformTable:
         return self._vals[idx]
 
 
-def _hhat_table(params: ModelParams, w1, w2, diagonal_t=None):
-    w1 = np.asarray(w1, dtype=float)
-    w2 = np.asarray(w2, dtype=float)
-    needed = [w1, -w1, w2, -w2, w1 + w2, -(w1 + w2)]
-    if diagonal_t is not None:
-        t = np.asarray(diagonal_t, dtype=float)
-        needed += [t, -t, 2 * t, -2 * t]
-    return _TransformTable(params.kernel, needed)
+def _hhat_table(params: ModelParams, w1, w2):
+    return _TransformTable(params.kernel, [w1, -w1, w2, -w2, w1 + w2, -(w1 + w2)])
+
+
+def _r_form(params: ModelParams, hh: _TransformTable, w1, w2):
+    """R-form of B_comp(w1, w2) from an already-built transform table."""
+    m = params.m
+
+    def R(w):
+        return 1.0 / (1.0 - m * hh(w))
+
+    w3 = -w1 - w2
+    return params.lam * R(w1) * R(w2) * R(w3) * (R(-w1) + R(-w2) + R(-w3) - 2.0)
 
 
 def bartlett(params: ModelParams, omega):
@@ -126,13 +131,10 @@ def b_complete(params: ModelParams, w1, w2, form="R"):
     w1 = np.asarray(w1, dtype=float)
     w2 = np.asarray(w2, dtype=float)
     hh = _hhat_table(params, w1, w2)
+    if form == "R":
+        return _r_form(params, hh, w1, w2)
     m, lam = params.m, params.lam
     w3 = -w1 - w2
-    if form == "R":
-        def R(w):
-            return 1.0 / (1.0 - m * hh(w))
-
-        return lam * R(w1) * R(w2) * R(w3) * (R(-w1) + R(-w2) + R(-w3) - 2.0)
     h1m, h2m, h12 = hh(-w1), hh(-w2), hh(w1 + w2)
     Q = h1m * h2m + h12 * (h1m + h2m - 2.0 * m * h1m * h2m)
     den = (np.abs(1.0 - m * hh(w1)) ** 2
@@ -148,14 +150,10 @@ def b_factorial(params: ModelParams, w1, w2):
     hh = _hhat_table(params, w1, w2)
     m, lam = params.m, params.lam
 
-    def R(w):
-        return 1.0 / (1.0 - m * hh(w))
-
     def gamma(w):
         return lam / np.abs(1.0 - m * hh(w)) ** 2
 
-    w3 = -w1 - w2
-    bc = lam * R(w1) * R(w2) * R(w3) * (R(-w1) + R(-w2) + R(-w3) - 2.0)
+    bc = _r_form(params, hh, w1, w2)
     return bc - gamma(w1) - gamma(w2) - gamma(w1 + w2) + 2.0 * lam
 
 

@@ -40,6 +40,14 @@ def test_config_json_round_trip():
     assert RunConfig.from_json(cfg.to_json()).to_json() == cfg.to_json()
 
 
+def test_global_flags_before_or_after_subcommand(tmp_path):
+    flags = ["--seed", "3", "--threads", "2", "--out-dir", str(tmp_path), "--format", "json"]
+    command = ["simulate", "--m", "0.5", "--kernel", "exp:1", "--T", "1e4"]
+    first = parse_config(flags + command)
+    assert parse_config(command + flags) == first
+    assert (first.seed, first.threads, first.format) == (3, 2, "json")
+
+
 def test_uniform_alias_accepted():
     cfg = parse_config(["bispectrum", "--m", "0.5", "--kernel", "uniform:1"])
     assert cfg.options["kernel"] == "uniform:1"

@@ -16,6 +16,7 @@ from clusterbispec.simulate import (
     flip_cluster,
     ingest_events,
     padding_length,
+    replicate_windows,
     sample_cluster,
     sample_clusters_batch,
     simulate_window,
@@ -169,7 +170,8 @@ def test_padding_length_rule():
 
 
 def test_batched_engine_matches_law():
-    # same model through both engines: counts agree in distribution
+    # same model through both front ends, seeded and caller-owned generator:
+    # counts agree in distribution
     p = ModelParams(1.0, 0.5, 1.0, Exponential(1.0))
     T, reps = 300.0, 50
     a = np.array([len(simulate_window(p, T, seed=s)) for s in range(reps)])
@@ -178,6 +180,17 @@ def test_batched_engine_matches_law():
     z = (a.mean() - b.mean()) / math.hypot(a.std(ddof=1) / math.sqrt(reps),
                                            b.std(ddof=1) / math.sqrt(reps))
     assert abs(z) < 4.0
+
+
+def test_replicate_windows_spawns_fresh_streams():
+    # calls sharing one SeedSequence continue its children: two calls of four
+    # replicates equal one call of eight
+    p = ModelParams(1.0, 0.5, 1.0, Exponential(1.0))
+    root = np.random.SeedSequence(4)
+    halves = [replicate_windows(p, 50.0, len, 4, root) for _ in range(2)]
+    whole = replicate_windows(p, 50.0, len, 8, 4)
+    assert np.array_equal(np.concatenate(halves), whole)
+    assert not np.array_equal(halves[0], halves[1])
 
 
 # ---------------------------------------------------------------------------
@@ -229,3 +242,5 @@ def test_event_series_validation():
         EventSeries(np.array([0.5, 0.1]), 1.0)
     with pytest.raises(ValueError):
         EventSeries(np.array([0.5, 1.5]), 1.0)
+    with pytest.raises(NonFiniteTime):
+        EventSeries(np.array([0.1, np.nan, 0.5]), 1.0)
