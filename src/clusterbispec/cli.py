@@ -6,7 +6,8 @@ the outputs (config echo, seed, version, wall time) so reruns reproduce the
 artifacts bit-identically.
 
 Exit codes: 0 success, 1 numerical-validation failure (mc suites), 2
-configuration error.
+configuration error, including a model whose padded window would plan more
+immigrants than the simulator's budget.
 
 The angular-frequency convention everywhere is e^{-i omega t} for forward
 transforms (so transform(0) = 1 for probability densities).
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .kernels import InvalidKernel, Kernel, kernel_from_spec
-from .simulate import ModelParams
+from .simulate import ModelParams, PaddingBudgetExceeded
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main"]
 
@@ -55,6 +56,8 @@ class RunConfig:
     out_dir: str = "."
     format: str = "csv"
     options: dict = field(default_factory=dict)
+    # built from options["kernel"] by validation, so a run builds it once
+    kernel: Kernel | None = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -102,7 +105,7 @@ def _validate(cfg: RunConfig) -> list[str]:
             bad.append("params.kernel: required")
         else:
             try:
-                kernel_from_spec(_normalize_kernel_spec(opt["kernel"]))
+                cfg.kernel = kernel_from_spec(_normalize_kernel_spec(opt["kernel"]))
             except (InvalidKernel, FileNotFoundError) as exc:
                 bad.append(f"params.kernel: {exc}")
 
@@ -284,9 +287,8 @@ def _parse_argv(argv) -> RunConfig:
 
 def _model(cfg: RunConfig, theta=None) -> ModelParams:
     opt = cfg.options
-    kernel = kernel_from_spec(_normalize_kernel_spec(opt["kernel"]))
     return ModelParams(opt.get("nu", 1.0), opt["m"],
-                       opt.get("theta", 0.0) if theta is None else theta, kernel)
+                       opt.get("theta", 0.0) if theta is None else theta, cfg.kernel)
 
 
 def _emit_grid(grid, cfg, stem):
@@ -296,7 +298,7 @@ def _emit_grid(grid, cfg, stem):
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute a validated config; writes artifacts plus a manifest."""
+    """Execute a config validated by parse_config; writes artifacts plus a manifest."""
     from . import contrasts, cumulant3, montecarlo, spectra
     from .spectra import SpectralGrid
 
@@ -440,6 +442,9 @@ def main(argv=None) -> int:
         return 2
     try:
         return run(cfg)
+    except PaddingBudgetExceeded as exc:  # the model and window are too large to simulate
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # surface module + operation, fail loudly
         print(f"error [{cfg.command}]: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

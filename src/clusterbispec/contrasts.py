@@ -8,12 +8,21 @@ over ordered triples of distinct indices (equal timestamps at distinct
 indices do contribute), with g bounded, compactly supported, and jointly
 odd.  Its mean under the sign-biased family is exactly theta * mu_{T,g}.
 
-Accumulation is anchor-partitioned and exact: each anchor's contributions
-are reduced with math.fsum (correctly rounded, order-insensitive) and the
-per-anchor partials are fsum-reduced again.  Consequences: the support-
-pruned implementation equals the O(n^3) reference exactly (pruning only
-removes terms that are exactly zero), reflecting the window negates the
-statistic exactly, and results are reproducible across platforms.
+Accumulation is anchor-partitioned and exact.  Anchors are processed in
+blocks of bounded pair count, so memory does not grow with the window.
+Within a block the terms of every anchor are summed by a vectorized exact
+superaccumulator: each term is split into an integer mantissa and an
+exponent, the mantissa is cut into fixed-width limbs at absolute bit
+positions, and the limbs are summed per (anchor, limb) in float64, where
+integer sums below 2**53 are exact.  Each anchor's few scaled limb sums are
+exactly representable, so math.fsum of them is the correctly rounded exact
+sum of the anchor's terms (ties to even, an exact zero comes out +0.0); the
+per-anchor partials are fsum-reduced again.  The per-anchor sum therefore
+does not depend on term order, on how anchors are blocked, or on which
+exactly-zero terms are dropped, and it is sign-symmetric.  Consequences:
+the support-pruned implementation equals the O(n^3) reference exactly,
+reflecting the window negates the statistic exactly, and results are
+reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from .simulate import EventSeries, ModelParams, replicate_windows
 __all__ = [
     "OddTestFunction",
     "EmptyWindowWarning",
+    "SummationHeadroomExceeded",
     "antisymmetrize",
     "quadrant_indicator",
     "smooth_quadrant_bump",
@@ -46,6 +56,22 @@ __all__ = [
 
 class EmptyWindowWarning(UserWarning):
     """Statistic evaluated on a window with no usable triples."""
+
+
+class SummationHeadroomExceeded(ValueError):
+    """More terms in one exact-summation segment than its integer headroom."""
+
+
+# exact summation: W-bit limbs keep per-limb float64 sums exact up to
+# 2**(53 - W) terms per segment; blocks stay far below that
+_LIMB_BITS = 26
+_LIMB_SCALE = 2.0**_LIMB_BITS
+_MAX_SEGMENT_TERMS = 2 ** (53 - _LIMB_BITS)
+# an anchor block holds at most _BLOCK_PAIRS ordered neighbor pairs, each
+# anchor also costing _ANCHOR_COST for its row of the (anchor, limb) sum
+# table; this bounds the statistic's memory
+_BLOCK_PAIRS = 2**16
+_ANCHOR_COST = 64
 
 
 @dataclass(frozen=True)
@@ -77,8 +103,12 @@ def antisymmetrize(u, H, bound=None) -> OddTestFunction:
     def evaluate(t1, t2):
         t1 = np.asarray(t1, dtype=float)
         t2 = np.asarray(t2, dtype=float)
+        shape = np.broadcast(t1, t2).shape
         inside = (np.abs(t1) <= H) & (np.abs(t2) <= H)
-        out = np.zeros(np.broadcast(t1, t2).shape)
+        if inside.all():   # always so for pruned pairs: no gather or scatter
+            return np.subtract(np.asarray(u(t1, t2), dtype=float),
+                               np.asarray(u(-t1, -t2), dtype=float), out=np.empty(shape))
+        out = np.zeros(shape)
         if np.any(inside):
             a = np.asarray(u(t1[inside], t2[inside]), dtype=float)
             b = np.asarray(u(-t1[inside], -t2[inside]), dtype=float)
@@ -107,21 +137,27 @@ def smooth_quadrant_bump(H) -> OddTestFunction:
     u is the standard bump exp(-1/(1 - s^2)) on the disc of radius H/2
     centered at (H/2, H/2), so g = u(tau) - u(-tau) is smooth and its
     transform decays faster than any power (usable by the frequency route).
+    The disc lies where t1, t2 > 0, so u(-tau) vanishes wherever t1 >= 0 and
+    u(tau) wherever t1 <= 0: g is s * u(s * tau) + 0.0 with s = sign(t1),
+    the same floating-point values as u(tau) - u(-tau) (a zero stays +0.0)
+    from one bump evaluation per point.
     """
     H = float(H)
     c = H / 2.0
     r = H / 2.0
 
-    def u(t1, t2):
-        s2 = ((t1 - c) ** 2 + (t2 - c) ** 2) / r**2
-        out = np.zeros(np.broadcast(np.asarray(t1), np.asarray(t2)).shape)
-        inside = s2 < 1.0
-        if np.any(inside):
-            out[inside] = np.exp(-1.0 / (1.0 - s2[inside]))
+    def evaluate(t1, t2):
+        t1, t2 = np.broadcast_arrays(np.asarray(t1, dtype=float), np.asarray(t2, dtype=float))
+        s = np.copysign(1.0, t1)
+        s2 = ((np.abs(t1) - c) ** 2 + (s * t2 - c) ** 2) / r**2
+        out = np.zeros(t1.shape)
+        inside = np.flatnonzero(s2 < 1.0)
+        bump = np.exp(-1.0 / (1.0 - s2.ravel()[inside]))
+        out.ravel()[inside] = s.ravel()[inside] * bump + 0.0
         return out
 
-    # the two antisymmetrized lobes have disjoint supports, so sup|g| = e^-1
-    return antisymmetrize(u, H, bound=math.exp(-1.0))
+    # the two lobes have disjoint supports, so sup|g| = e^-1
+    return OddTestFunction(H, evaluate, math.exp(-1.0), construction="antisymmetrized")
 
 
 def sign_contrast_function(grid: CumulantGrid, H) -> OddTestFunction:
@@ -160,13 +196,89 @@ def sign_contrast_function(grid: CumulantGrid, H) -> OddTestFunction:
 # ---------------------------------------------------------------------------
 
 
+def _exact_parts(values, seg, nseg):
+    """Exact per-segment decomposition of sums into few representable floats.
+
+    Returns (parts, starts), Python lists: the floats
+    parts[starts[s]:starts[s + 1]] add up exactly to the sum of the terms
+    values[seg == s], and each is exactly representable, so math.fsum of
+    that slice is the correctly rounded segment sum -- bit for bit what
+    math.fsum(values[seg == s]) returns, whatever the term order.
+
+    A nonzero term is v = y * 2**(W * limb) with limb = floor((e - 53) / W)
+    for its np.frexp exponent e, so y is an integer below 2**(52 + W) in
+    magnitude.  y is cut into three W-bit digits (by exact floor and
+    power-of-two steps) whose weights 2**(W * (limb + t)) sit at absolute
+    bit positions, and the digits are summed per (segment, limb) by
+    np.bincount in float64.  A digit is at most 2**W in magnitude, so those
+    integer sums are exact while a segment holds at most 2**(53 - W) terms.
+    A scaled limb sum keeps at most 53 significant bits, none below 2**-1074
+    (every digit is a bit field of a double), so np.ldexp returns it
+    exactly, subnormals included.
+    """
+    v = np.asarray(values, dtype=float).ravel()
+    seg = np.asarray(seg, dtype=np.intp).ravel()
+    nonzero = np.flatnonzero(v)
+    v, seg = v[nonzero], seg[nonzero]
+    if not np.isfinite(v).all():
+        raise ValueError("exact summation needs finite terms")
+    if len(v) > _MAX_SEGMENT_TERMS and np.bincount(seg).max() > _MAX_SEGMENT_TERMS:
+        raise SummationHeadroomExceeded(
+            f"a segment holds more than {_MAX_SEGMENT_TERMS} nonzero terms")
+    if len(v) == 0:
+        return [], [0] * (nseg + 1)
+    mant, exp = np.frexp(v)
+    limb = np.floor_divide(exp - 53, _LIMB_BITS)
+    y = np.ldexp(mant, exp - limb * _LIMB_BITS)
+    hi = np.floor(y / _LIMB_SCALE)
+    top = np.floor(hi / _LIMB_SCALE)
+    digits = (y - hi * _LIMB_SCALE, hi - top * _LIMB_SCALE, top)
+    lmin = int(limb.min())
+    width = int(limb.max()) - lmin + len(digits)
+    key = seg * width + (limb - lmin)
+    sums = np.zeros(nseg * width)
+    for t, d in enumerate(digits):
+        sums += np.bincount(key + t, weights=d, minlength=nseg * width)
+    idx = np.flatnonzero(sums)
+    owner, lim = np.divmod(idx, width)
+    parts = np.ldexp(sums[idx], ((lim + lmin) * _LIMB_BITS).astype(np.int32))
+    return parts.tolist(), np.searchsorted(owner, np.arange(nseg + 1)).tolist()
+
+
+def _exact_sums(values, seg, nseg) -> list:
+    """Correctly rounded sum per segment: math.fsum(values[seg == s]), bit for bit."""
+    parts, starts = _exact_parts(values, seg, nseg)
+    return [math.fsum(parts[a:b]) for a, b in zip(starts[:-1], starts[1:])]
+
+
+def _anchor_terms(d, rows, f):
+    """Terms g(x_j - x_i, x_k - x_i) of a block of anchors with equal neighbor count.
+
+    ``d`` is (c, g): column i holds the lags from the block's i-th anchor to
+    its c neighbors (itself excluded).  Every anchor's ordered neighbor
+    pairs j != k with j in ``rows`` are taken by one shared index pattern.
+    Returns the terms and each term's anchor position in the block.
+    """
+    c, g = d.shape
+    pj = np.repeat(rows, c)
+    pk = np.tile(np.arange(c), len(rows))
+    distinct = pj != pk
+    vals = f.evaluate(d[pj[distinct]].ravel(), d[pk[distinct]].ravel())
+    return vals, np.tile(np.arange(g), int(distinct.sum()))
+
+
 def contrast_statistic(series: EventSeries, f: OddTestFunction) -> float:
     """Support-pruned triple sum, O(n k^2) with k the neighbor count in radius H.
 
     For each anchor the neighbors within [x - H, x + H] are enumerated by
-    sorted-window search; ordered neighbor pairs with distinct indices
-    contribute g(x_j - x_i, x_k - x_i).  Per-anchor blocks and the anchor
-    reduction both use exact summation.
+    sorted-window search; ordered neighbor pairs with distinct indices, none
+    the anchor, contribute g(x_j - x_i, x_k - x_i).  Anchors with the same
+    neighbor count are taken together, in blocks of at most _BLOCK_PAIRS
+    pairs (an anchor with more pairs than that is split over its neighbor
+    rows), so memory is bounded independently of the window length.  Each
+    anchor's terms are summed exactly and rounded once (the module
+    docstring's superaccumulator), and the anchor partials are fsum-reduced,
+    so the result does not depend on the blocking.
     """
     x = np.asarray(series.times, dtype=float)
     n = len(x)
@@ -177,22 +289,28 @@ def contrast_statistic(series: EventSeries, f: OddTestFunction) -> float:
         return 0.0
     H = f.support_radius
     lo = np.searchsorted(x, x - H, side="left")
-    hi = np.searchsorted(x, x + H, side="right")
-    counts = hi - lo
-    reps = counts * counts
-    total_pairs = int(reps.sum())
-    if total_pairs == 0:
-        return 0.0
-    anchors = np.repeat(np.arange(n), reps)
-    bounds = np.concatenate([[0], np.cumsum(reps)])
-    pos = np.arange(total_pairs) - np.repeat(bounds[:-1], reps)
-    cr = np.repeat(counts, reps)
-    j = np.repeat(lo, reps) + pos // cr
-    k = np.repeat(lo, reps) + pos % cr
-    vals = f.evaluate(x[j] - x[anchors], x[k] - x[anchors])
-    vals[(j == anchors) | (k == anchors) | (j == k)] = 0.0
-    flat = vals.tolist()
-    partials = [math.fsum(flat[bounds[i]:bounds[i + 1]]) for i in range(n)]
+    nbrs = np.searchsorted(x, x + H, side="right") - lo - 1
+    order = np.argsort(nbrs, kind="stable")
+    partials = []
+    for grp in np.split(order, np.flatnonzero(np.diff(nbrs[order])) + 1):
+        c = int(nbrs[grp[0]])
+        if c < 2:
+            continue
+        per_block = max(1, _BLOCK_PAIRS // (c * (c - 1) + _ANCHOR_COST))
+        rows_per_block = max(1, _BLOCK_PAIRS // (c - 1))
+        for b in range(0, len(grp), per_block):
+            a = grp[b:b + per_block]
+            nb = lo[a] + np.arange(c)[:, None]
+            nb += nb >= a                              # skip the anchor itself
+            d = x[nb] - x[a]
+            if rows_per_block >= c:
+                partials += _exact_sums(*_anchor_terms(d, np.arange(c), f), len(a))
+            else:   # one anchor with more pairs than a block: split over its rows
+                parts = []
+                for r0 in range(0, c, rows_per_block):
+                    rows = np.arange(r0, min(c, r0 + rows_per_block))
+                    parts += _exact_parts(*_anchor_terms(d, rows, f), 1)[0]
+                partials.append(math.fsum(parts))
     return math.fsum(partials) / T
 
 
@@ -218,7 +336,7 @@ def contrast_statistic_bruteforce(series: EventSeries, f: OddTestFunction) -> fl
         vals[i, :] = 0.0
         vals[:, i] = 0.0
         vals[idx, idx] = 0.0
-        partials.append(math.fsum(vals.ravel().tolist()))
+        partials += _exact_sums(vals, np.zeros(vals.size, dtype=np.int64), 1)
     return math.fsum(partials) / T
 
 

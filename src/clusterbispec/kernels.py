@@ -37,6 +37,16 @@ __all__ = [
 TRANSFORM_TOL = 1e-9  # absolute error target for quadrature transforms
 
 
+def array_key(*arrays) -> tuple:
+    """Hashable value of array fields: dtype, shape and bytes of each (None stays None).
+
+    Frozen dataclasses with ndarray fields compare and hash through this key,
+    so they behave as values.
+    """
+    arrays = [None if a is None else np.asarray(a) for a in arrays]
+    return tuple(None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in arrays)
+
+
 class QuadratureNotConverged(RuntimeError):
     """Oscillatory quadrature missed its error target within the segment cap."""
 
@@ -287,10 +297,11 @@ class TabulatedSymmetric(Kernel):
     renormalized exactly.
     """
 
-    values: np.ndarray
+    values: np.ndarray = field(compare=False)
     spacing: float
     symmetric = True
     _cdf: np.ndarray = field(init=False, repr=False, compare=False)
+    _key: tuple = field(init=False, repr=False)   # == and hash see the samples
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -305,6 +316,7 @@ class TabulatedSymmetric(Kernel):
             raise InvalidKernel(f"tabulated density integrates to {total:.6f}, expected 1")
         vals = vals / total
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_key", array_key(vals))
         # CDF of |X| on the half grid, for sampling and survival
         seg = 0.5 * (vals[1:] + vals[:-1]) * self.spacing
         cdf = np.concatenate([[0.0], np.cumsum(seg)]) * 2.0

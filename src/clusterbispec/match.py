@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad, trapezoid
 
-from .kernels import Exponential, InvalidKernel, Kernel, TailClass
+from .kernels import Exponential, InvalidKernel, Kernel, TailClass, array_key
 
 __all__ = [
     "MatchSpec",
@@ -253,14 +253,16 @@ class MatchedKernel(Kernel):
     """
 
     m: float
-    pn: np.ndarray
+    pn: np.ndarray = field(compare=False)
     spec: MatchSpec | None = None
-    rho_x: np.ndarray | None = None      # uniform half-grid, table mode
-    rho_vals: np.ndarray | None = None
+    rho_x: np.ndarray | None = field(default=None, compare=False)  # uniform half-grid, table mode
+    rho_vals: np.ndarray | None = field(default=None, compare=False)
     base_label: str = ""
     symmetric = True
+    _key: tuple = field(init=False, repr=False)   # == and hash see the tables
 
     def __post_init__(self):
+        object.__setattr__(self, "_key", array_key(self.pn, self.rho_x, self.rho_vals))
         object.__setattr__(self, "_pn_cum", np.cumsum(self.pn))
         object.__setattr__(self, "_table", None)
 

@@ -31,6 +31,7 @@ __all__ = [
     "Cluster",
     "EventSeries",
     "ClusterSizeCapExceeded",
+    "PaddingBudgetExceeded",
     "GenerationCapExceeded",
     "ParseError",
     "NonFiniteTime",
@@ -48,6 +49,8 @@ __all__ = [
 DEFAULT_SIZE_CAP = 10**7
 DEFAULT_GEN_CAP = 10**4
 DEFAULT_PAD_TOL = 1e-6
+# most immigrants one padded window may plan (about 1 GB of draws at m = 0.5)
+IMMIGRANT_BUDGET = 10**7
 
 
 class ClusterSizeCapExceeded(RuntimeError):
@@ -56,6 +59,10 @@ class ClusterSizeCapExceeded(RuntimeError):
 
 class GenerationCapExceeded(RuntimeError):
     """Cluster genealogy exceeded the generation cap."""
+
+
+class PaddingBudgetExceeded(ValueError):
+    """The padded window plans more immigrants than IMMIGRANT_BUDGET."""
 
 
 class ParseError(ValueError):
@@ -234,13 +241,20 @@ def _simulate(params: ModelParams, T, rng, pad_tol, size_cap, gen_cap, keep_gene
 
     ``times`` are the events inside [0, T] in generation order (unsorted).
     ``cluster ids`` index ``roots`` per kept event and are None unless
-    ``keep_genealogy``, so replicate loops pay for no gather.
+    ``keep_genealogy``, so replicate loops pay for no gather.  A window
+    whose padding plans more than IMMIGRANT_BUDGET immigrants raises
+    :class:`PaddingBudgetExceeded` before anything is drawn.
     """
     if not T > 0:
         raise ValueError(f"window length T must be positive, got {T}")
     pad = padding_length(params, pad_tol)
     lo, hi = -pad, T + pad
-    n_imm = int(rng.poisson(params.nu * (hi - lo)))
+    planned = params.nu * (hi - lo)
+    if not planned <= IMMIGRANT_BUDGET:
+        raise PaddingBudgetExceeded(
+            f"padding {pad:.4g} around a window of length {T:g} plans {planned:.4g} "
+            f"immigrants, above the budget of {IMMIGRANT_BUDGET:.0e}")
+    n_imm = int(rng.poisson(planned))
     roots = rng.uniform(lo, hi, size=n_imm)
     signs = np.where(rng.random(n_imm) < (1.0 + params.theta) / 2.0, 1.0, -1.0)
     offs, cid = sample_clusters_batch(n_imm, params.m, params.kernel, rng, size_cap, gen_cap)

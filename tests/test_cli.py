@@ -58,6 +58,23 @@ def test_cli_exit_code_2_on_bad_config(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_exit_code_2_on_padding_budget(tmp_path, capsys):
+    assert run_cli(tmp_path, "simulate", "--m", "0.5", "--kernel", "lomax:0.5",
+                   "--T", "100") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "immigrants" in err
+
+
+def test_kernel_built_once_per_run(tmp_path, monkeypatch):
+    import clusterbispec.cli as cli
+
+    specs = []
+    build = cli.kernel_from_spec
+    monkeypatch.setattr(cli, "kernel_from_spec", lambda spec: specs.append(spec) or build(spec))
+    assert run_cli(tmp_path, "spectrum", "--m", "0.5", "--kernel", "exp:1", "--n", "8") == 0
+    assert specs == ["exp:1"]
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------

@@ -1,12 +1,17 @@
 """Odd test functions, the triple-sum statistic, exact means, and the theta scan."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from clusterbispec import contrasts
 from clusterbispec.contrasts import (
     EmptyWindowWarning,
+    SummationHeadroomExceeded,
     antisymmetrize,
     contrast_statistic,
     contrast_statistic_bruteforce,
@@ -133,6 +138,82 @@ def test_null_model_statistic_mean_zero():
     vals = np.asarray(vals)
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean()) < 4 * se
+
+
+def test_block_limit_does_not_change_statistic(rng, monkeypatch):
+    # one pair per block splits every anchor over its rows; a huge block
+    # takes each equal-count anchor group whole
+    g = smooth_quadrant_bump(3.0)
+    q = quadrant_indicator(2.0)
+    series = [random_series(rng, n, T=40.0) for n in (30, 150)]
+    times = np.sort(np.random.default_rng(5).integers(0, 64 * 1024, size=400) / 1024.0)
+    forward = EventSeries(times, 64.0, {"kind": "test"})
+    reflected = EventSeries(np.sort(64.0 - times), 64.0, {"kind": "test"})
+    expected = [contrast_statistic(s, f) for s in series for f in (g, q)]
+    expected_forward = contrast_statistic(forward, g)
+    for limit in (1, 2**40):
+        monkeypatch.setattr(contrasts, "_BLOCK_PAIRS", limit)
+        assert [contrast_statistic(s, f) for s in series for f in (g, q)] == expected
+        assert contrast_statistic(forward, g) == expected_forward != 0.0
+        assert contrast_statistic(reflected, g) == -expected_forward
+
+
+def test_statistic_memory_is_bounded():
+    # one T = 1e4 window holds about 8e6 neighbor pairs; materializing them
+    # all at once peaks near 1 GB, anchor blocks stay far below 100 MB
+    rng = np.random.default_rng(41)
+    T = 1e4
+    series = EventSeries(simulate_window_batched(EXP_PARAMS, T, rng), T, {})
+    tracemalloc.start()
+    try:
+        contrast_statistic(series, smooth_quadrant_bump(4.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+
+
+# ---------------------------------------------------------------------------
+# exact summation
+# ---------------------------------------------------------------------------
+
+# m * 2**e spans 2**-1074 (subnormal) to just below 2**0, exactly
+_scaled = st.builds(math.ldexp, st.integers(-(2**53) + 1, 2**53 - 1), st.integers(-1074, -53))
+_special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1022),
+                            1.0, -1.0, 2.0**-53, -(2.0**-53), 1.0 + 2.0**-52, 3 * 2.0**-54])
+
+
+@st.composite
+def segmented_terms(draw):
+    terms = draw(st.lists(st.one_of(_scaled, _special), max_size=30))
+    if draw(st.booleans()):   # exact cancellation, to 0.0 or to the extra terms
+        terms += [-t for t in terms] + draw(st.lists(st.one_of(_scaled, _special), max_size=2))
+    terms = draw(st.permutations(terms))
+    nseg = draw(st.integers(1, 5))
+    seg = draw(st.lists(st.integers(0, nseg - 1), min_size=len(terms), max_size=len(terms)))
+    return np.array(terms, dtype=float), np.array(seg, dtype=np.intp), nseg
+
+
+@settings(max_examples=300, deadline=None)
+@given(segmented_terms())
+@example((np.array([1.0, 2.0**-53]), np.zeros(2, dtype=np.intp), 1))          # tie, to even
+@example((np.array([1.0 + 2.0**-52, 2.0**-53]), np.zeros(2, dtype=np.intp), 1))  # tie, up
+@example((np.array([2.0**-1074, -(2.0**-1074), -0.0]), np.array([0, 0, 1]), 3))
+def test_exact_sums_equal_fsum_per_segment(case):
+    values, seg, nseg = case
+    got = contrasts._exact_sums(values, seg, nseg)
+    want = [math.fsum(values[seg == s].tolist()) for s in range(nseg)]
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_exact_sums_refuse_segments_beyond_headroom(monkeypatch):
+    monkeypatch.setattr(contrasts, "_MAX_SEGMENT_TERMS", 4)
+    seg = np.array([0, 1, 1, 1, 1])
+    assert contrasts._exact_sums(np.ones(5), seg, 2) == [1.0, 4.0]
+    with pytest.raises(SummationHeadroomExceeded):
+        contrasts._exact_sums(np.ones(6), np.append(seg, 1), 2)
+    with pytest.raises(ValueError, match="finite"):
+        contrasts._exact_sums(np.array([1.0, np.nan]), np.zeros(2, dtype=np.intp), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,19 @@ def test_tabulated_rejects_bad_density():
         TabulatedSymmetric(np.array([5.0, 5.0, 5.0]), 1.0)  # mass far from 1
 
 
+def test_tabulated_equality_and_hash_by_value():
+    xs = np.linspace(0.0, 8.0, 2049)
+    dens = np.exp(-xs) / 2.0 / (1.0 - np.exp(-8.0))
+    a = TabulatedSymmetric(dens, xs[1])
+    b = TabulatedSymmetric(dens.copy(), xs[1])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    other = TabulatedSymmetric(np.exp(-2.0 * xs), xs[1])
+    assert a != other
+    assert a != TabulatedSymmetric(dens, xs[1] * (1.0 + 1e-12))
+    assert a != Exponential(1.0)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.floats(min_value=-80.0, max_value=80.0, allow_nan=False))
 def test_transform_conjugate_symmetry_property(w):

@@ -1,5 +1,6 @@
 """The reversible spectral match: rho_h, p_n, phi transform, and samplers."""
 
+import json
 import math
 
 import numpy as np
@@ -258,6 +259,31 @@ def test_matched_kernel_save_load_round_trip(tmp_path):
     assert abs(float(np.mean(draws))) < 0.2
     via_spec = kernel_from_spec(f"match:{path}")
     assert np.max(np.abs(via_spec.transform(w) - loaded.transform(w))) == 0.0
+
+
+def test_matched_kernel_equality_and_hash_by_value(tmp_path):
+    live = build_matched_kernel(MatchSpec(Exponential(1.0), m=0.5))
+    again = build_matched_kernel(MatchSpec(Exponential(1.0), m=0.5))
+    assert live == again and hash(live) == hash(again)
+    assert hash(ModelParams(1.0, 0.5, 0.0, live)) == hash(ModelParams(1.0, 0.5, 0.0, again))
+    assert ModelParams(1.0, 0.5, 0.0, live) == ModelParams(1.0, 0.5, 0.0, again)
+    assert live != build_matched_kernel(MatchSpec(Exponential(1.0), m=0.4))
+    # NaN-free tables survive save/load bit for bit, so reloads are equal values
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    save_matched_kernel(live, first)
+    loaded = load_matched_kernel(first)
+    assert not np.isnan(loaded.rho_vals).any()
+    assert loaded == load_matched_kernel(first)
+    save_matched_kernel(loaded, second)
+    reloaded = load_matched_kernel(second)
+    assert reloaded == loaded and hash(reloaded) == hash(loaded)
+    assert {ModelParams(1.0, 0.5, 0.0, loaded), ModelParams(1.0, 0.5, 0.0, reloaded)} == {
+        ModelParams(1.0, 0.5, 0.0, loaded)}
+    assert loaded != live          # table mode versus the live spec
+    doc = json.loads(first.read_text())
+    doc["rho_density"][3] *= 1.5
+    second.write_text(json.dumps(doc))
+    assert load_matched_kernel(second) != loaded
 
 
 def test_kernel_from_spec_builds_match():

@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from clusterbispec.kernels import Exponential, UniformHalf
+from clusterbispec.kernels import Exponential, Lomax, UniformHalf
 from clusterbispec.simulate import (
     Cluster,
     ClusterSizeCapExceeded,
+    IMMIGRANT_BUDGET,
     EventSeries,
     ModelParams,
     NonFiniteTime,
+    PaddingBudgetExceeded,
     ParseError,
     flip_cluster,
     ingest_events,
@@ -167,6 +169,20 @@ def test_padding_length_rule():
     assert padding_length(p, 1e-6) == pytest.approx(-math.log(1e-6) * 6.0)
     pu = ModelParams(1.0, 0.25, 1.0, UniformHalf(2.0))
     assert padding_length(pu, 1e-6) == pytest.approx(2.0 * 4)
+
+
+def test_padding_budget_fails_before_drawing():
+    # lomax:0.5 at m = 0.5 pads T = 100 to about 1.2e13 immigrants
+    p = ModelParams(1.0, 0.5, 1.0, Lomax(0.5))
+    planned = p.nu * (100.0 + 2.0 * padding_length(p))
+    assert planned > IMMIGRANT_BUDGET
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(PaddingBudgetExceeded, match=r"padding .* plans .* immigrants"):
+        simulate_window_batched(p, 100.0, rng)
+    assert rng.bit_generator.state == state
+    with pytest.raises(PaddingBudgetExceeded):
+        simulate_window(p, 100.0, seed=1)
 
 
 def test_batched_engine_matches_law():
