@@ -56,8 +56,8 @@ class RunConfig:
     out_dir: str = "."
     format: str = "csv"
     options: dict = field(default_factory=dict)
-    # built from options["kernel"] by validation, so a run builds it once
-    kernel: Kernel | None = field(default=None, compare=False, repr=False)
+    # cache of options["kernel"], built by validation so a run builds it once
+    kernel: Kernel | None = field(default=None, init=False, compare=False, repr=False)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -179,10 +179,14 @@ def parse_config(argv=None, json_doc=None) -> RunConfig:
         cfg = RunConfig.from_json(json_doc)
     else:
         cfg = _parse_argv(argv if argv is not None else sys.argv[1:])
+    _check(cfg)
+    return cfg
+
+
+def _check(cfg: RunConfig) -> None:
     violations = _validate(cfg)
     if violations:
         raise ConfigError(violations)
-    return cfg
 
 
 def _parse_argv(argv) -> RunConfig:
@@ -298,10 +302,17 @@ def _emit_grid(grid, cfg, stem):
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute a config validated by parse_config; writes artifacts plus a manifest."""
+    """Execute a config; writes artifacts plus a manifest.
+
+    A config that did not come through parse_config (say, one rebuilt from a
+    manifest with RunConfig.from_json) is validated first; ConfigError on
+    violations.
+    """
     from . import contrasts, cumulant3, montecarlo, spectra
     from .spectra import SpectralGrid
 
+    if cfg.kernel is None:
+        _check(cfg)
     t0 = time.time()
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -103,12 +103,8 @@ def antisymmetrize(u, H, bound=None) -> OddTestFunction:
     def evaluate(t1, t2):
         t1 = np.asarray(t1, dtype=float)
         t2 = np.asarray(t2, dtype=float)
-        shape = np.broadcast(t1, t2).shape
         inside = (np.abs(t1) <= H) & (np.abs(t2) <= H)
-        if inside.all():   # always so for pruned pairs: no gather or scatter
-            return np.subtract(np.asarray(u(t1, t2), dtype=float),
-                               np.asarray(u(-t1, -t2), dtype=float), out=np.empty(shape))
-        out = np.zeros(shape)
+        out = np.zeros(np.broadcast(t1, t2).shape)
         if np.any(inside):
             a = np.asarray(u(t1[inside], t2[inside]), dtype=float)
             b = np.asarray(u(-t1[inside], -t2[inside]), dtype=float)

@@ -37,13 +37,22 @@ __all__ = [
 TRANSFORM_TOL = 1e-9  # absolute error target for quadrature transforms
 
 
+def readonly(a):
+    """Read-only copy of an array field (None stays None)."""
+    if a is None:
+        return None
+    a = np.array(a)
+    a.setflags(write=False)
+    return a
+
+
 def array_key(*arrays) -> tuple:
     """Hashable value of array fields: dtype, shape and bytes of each (None stays None).
 
     Frozen dataclasses with ndarray fields compare and hash through this key,
-    so they behave as values.
+    so they behave as values; they hold those fields read-only (``readonly``)
+    so the key cannot go stale.
     """
-    arrays = [None if a is None else np.asarray(a) for a in arrays]
     return tuple(None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in arrays)
 
 
@@ -314,7 +323,7 @@ class TabulatedSymmetric(Kernel):
         total = 2.0 * trapezoid(vals, dx=self.spacing)  # even extension
         if abs(total - 1.0) > 1e-3:
             raise InvalidKernel(f"tabulated density integrates to {total:.6f}, expected 1")
-        vals = vals / total
+        vals = readonly(vals / total)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "_key", array_key(vals))
         # CDF of |X| on the half grid, for sampling and survival

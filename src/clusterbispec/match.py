@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad, trapezoid
 
-from .kernels import Exponential, InvalidKernel, Kernel, TailClass, array_key
+from .kernels import Exponential, InvalidKernel, Kernel, TailClass, array_key, readonly
 
 __all__ = [
     "MatchSpec",
@@ -262,6 +262,8 @@ class MatchedKernel(Kernel):
     _key: tuple = field(init=False, repr=False)   # == and hash see the tables
 
     def __post_init__(self):
+        for name in ("pn", "rho_x", "rho_vals"):
+            object.__setattr__(self, name, readonly(getattr(self, name)))
         object.__setattr__(self, "_key", array_key(self.pn, self.rho_x, self.rho_vals))
         object.__setattr__(self, "_pn_cum", np.cumsum(self.pn))
         object.__setattr__(self, "_table", None)

@@ -75,6 +75,21 @@ def test_kernel_built_once_per_run(tmp_path, monkeypatch):
     assert specs == ["exp:1"]
 
 
+def test_run_validates_a_config_not_from_parse_config(tmp_path):
+    from clusterbispec.cli import run
+
+    cfg = parse_config(["--out-dir", str(tmp_path), "spectrum", "--m", "0.5",
+                        "--kernel", "exp:1", "--n", "8"])
+    rebuilt = RunConfig.from_json(cfg.to_json())   # as from a manifest's config echo
+    assert rebuilt == cfg and rebuilt.kernel is None
+    assert run(rebuilt) == 0
+    assert rebuilt.kernel == cfg.kernel
+    doc = json.loads(cfg.to_json())
+    doc["options"]["kernel"] = "weibull:1"
+    with pytest.raises(ConfigError, match="params.kernel"):
+        run(RunConfig.from_json(json.dumps(doc)))
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------

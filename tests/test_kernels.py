@@ -285,6 +285,11 @@ def test_tabulated_equality_and_hash_by_value():
     assert a != other
     assert a != TabulatedSymmetric(dens, xs[1] * (1.0 + 1e-12))
     assert a != Exponential(1.0)
+    # the samples are held read-only, so the value cannot change under a set
+    with pytest.raises(ValueError):
+        a.values[3] = 0.0
+    dens[3] = 0.0       # nor through the caller's array
+    assert a == b and a.values[3] != 0.0
 
 
 @settings(max_examples=50, deadline=None)

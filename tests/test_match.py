@@ -284,6 +284,9 @@ def test_matched_kernel_equality_and_hash_by_value(tmp_path):
     doc["rho_density"][3] *= 1.5
     second.write_text(json.dumps(doc))
     assert load_matched_kernel(second) != loaded
+    for table in (live.pn, loaded.pn, loaded.rho_x, loaded.rho_vals):
+        with pytest.raises(ValueError):   # read-only: == and hash cannot go stale
+            table[0] = 1.0
 
 
 def test_kernel_from_spec_builds_match():
