@@ -27,12 +27,19 @@ import numpy as np
 
 from . import __version__
 from .kernels import InvalidKernel, Kernel, kernel_from_spec
+from .montecarlo import SUITES
 from .simulate import ModelParams, PaddingBudgetExceeded
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main"]
 
 COMMANDS = ("simulate", "spectrum", "bispectrum", "invert", "match",
             "contrast", "mc-validate", "asym-check")
+# option choices, shared by argparse and by the validation of JSON configs
+FORMATS = ("csv", "json")
+FORMS = ("R", "Q")
+CONTRAST_ACTIONS = ("run", "scan")
+TEST_FUNCTIONS = ("bump", "quadrant")
+LEVELS = ("quick", "full")
 
 
 class ConfigError(ValueError):
@@ -83,8 +90,8 @@ def _validate(cfg: RunConfig) -> list[str]:
     if cfg.command not in COMMANDS:
         bad.append(f"command: unknown {cfg.command!r}, valid: {', '.join(COMMANDS)}")
         return bad
-    if cfg.format not in ("csv", "json"):
-        bad.append(f"format: must be csv or json, got {cfg.format!r}")
+    if cfg.format not in FORMATS:
+        bad.append(f"format: must be one of {', '.join(FORMATS)}, got {cfg.format!r}")
     if cfg.threads < 1:
         bad.append(f"threads: must be >= 1, got {cfg.threads}")
     opt = cfg.options
@@ -106,7 +113,7 @@ def _validate(cfg: RunConfig) -> list[str]:
         else:
             try:
                 cfg.kernel = kernel_from_spec(_normalize_kernel_spec(opt["kernel"]))
-            except (InvalidKernel, FileNotFoundError) as exc:
+            except (InvalidKernel, OSError) as exc:   # OSError: kernel file unreadable
                 bad.append(f"params.kernel: {exc}")
 
     cmd = cfg.command
@@ -122,8 +129,8 @@ def _validate(cfg: RunConfig) -> list[str]:
             bad.append(f"{cmd}.omega_max: must be positive")
         if not opt.get("n", 64) >= 2:
             bad.append(f"{cmd}.n: must be >= 2")
-        if cmd == "bispectrum" and opt.get("form", "R") not in ("R", "Q"):
-            bad.append("bispectrum.form: must be R or Q")
+        if cmd == "bispectrum" and opt.get("form", "R") not in FORMS:
+            bad.append(f"bispectrum.form: must be one of {', '.join(FORMS)}")
     elif cmd == "invert":
         need_model(theta_required=False)
         n = opt.get("n", 512)
@@ -139,11 +146,12 @@ def _validate(cfg: RunConfig) -> list[str]:
             bad.append("match.out: output path required")
     elif cmd == "contrast":
         action = opt.get("action")
-        if action not in ("run", "scan"):
-            bad.append(f"contrast.action: must be run or scan, got {action!r}")
+        if action not in CONTRAST_ACTIONS:
+            bad.append(f"contrast.action: must be one of {', '.join(CONTRAST_ACTIONS)}, "
+                       f"got {action!r}")
         if not opt.get("H", 4.0) > 0:
             bad.append("contrast.H: support radius must be positive")
-        if opt.get("g", "bump") not in ("bump", "quadrant"):
+        if opt.get("g", "bump") not in TEST_FUNCTIONS:
             bad.append(f"contrast.g: unknown test function {opt.get('g')!r}")
         if action == "run":
             if "events" not in opt:
@@ -160,10 +168,10 @@ def _validate(cfg: RunConfig) -> list[str]:
             if not opt.get("T", 0) > 0:
                 bad.append("contrast.T: must be positive")
     elif cmd == "mc-validate":
-        if opt.get("suite") not in ("bispectrum", "bartlett", "moments"):
+        if opt.get("suite") not in SUITES:
             bad.append(f"mc-validate.suite: unknown {opt.get('suite')!r}")
-        if opt.get("level", "quick") not in ("quick", "full"):
-            bad.append("mc-validate.level: must be quick or full")
+        if opt.get("level", "quick") not in LEVELS:
+            bad.append(f"mc-validate.level: must be one of {', '.join(LEVELS)}")
         if "m" in opt or "kernel" in opt:  # optional model override needs both
             need_model(theta_required=False)
     elif cmd == "asym-check":
@@ -198,7 +206,7 @@ def _parse_argv(argv) -> RunConfig:
     common.add_argument("--seed", type=int)
     common.add_argument("--threads", type=int)
     common.add_argument("--out-dir")
-    common.add_argument("--format", choices=("csv", "json"))
+    common.add_argument("--format", choices=FORMATS)
     parser = argparse.ArgumentParser(
         prog="clusterbispec", parents=[common],
         description="Branching-cluster spectra, bispectra, matched reversible "
@@ -231,7 +239,7 @@ def _parse_argv(argv) -> RunConfig:
     add_model(p, theta=False)
     p.add_argument("--omega-max", type=float, default=20.0)
     p.add_argument("--n", type=int, default=64)
-    p.add_argument("--form", choices=("R", "Q"), default="R")
+    p.add_argument("--form", choices=FORMS, default="R")
     p.add_argument("--factorial", action="store_true",
                    help="emit the factorial transform instead of the complete one")
 
@@ -246,10 +254,10 @@ def _parse_argv(argv) -> RunConfig:
     p.add_argument("--out", help="output JSON path for the matched kernel")
 
     p = add_command("contrast", help="odd orientation contrasts")
-    p.add_argument("action", choices=("run", "scan"))
+    p.add_argument("action", choices=CONTRAST_ACTIONS)
     add_model(p, theta=False)
     p.add_argument("--events", help="event CSV (contrast run)")
-    p.add_argument("--g", default="bump", choices=("bump", "quadrant"))
+    p.add_argument("--g", default="bump", choices=TEST_FUNCTIONS)
     p.add_argument("--H", type=float, default=4.0)
     p.add_argument("--T", type=float)
     p.add_argument("--reps", type=int, default=200)
@@ -259,8 +267,8 @@ def _parse_argv(argv) -> RunConfig:
     p._negative_number_matcher = re.compile(r"^-\d+(\.\d*)?([,-].*)?$")
 
     p = add_command("mc-validate", help="Monte-Carlo oracle suites")
-    p.add_argument("--suite", choices=("bispectrum", "bartlett", "moments"))
-    p.add_argument("--level", choices=("quick", "full"), default="quick")
+    p.add_argument("--suite", choices=SUITES)
+    p.add_argument("--level", choices=LEVELS, default="quick")
     add_model(p, theta=False)
 
     p = add_command("asym-check", help="small-frequency diagonal limit check")

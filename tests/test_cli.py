@@ -58,6 +58,14 @@ def test_cli_exit_code_2_on_bad_config(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_exit_code_2_on_unreadable_kernel_file(tmp_path, capsys):
+    folder = tmp_path / "kernel.json"   # a directory where a kernel file belongs
+    folder.mkdir()
+    for spec in (f"match:{folder}", f"tab:{folder}"):
+        assert run_cli(tmp_path, "spectrum", "--m", "0.5", "--kernel", spec) == 2
+        assert "params.kernel" in capsys.readouterr().err
+
+
 def test_cli_exit_code_2_on_padding_budget(tmp_path, capsys):
     assert run_cli(tmp_path, "simulate", "--m", "0.5", "--kernel", "lomax:0.5",
                    "--T", "100") == 2

@@ -1,12 +1,16 @@
-"""The reversible spectral match: rho_h, p_n, phi transform, and samplers."""
+"""The reversible spectral match: rho_h, p_n, phi transform, and the sampler."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 
-from clusterbispec.kernels import Exponential, Lomax, SymmetricLaplace, UniformHalf, kernel_from_spec
+from clusterbispec.cli import main
+from clusterbispec.kernels import (Exponential, Kernel, Lomax, SymmetricLaplace, UniformHalf,
+                                   kernel_from_spec)
 from clusterbispec.match import (
     InvalidKernel,
     MatchSpec,
@@ -15,7 +19,6 @@ from clusterbispec.match import (
     phi_transform,
     pn_weights,
     rho_density,
-    sample_match,
     save_matched_kernel,
 )
 from clusterbispec.montecarlo import mean_periodogram
@@ -29,6 +32,47 @@ def pn_direct(n, m):
           - math.lgamma(n + 1) - math.lgamma(n)
           + n * math.log(m * (2.0 - m)) - math.log(m))
     return math.exp(ln)
+
+
+def _convolution(base, x):
+    """Quadrature oracle for (h * hcheck)(x) = int_0^inf h(|x|+u) h(u) du.
+
+    u = e^s - 1 turns power tails into exponential ones, and the split at
+    s = log(1+|x|) separates the integrand's two scales, so a relative
+    tolerance holds out to the far tail; a bounded base is integrated over
+    its support with the jump at u = a - |x| as a breakpoint.
+    """
+    ax = abs(x)
+
+    def integrand(u):
+        return base.density(ax + u) * base.density(u)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        if isinstance(base, UniformHalf):
+            if ax >= base.a:
+                return 0.0
+            return quad(integrand, 0.0, base.a, points=[base.a - ax],
+                        epsabs=0.0, epsrel=1e-11, limit=500)[0]
+        cut = math.log1p(ax)
+
+        def stretched(s):
+            return integrand(math.expm1(s)) * math.exp(s)
+
+        # e^700 stays finite; the integrand is below 1e-300 well before it
+        return sum(quad(stretched, lo, hi, epsabs=0.0, epsrel=1e-11, limit=500)[0]
+                   for lo, hi in ((0.0, cut), (cut, 700.0)))
+
+
+ORACLE_BASES = (Lomax(0.5), Lomax(1.0), Lomax(1.5), Lomax(2.0), UniformHalf(2.0),
+                Exponential(1.0))
+
+
+def oracle_grid(base):
+    """Bulk points plus a geometric tail out to the 1e-10 tail quantile."""
+    q, far = base.tail_quantile(0.5), base.tail_quantile(1e-10)
+    return np.unique(np.concatenate([np.linspace(0.0, q, 12),
+                                     np.geomspace(q, max(far, q), 12)]))
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +116,35 @@ def test_rho_nonnegative_on_grid():
             assert np.all(rho_density(spec, xs) >= 0.0), (base, m)
 
 
+@pytest.mark.parametrize("base", ORACLE_BASES, ids=str)
+def test_rho_matches_quad_oracle(base):
+    m = 0.5
+    xs = oracle_grid(base)
+    conv = np.array([_convolution(base, x) for x in xs])
+    oracle = (base.density(xs) - m * conv) / (2.0 - m)
+    np.testing.assert_allclose(rho_density(MatchSpec(base, m=m), xs), oracle, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("base", ORACLE_BASES, ids=str)
+def test_rho_matches_mpmath_reference(base):
+    mp = pytest.importorskip("mpmath")
+    m = mp.mpf("0.5")
+
+    def conv(x):
+        x = mp.mpf(float(x))
+        if isinstance(base, Lomax):
+            a = mp.mpf(base.alpha)
+            return a**2 * mp.hyp2f1(1 + a, 1 + 2 * a, 2 + 2 * a, -x) / (1 + 2 * a)
+        if isinstance(base, Exponential):
+            return base.beta / mp.mpf(2) * mp.exp(-base.beta * x)
+        return max(base.a - x, 0) / mp.mpf(base.a) ** 2
+
+    xs = oracle_grid(base)
+    with mp.workdps(30):
+        ref = [float((mp.mpf(float(base.density(x))) - m * conv(x)) / (2 - m)) for x in xs]
+    np.testing.assert_allclose(rho_density(MatchSpec(base, m=0.5), xs), ref, rtol=1e-12, atol=0.0)
+
+
 def test_rho_normalization():
     # dense near the origin plus a geometric tail out to negligible mass
     for base in (Exponential(1.0), Lomax(2.0)):
@@ -83,8 +156,13 @@ def test_rho_normalization():
 
 
 def test_match_spec_rejects_bad_bases():
+    class HalfNormal(Kernel):          # one-sided and monotone, but no closed form
+        one_sided = True
+
     with pytest.raises(InvalidKernel):
         MatchSpec(SymmetricLaplace(1.0), m=0.5)  # not one-sided
+    with pytest.raises(InvalidKernel):
+        MatchSpec(HalfNormal(), m=0.5)
     with pytest.raises(ValueError):
         MatchSpec(Exponential(1.0), m=1.0)
 
@@ -148,7 +226,7 @@ def test_phi_matches_random_sum_series():
 def test_sample_match_mean_and_ecf(rng):
     spec = MatchSpec(Exponential(1.0), m=0.5)
     n = 10**6
-    draws = sample_match(spec, rng, n)
+    draws = build_matched_kernel(spec).sample(rng, n)
     se = draws.std(ddof=1) / math.sqrt(n)
     assert abs(draws.mean()) < 3 * se  # even density
 
@@ -163,7 +241,7 @@ def test_sample_match_mean_and_ecf(rng):
 def test_sample_match_sign_symmetric(rng):
     spec = MatchSpec(Exponential(1.0), m=0.5)
     n = 10**5
-    draws = np.sort(sample_match(spec, rng, n))
+    draws = np.sort(build_matched_kernel(spec).sample(rng, n))
     flipped = np.sort(-draws)
     # two-sample KS distance between draws and their negation
     grid = np.concatenate([draws, flipped])
@@ -174,12 +252,34 @@ def test_sample_match_sign_symmetric(rng):
 
 def test_sample_match_lomax_base(rng):
     spec = MatchSpec(Lomax(2.0), m=0.5)
-    draws = sample_match(spec, rng, 10**5)
-    se = np.abs(np.exp(-1j * 0.7 * draws)).std()  # magnitude bound sanity
+    draws = build_matched_kernel(spec).sample(rng, 10**5)
     ecf = np.exp(-1j * 0.7 * draws).real.mean()
     target = phi_transform(spec, 0.7)
     se = np.exp(-1j * 0.7 * draws).real.std(ddof=1) / math.sqrt(len(draws))
     assert abs(ecf - target) < 4 * se
+
+
+def test_sample_match_uniform_half_base(rng):
+    # rho_h jumps to 0 at x = a; the table must keep that jump sharp
+    spec = MatchSpec(UniformHalf(2.0), m=0.5)
+    n = 10**6
+    draws = build_matched_kernel(spec).sample(rng, n)
+    for w in (0.7, 1.0, 1.5, 3.0):
+        phases = np.cos(w * draws)
+        se = phases.std(ddof=1) / math.sqrt(n)
+        assert abs(phases.mean() - phi_transform(spec, w)) < 4 * se, w
+
+
+def test_live_and_reloaded_kernels_draw_identically(tmp_path):
+    for base in (Exponential(1.0), Lomax(2.0), UniformHalf(2.0)):
+        live = build_matched_kernel(MatchSpec(base, m=0.5))
+        path = tmp_path / "match.json"
+        save_matched_kernel(live, path)
+        loaded = load_matched_kernel(path)
+        for size in (None, 1000):
+            a = live.sample(np.random.default_rng(5), size)
+            b = loaded.sample(np.random.default_rng(5), size)
+            assert np.array_equal(a, b), (base, size)
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +333,10 @@ def test_matched_kernel_lomax_base_density_and_reload(tmp_path):
     dens = matched.density(xs)
     assert np.trapezoid(dens, xs) == pytest.approx(1.0, abs=5e-3)
     assert np.array_equal(dens, matched.density(-xs))
-    # rho recovered from the cached acceptance ratio matches the exact route
+    # the rho table, interpolated between its knots, matches the exact route
     probe = np.array([0.0, 0.3, 1.0, 4.0])
     exact = rho_density(matched.spec, probe)
-    fast = matched._rho_on(probe)
+    fast = np.interp(probe, matched.rho_x, matched.rho_vals)
     assert np.max(np.abs(fast - exact)) < 1e-3
 
     path = tmp_path / "lomax_match.json"
@@ -293,3 +393,43 @@ def test_kernel_from_spec_builds_match():
     k = kernel_from_spec("match:exp:1:0.5")
     assert k.symmetric
     assert abs(complex(k.transform(0.0)) - 1.0) < 1e-12
+
+
+def _corrupt_nan(doc):
+    doc["rho_density"][5] = float("nan")
+
+
+def _corrupt_negative(doc):
+    doc["rho_density"][5] = -1e-3
+
+
+def _corrupt_reversed_x(doc):
+    doc["rho_x"] = doc["rho_x"][::-1]
+
+
+def _corrupt_m(doc):
+    doc["m"] = 1.5
+
+
+def _corrupt_pn_mass(doc):
+    doc["pn"] = [0.4 * p for p in doc["pn"]]
+
+
+def _corrupt_missing_m(doc):
+    del doc["m"]
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_nan, _corrupt_negative, _corrupt_reversed_x,
+                                     _corrupt_m, _corrupt_pn_mass, _corrupt_missing_m],
+                         ids=lambda f: f.__name__[len("_corrupt_"):])
+def test_malformed_matched_kernel_file_rejected(tmp_path, corrupt):
+    good = tmp_path / "good.json"
+    save_matched_kernel(build_matched_kernel(MatchSpec(Exponential(1.0), m=0.5)), good)
+    doc = json.loads(good.read_text())
+    corrupt(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(InvalidKernel):
+        load_matched_kernel(bad)
+    assert main(["--out-dir", str(tmp_path), "spectrum", "--m", "0.5",
+                 "--kernel", f"match:{bad}"]) == 2
