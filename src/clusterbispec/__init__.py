@@ -18,12 +18,9 @@ from .kernels import (
     kernel_from_spec,
 )
 from .simulate import (
-    Cluster,
     EventSeries,
     ModelParams,
-    flip_cluster,
     ingest_events,
-    sample_cluster,
     simulate_window,
 )
 from .spectra import (
@@ -51,8 +48,7 @@ __all__ = [
     "__version__",
     "Kernel", "Exponential", "Lomax", "SymmetricLaplace", "TabulatedSymmetric",
     "kernel_from_spec",
-    "ModelParams", "Cluster", "EventSeries",
-    "sample_cluster", "flip_cluster", "simulate_window", "ingest_events",
+    "ModelParams", "EventSeries", "simulate_window", "ingest_events",
     "bartlett", "b_complete", "b_factorial", "im_b_diagonal",
     "borel_factorial3", "envelope",
     "MatchSpec", "rho_density", "pn_weights", "phi_transform", "build_matched_kernel",

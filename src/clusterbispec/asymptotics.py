@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma as _gamma_fn
 
 from .kernels import Exponential, Kernel, Lomax, TailClass, UniformHalf
@@ -43,6 +42,8 @@ __all__ = [
 ]
 
 _UNDERFLOW = 1e-14
+# the monotone one-sided families, the bases the spectral match accepts too
+_MONOTONE_FAMILIES = (Exponential, Lomax, UniformHalf)
 
 
 class AlphaOutOfRange(ValueError):
@@ -120,29 +121,21 @@ def delta_m(z: MixtureZ, m: float) -> float:
     return (1.0 - m) * (ez3 - ez * ez2) + m * ez * (ez2 - ez**2)
 
 
-def _numeric_moment(kernel: Kernel, p: int) -> float:
-    upper = kernel.tail_quantile(1e-13)
-    val, _ = quad(lambda x: x**p * kernel.density(x), 0.0, upper,
-                  epsabs=1e-12, epsrel=1e-10, limit=300)
-    return val
-
-
 def z_from_kernel(kernel: Kernel) -> MixtureZ:
     """Mixing law of the uniform scale mixture for a monotone one-sided kernel.
 
-    Uses E Z^p = (p+1) E X^p; exponential kernels map to Gamma(2, beta) and
-    the one-sided uniform to the deterministic scale.
+    Uses E Z^p = (p+1) E X^p; exponential kernels map to Gamma(2, beta), the
+    one-sided uniform to the deterministic scale, and Lomax to its closed-form
+    moments.  Any kernel outside these families raises NonMonotoneKernel.
     """
-    if not kernel.monotone_one_sided():
-        raise NonMonotoneKernel("kernel must be one-sided with nonincreasing density")
+    if not isinstance(kernel, _MONOTONE_FAMILIES):
+        raise NonMonotoneKernel(
+            f"scale mixture needs an exp, lomax or uhalf kernel, got {type(kernel).__name__}")
     if isinstance(kernel, UniformHalf):
         return MixtureZ("deterministic", a=kernel.a)
     if isinstance(kernel, Exponential):
         return MixtureZ("gamma2", beta=kernel.beta)
-    if isinstance(kernel, Lomax):
-        ex = [kernel.moment(p) for p in (1, 2, 3)]
-    else:
-        ex = [_numeric_moment(kernel, p) for p in (1, 2, 3)]
+    ex = [kernel.moment(p) for p in (1, 2, 3)]
     if not all(math.isfinite(v) for v in ex[:2]):
         raise ValueError("mixture moments need a finite second kernel moment")
     return MixtureZ("moments", ez=2.0 * ex[0], ez2=3.0 * ex[1],
@@ -194,7 +187,7 @@ def diag_limit_check(params: ModelParams, tail: TailClass | None = None,
         level = tail.level if tail.level is not None else 1.0
         limit = lam * m**2 * chi_alpha(tail.index) / (1.0 - m) ** 5 * level
         regime = "regularly_varying"
-    elif tail.kind == "finite_third_moment" and params.kernel.monotone_one_sided():
+    elif tail.kind == "finite_third_moment" and isinstance(params.kernel, _MONOTONE_FAMILIES):
         power = 3.0
         z = z_from_kernel(params.kernel)
         limit = lam * m**2 * delta_m(z, m) / (2.0 * (1.0 - m) ** 6)

@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .cumulant3 import CumulantGrid, SupportExceedsGrid, odd_part
-from .simulate import EventSeries, ModelParams, replicate_windows
+from .simulate import DEFAULT_PAD_TOL, EventSeries, ModelParams, replicate_windows
 
 __all__ = [
     "OddTestFunction",
@@ -387,7 +387,7 @@ class LinearityScan:
 
 
 def linearity_scan(params: ModelParams, f: OddTestFunction, T, theta_list,
-                   replicates, seed, pad_tol=1e-6) -> LinearityScan:
+                   replicates, seed, pad_tol=DEFAULT_PAD_TOL) -> LinearityScan:
     """Mean statistic versus theta with a least-squares line through the data.
 
     Each (theta, replicate) cell simulates an independent window (one child

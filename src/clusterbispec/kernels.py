@@ -112,10 +112,6 @@ class Kernel:
     def tail_class(self) -> TailClass:
         return TailClass("unknown")
 
-    def monotone_one_sided(self) -> bool:
-        """True when the density is nonincreasing on (0, inf) with no mass below 0."""
-        return False
-
     def spec_string(self) -> str:
         raise NotImplementedError
 
@@ -159,9 +155,6 @@ class Exponential(Kernel):
     def tail_class(self):
         return TailClass("finite_third_moment")
 
-    def monotone_one_sided(self):
-        return True
-
     def spec_string(self):
         return f"exp:{self.beta:g}"
 
@@ -201,9 +194,6 @@ class Lomax(Kernel):
         if self.alpha <= 3.0:
             return TailClass("finite_second_moment")
         return TailClass("finite_third_moment")
-
-    def monotone_one_sided(self):
-        return True
 
     def moment(self, p: int) -> float:
         """Raw moment E X^p; inf when p >= alpha."""
@@ -251,9 +241,6 @@ class UniformHalf(Kernel):
 
     def tail_class(self):
         return TailClass("finite_third_moment")
-
-    def monotone_one_sided(self):
-        return True
 
     def spec_string(self):
         return f"uhalf:{self.a:g}"

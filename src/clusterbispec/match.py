@@ -286,16 +286,19 @@ def build_matched_kernel(spec: MatchSpec) -> MatchedKernel:
     """Matched kernel of spec: exact transform, rho_h tabulated in closed form.
 
     The table grid is linear through the bulk and geometric out to the base's
-    1e-10 tail quantile, so heavy-tailed bases keep their core resolved.
+    1e-10 tail quantile, so heavy-tailed bases keep their core resolved; a
+    uniform base's grid is linear on its support [0, a].
     """
     base = spec.base
-    x_mid = max(8.0 * base.tail_quantile(0.5), 1e-3)
-    x_max = max(base.tail_quantile(1e-10), 2.0 * x_mid)
-    xs = np.concatenate([np.linspace(0.0, x_mid, RHO_TABLE_SIZE // 2, endpoint=False),
-                         np.geomspace(x_mid, x_max, RHO_TABLE_SIZE - RHO_TABLE_SIZE // 2)])
     if isinstance(base, UniformHalf):
-        # rho_h drops to 0 at x = a: knots on both sides keep the jump sharp
-        xs = np.union1d(xs, [base.a, np.nextafter(base.a, np.inf)])
+        # rho_h lives on [0, a] and drops to 0 there: the table spans the
+        # support, and a knot just past a keeps the jump sharp
+        xs = np.append(np.linspace(0.0, base.a, RHO_TABLE_SIZE), np.nextafter(base.a, np.inf))
+    else:
+        x_mid = max(8.0 * base.tail_quantile(0.5), 1e-3)
+        x_max = max(base.tail_quantile(1e-10), 2.0 * x_mid)
+        xs = np.concatenate([np.linspace(0.0, x_mid, RHO_TABLE_SIZE // 2, endpoint=False),
+                             np.geomspace(x_mid, x_max, RHO_TABLE_SIZE - RHO_TABLE_SIZE // 2)])
     return MatchedKernel(m=spec.m, pn=spec._pn, rho_x=xs, rho_vals=rho_density(spec, xs),
                          spec=spec, base_label=base.spec_string())
 

@@ -14,7 +14,8 @@ from functools import partial
 
 import numpy as np
 
-from .simulate import EventSeries, ModelParams, replicate_windows, sample_clusters_batch
+from .simulate import (DEFAULT_PAD_TOL, EventSeries, ModelParams, replicate_windows,
+                       sample_clusters_batch)
 from .spectra import b_complete, bartlett, borel_factorial3
 
 __all__ = [
@@ -153,7 +154,7 @@ def periodogram(series: EventSeries, omega):
 
 
 def mean_periodogram(params: ModelParams, T, omega_list, replicates, seed,
-                     pad_tol=1e-6, threads=1) -> list[McEstimate]:
+                     pad_tol=DEFAULT_PAD_TOL, threads=1) -> list[McEstimate]:
     """Replicate-averaged periodogram; targets Gamma(w) up to O(1/T) window bias.
 
     The finite-window bias is documented, not corrected: comparisons should

@@ -28,15 +28,12 @@ from .kernels import Kernel
 
 __all__ = [
     "ModelParams",
-    "Cluster",
     "EventSeries",
     "ClusterSizeCapExceeded",
     "PaddingBudgetExceeded",
     "GenerationCapExceeded",
     "ParseError",
     "NonFiniteTime",
-    "sample_cluster",
-    "flip_cluster",
     "simulate_window",
     "padding_length",
     "sample_clusters_batch",
@@ -103,26 +100,6 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class Cluster:
-    """A rooted cluster: times[0] = 0 is the root, parent[0] = -1.
-
-    ``sign`` records whole-cluster reflections already applied to ``times``.
-    """
-
-    times: np.ndarray
-    parent: np.ndarray
-    sign: int = 1
-
-    def __post_init__(self):
-        if len(self.times) < 1 or self.times[0] != 0.0:
-            raise ValueError("cluster must be rooted at time 0")
-
-    @property
-    def size(self) -> int:
-        return len(self.times)
-
-
-@dataclass(frozen=True)
 class EventSeries:
     """Sorted event times on [0, window_end] plus provenance metadata.
 
@@ -152,44 +129,6 @@ class EventSeries:
 # ---------------------------------------------------------------------------
 # cluster generation
 # ---------------------------------------------------------------------------
-
-
-def sample_cluster(m, kernel, rng, size_cap=DEFAULT_SIZE_CAP, gen_cap=DEFAULT_GEN_CAP) -> Cluster:
-    """Breadth-first Galton-Watson cluster with Poisson(m) offspring.
-
-    Each child is displaced from its parent by an independent kernel draw.
-    """
-    if not (0.0 < m < 1.0):
-        raise ValueError(f"branching ratio m must lie in (0, 1), got {m}")
-    times = [np.zeros(1)]
-    parents = [np.full(1, -1, dtype=np.int64)]
-    gen_times = times[0]
-    gen_index = np.zeros(1, dtype=np.int64)
-    total = 1
-    for _ in range(gen_cap):
-        counts = rng.poisson(m, size=len(gen_times))
-        n_children = int(counts.sum())
-        if n_children == 0:
-            return Cluster(np.concatenate(times), np.concatenate(parents))
-        total += n_children
-        if total > size_cap:
-            raise ClusterSizeCapExceeded(f"cluster size exceeded cap {size_cap}")
-        child_times = np.repeat(gen_times, counts) + kernel.sample(rng, n_children)
-        child_parent = np.repeat(gen_index, counts)
-        gen_index = total - n_children + np.arange(n_children, dtype=np.int64)
-        times.append(child_times)
-        parents.append(child_parent)
-        gen_times = child_times
-    raise GenerationCapExceeded(f"cluster genealogy exceeded {gen_cap} generations")
-
-
-def flip_cluster(cluster: Cluster, s: int) -> Cluster:
-    """Reflect all cluster times about the root: times -> s * times."""
-    if s not in (-1, 1):
-        raise ValueError(f"sign must be +1 or -1, got {s}")
-    if s == 1:
-        return cluster
-    return Cluster(-cluster.times, cluster.parent, sign=-cluster.sign)
 
 
 def sample_clusters_batch(n_clusters, m, kernel, rng,

@@ -17,7 +17,7 @@ from clusterbispec.asymptotics import (
     s_alpha,
     z_from_kernel,
 )
-from clusterbispec.kernels import Exponential, Lomax, SymmetricLaplace, UniformHalf
+from clusterbispec.kernels import Exponential, Kernel, Lomax, SymmetricLaplace, UniformHalf
 from clusterbispec.simulate import ModelParams
 
 
@@ -94,6 +94,14 @@ def test_z_from_kernel():
     assert math.isinf(z_from_kernel(Lomax(2.5)).moments()[2])
     with pytest.raises(NonMonotoneKernel):
         z_from_kernel(SymmetricLaplace(1.0))
+
+
+def test_z_from_kernel_rejects_other_one_sided_families():
+    class HalfNormal(Kernel):          # one-sided and monotone, but no family of ours
+        one_sided = True
+
+    with pytest.raises(NonMonotoneKernel):
+        z_from_kernel(HalfNormal())
 
 
 def test_exponential_mixture_reproduces_density():

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from clusterbispec.cli import ConfigError, RunConfig, main, parse_config
+from clusterbispec.cli import COMMANDS, ConfigError, RunConfig, main, parse_config
 
 
 def run_cli(tmp_path, *args):
@@ -38,6 +38,70 @@ def test_config_json_round_trip():
     again = parse_config(json_doc=cfg.to_json())
     assert again == cfg
     assert RunConfig.from_json(cfg.to_json()).to_json() == cfg.to_json()
+
+
+MODEL = {"m": 0.5, "kernel": "exp:1"}
+MALFORMED_CONFIGS = {
+    "threads-string": {"command": "spectrum", "threads": "2", "options": MODEL},
+    "options-list": {"command": "spectrum", "options": [1]},
+    "document-list": [1, 2],
+    "no-command": {"options": MODEL},
+    "n-float": {"command": "invert", "options": {**MODEL, "n": 100.0}},
+    "m-string": {"command": "spectrum", "options": {"m": "0.5", "kernel": "exp:1"}},
+    "theta-string": {"command": "contrast",
+                     "options": {"action": "scan", **MODEL, "T": 50, "theta": "-1,0,1"}},
+    "seed-string-simulate": {"command": "simulate", "seed": "x",
+                             "options": {**MODEL, "T": 10}},
+    "seed-string-spectrum": {"command": "spectrum", "seed": "x", "options": MODEL},
+    "unknown-option": {"command": "spectrum", "options": {**MODEL, "omega-max": 5}},
+    "T-bool": {"command": "simulate", "options": {**MODEL, "T": True}},
+    "invalid-json": "{not json",
+    "missing-file": None,
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_CONFIGS)
+def test_malformed_config_is_a_config_error(name, tmp_path, capsys):
+    doc = MALFORMED_CONFIGS[name]
+    path = tmp_path / "run.json"
+    if doc is not None:
+        text = doc if isinstance(doc, str) else json.dumps(doc)
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            parse_config(json_doc=text)
+    assert main(["--config", str(path), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+REQUIRED_ONLY = {   # command -> (argv, JSON options), each with only the required inputs
+    "simulate": (["simulate", "--m", "0.5", "--kernel", "exp:1", "--T", "100"],
+                 {**MODEL, "T": 100}),
+    "spectrum": (["spectrum", "--m", "0.5", "--kernel", "exp:1"], MODEL),
+    "bispectrum": (["bispectrum", "--m", "0.5", "--kernel", "exp:1"], MODEL),
+    "invert": (["invert", "--m", "0.5", "--kernel", "exp:1"], MODEL),
+    "match": (["match", "--m", "0.5", "--kernel", "exp:1", "--out", "k.json"],
+              {**MODEL, "out": "k.json"}),
+    "contrast-run": (["contrast", "run", "--events", "events.csv"],
+                     {"action": "run", "events": "events.csv"}),
+    "contrast-scan": (["contrast", "scan", "--m", "0.5", "--kernel", "exp:1", "--T", "100"],
+                      {"action": "scan", **MODEL, "T": 100}),
+    "mc-validate": (["mc-validate", "--suite", "moments"], {"suite": "moments"}),
+    "asym-check": (["asym-check", "--m", "0.5", "--kernel", "exp:1"], MODEL),
+}
+
+
+@pytest.mark.parametrize("case", REQUIRED_ONLY)
+def test_json_config_takes_the_flag_defaults(case):
+    argv, options = REQUIRED_ONLY[case]
+    command = argv[0]
+    from_json = parse_config(json_doc=json.dumps({"command": command, "options": options}))
+    assert from_json == parse_config(argv)
+    # every option is filled in, so the manifest's echo lists each value used
+    assert set(from_json.options) == set(COMMANDS[command][1])
+    assert (from_json.seed, from_json.threads, from_json.out_dir, from_json.format) == \
+        (0, 1, ".", "csv")
 
 
 def test_global_flags_before_or_after_subcommand(tmp_path):

@@ -263,7 +263,11 @@ def test_sample_match_uniform_half_base(rng):
     # rho_h jumps to 0 at x = a; the table must keep that jump sharp
     spec = MatchSpec(UniformHalf(2.0), m=0.5)
     n = 10**6
-    draws = build_matched_kernel(spec).sample(rng, n)
+    kernel = build_matched_kernel(spec)
+    # the table spends its points on the support [0, a]; only the knot past a lies beyond
+    assert np.all((kernel.rho_x[:-1] >= 0.0) & (kernel.rho_x[:-1] <= 2.0))
+    assert kernel.rho_x[-1] > 2.0 and kernel.rho_vals[-1] == 0.0
+    draws = kernel.sample(rng, n)
     for w in (0.7, 1.0, 1.5, 3.0):
         phases = np.cos(w * draws)
         se = phases.std(ddof=1) / math.sqrt(n)

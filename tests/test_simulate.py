@@ -7,7 +7,6 @@ import pytest
 
 from clusterbispec.kernels import Exponential, Lomax, UniformHalf
 from clusterbispec.simulate import (
-    Cluster,
     ClusterSizeCapExceeded,
     IMMIGRANT_BUDGET,
     EventSeries,
@@ -15,11 +14,9 @@ from clusterbispec.simulate import (
     NonFiniteTime,
     PaddingBudgetExceeded,
     ParseError,
-    flip_cluster,
     ingest_events,
     padding_length,
     replicate_windows,
-    sample_cluster,
     sample_clusters_batch,
     simulate_window,
     simulate_window_batched,
@@ -44,9 +41,10 @@ def test_model_params_validation():
 
 
 def test_tiny_branching_ratio_gives_singletons(rng):
-    for _ in range(10**4 // 100):
-        c = sample_cluster(1e-9, Exponential(1.0), rng)
-        assert c.size == 1
+    n = 10**4
+    offs, cid = sample_clusters_batch(n, 1e-9, Exponential(1.0), rng)
+    assert np.array_equal(np.bincount(cid, minlength=n), np.ones(n))
+    assert np.array_equal(offs, np.zeros(n))
 
 
 def test_cluster_mean_size_and_factorial_moment(rng):
@@ -63,33 +61,19 @@ def test_cluster_mean_size_and_factorial_moment(rng):
 
 
 def test_cluster_structure(rng):
-    c = sample_cluster(0.8, Exponential(1.0), rng)
-    assert c.times[0] == 0.0 and c.parent[0] == -1
-    # children sit after their parents for a one-sided kernel
-    for i in range(1, c.size):
-        assert c.times[i] >= c.times[c.parent[i]]
+    n = 1000
+    offs, cid = sample_clusters_batch(n, 0.8, Exponential(1.0), rng)
+    # the first wave is the roots, at offset 0, one per cluster in order
+    assert np.array_equal(offs[:n], np.zeros(n)) and np.array_equal(cid[:n], np.arange(n))
+    sizes = np.bincount(cid, minlength=n)
+    assert sizes.min() >= 1 and sizes.sum() == len(offs) and sizes.max() > 1
+    # every descendant sits after its root for a one-sided kernel
+    assert np.all(offs >= 0.0)
 
 
 def test_cluster_size_cap(rng):
     with pytest.raises(ClusterSizeCapExceeded):
-        for _ in range(200):
-            sample_cluster(0.99, Exponential(1.0), rng, size_cap=10)
-
-
-def test_flip_cluster(rng):
-    c = Cluster(np.array([0.0, 1.5, 2.0]), np.array([-1, 0, 0]))
-    same = flip_cluster(c, 1)
-    assert same is c
-    flipped = flip_cluster(c, -1)
-    assert np.array_equal(flipped.times, [0.0, -1.5, -2.0])
-    assert np.array_equal(flipped.parent, c.parent)
-    for _ in range(100):
-        c = sample_cluster(0.5, Exponential(1.0), rng)
-        double = flip_cluster(flip_cluster(c, -1), -1)
-        assert np.array_equal(double.times, c.times)
-        assert double.sign == c.sign
-    with pytest.raises(ValueError):
-        flip_cluster(c, 0)
+        sample_clusters_batch(200, 0.99, Exponential(1.0), rng, size_cap=10)
 
 
 # ---------------------------------------------------------------------------
