@@ -26,7 +26,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -230,8 +230,11 @@ def _validate(cfg: RunConfig) -> None:
             bad.append("match.out: output path required")
     elif cmd == "contrast":
         positive("H")
-        if opt["action"] == "run" and opt["events"] is None:
-            bad.append("contrast.events: input CSV required")
+        if opt["action"] == "run":
+            if opt["events"] is None:
+                bad.append("contrast.events: input CSV required")
+            if opt["T"] is not None and not opt["T"] > 0:
+                bad.append(f"contrast.T: window end must be positive, got {opt['T']}")
         elif opt["action"] == "scan":
             need_model()
             if len(opt["theta"]) < 3:
@@ -400,7 +403,12 @@ def run(cfg: RunConfig) -> int:
         if opt["action"] == "run":
             from .simulate import ingest_events
 
-            series = ingest_events(opt["events"], window_end=opt["T"])
+            series = ingest_events(opt["events"])
+            if opt["T"] is not None:
+                if opt["T"] < series.window_end:
+                    raise ConfigError([f"contrast.T: window end {opt['T']:g} before the last "
+                                       f"event at {series.window_end:g}"])
+                series = replace(series, window_end=opt["T"])
             value = contrasts.contrast_statistic(series, g)
             doc = {"statistic": value, "n_events": len(series),
                    "window_end": series.window_end, "H": g.support_radius}
@@ -458,8 +466,9 @@ def main(argv=None) -> int:
         return 2
     try:
         return run(cfg)
-    except PaddingBudgetExceeded as exc:  # the model and window are too large to simulate
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ConfigError, PaddingBudgetExceeded) as exc:  # faults found only while running
+        for v in getattr(exc, "violations", [exc]):
+            print(f"config error: {v}", file=sys.stderr)
         return 2
     except Exception as exc:  # surface module + operation, fail loudly
         print(f"error [{cfg.command}]: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -30,7 +30,7 @@ from scipy.integrate import trapezoid
 from scipy.special import hyp2f1
 
 from .kernels import (Exponential, InvalidKernel, Kernel, Lomax, TailClass, UniformHalf,
-                      array_key, readonly)
+                      array_key, in_row_chunks, readonly)
 
 __all__ = [
     "MatchSpec",
@@ -162,9 +162,10 @@ class MatchedKernel(Kernel):
     that table.  A kernel built from a MatchSpec transforms exactly
     (phi_transform) and takes its summand tail quantile from the base; a
     kernel reloaded from a file (``spec`` None) transforms by trapezoid sums
-    over the table and inverts the table's tail.  Density and survival come
-    from a lazily built lattice inversion table; the build step is
-    single-threaded, after which the object is immutable and safe to share.
+    over the table, in bounded frequency blocks, and inverts the table's tail.
+    Density and survival come from a lazily built lattice inversion table; the
+    build step is single-threaded, after which the object is immutable and
+    safe to share.
     """
 
     m: float
@@ -207,11 +208,10 @@ class MatchedKernel(Kernel):
         if self.spec is not None:
             out = phi_transform(self.spec, omega)
         else:
-            w = np.atleast_1d(np.asarray(omega, dtype=float))
-            phases = np.cos(np.multiply.outer(w, self.rho_x))
-            out = _phi_hat(self.m, 2.0 * trapezoid(phases * self.rho_vals, self.rho_x, axis=-1))
-            if np.ndim(omega) == 0:
-                out = float(out[0])
+            rho_hat = in_row_chunks(lambda w: 2.0 * trapezoid(
+                np.cos(np.multiply.outer(w, self.rho_x)) * self.rho_vals, self.rho_x, axis=-1),
+                omega, len(self.rho_x))
+            out = _phi_hat(self.m, rho_hat)
         return np.asarray(out, dtype=complex) if np.ndim(omega) else complex(out)
 
     # -- sampling -----------------------------------------------------------

@@ -234,6 +234,17 @@ def test_contrast_run(tmp_path):
     assert doc["window_end"] == 50.0  # flag overrides the window end
 
 
+@pytest.mark.parametrize("T", ["1.5", "0", "-5"])
+def test_contrast_run_window_end_is_checked(T, tmp_path, capsys):
+    events = tmp_path / "events.csv"
+    events.write_text("t\n1\n2\n3\n")
+    assert run_cli(tmp_path, "contrast", "run", "--events", str(events), "--T", T) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: contrast.T: window end") and "Traceback" not in err
+    assert ("before the last event" in err) == (T == "1.5")
+    assert not (tmp_path / "contrast.json").exists()
+
+
 def test_contrast_scan(tmp_path):
     assert run_cli(tmp_path, "--seed", "5", "contrast", "scan", "--m", "0.5",
                    "--kernel", "exp:1", "--T", "150", "--reps", "30",

@@ -1,6 +1,9 @@
 """Kernel densities, transforms, samplers, tails, and the spec grammar."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import clusterbispec
 from clusterbispec.kernels import (
+    CHUNK_CELLS,
+    TRANSFORM_TOL,
     Exponential,
     InvalidKernel,
     Lomax,
@@ -18,12 +24,52 @@ from clusterbispec.kernels import (
     UnsupportedKernelScaling,
     kernel_from_spec,
     load_tabulated_csv,
-    lomax_transform_gammainc,
     scale_kernel,
     transform_with_bound,
 )
 
 OMEGA_GRID = np.linspace(-50.0, 50.0, 64)
+LOMAX_ALPHAS = (0.05, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 10.0)
+LOMAX_OMEGAS = np.logspace(-8.0, 6.0, 29)
+
+
+def lomax_transform_gammainc(alpha: float, omega: float) -> complex:
+    """Oracle: the Lomax transform as alpha e^{i w} (i w)^alpha Gamma(-alpha, i w).
+
+    Substituting u = 1 + t gives this incomplete-gamma form (DLMF 8.2).
+    """
+    mp = pytest.importorskip("mpmath")
+    if omega == 0.0:
+        return 1.0 + 0.0j
+    z = 1j * mp.mpf(omega)
+    a = mp.mpf(alpha)
+    return complex(a * mp.e**z * z**a * mp.gammainc(-a, z))
+
+
+def quadpack_lomax_transform(alpha: float, omega, tol=1e-9):
+    """Oracle: the Lomax transform by QUADPACK's Fourier integrals U - iV.
+
+    QUADPACK's weight='cos'/'sin' path on [0, inf) splits the axis at the
+    half-period points pi/|w| and accelerates the alternating segment series
+    with the epsilon algorithm; limlst caps the cycles.  Fails the calling test
+    where its error estimate exceeds ``tol``.  Use it only at |w| >= 1e-4:
+    below about 1e-5 it returns about 0 (where hhat is near 1) with a tiny
+    error estimate.
+    """
+    dens = Lomax(alpha).density
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    out = np.empty(w.shape, dtype=complex)
+    for i, x in enumerate(w):
+        if x == 0.0:
+            out[i] = 1.0
+            continue
+        U, eU = quad(dens, 0.0, np.inf, weight="cos", wvar=abs(x), epsabs=0.5 * tol,
+                     limlst=400, limit=500)
+        V, eV = quad(dens, 0.0, np.inf, weight="sin", wvar=abs(x), epsabs=0.5 * tol,
+                     limlst=400, limit=500)
+        assert math.hypot(eU, eV) <= tol, f"QUADPACK missed {tol:g} at |w|={abs(x):g}"
+        out[i] = U - 1j * V if x > 0 else U + 1j * V
+    return out
 
 
 def analytic_cdf(kernel, x):
@@ -165,16 +211,82 @@ def test_lomax_transform_against_bruteforce_riemann():
 
 
 def test_lomax_transform_against_incomplete_gamma():
-    pytest.importorskip("mpmath")
-    for alpha in (1.0, 1.5, 2.0):
-        for w in (1e-4, 0.1, 2.0, 50.0):
-            assert abs(Lomax(alpha).transform(w)
-                       - lomax_transform_gammainc(alpha, w)) < 1e-9
+    # the contour rule within 1e-11, and its reported bound covers the true error
+    for alpha in LOMAX_ALPHAS:
+        k = Lomax(alpha)
+        vals = k.transform(LOMAX_OMEGAS)
+        for w, val in zip(LOMAX_OMEGAS, vals):
+            err = abs(val - lomax_transform_gammainc(alpha, w))
+            single, bound = transform_with_bound(k, w)
+            assert single == val
+            assert err <= 1e-11, (alpha, w, err)
+            assert err <= bound <= TRANSFORM_TOL, (alpha, w, err, bound)
+
+
+def test_lomax_transform_against_quadpack():
+    w = np.array([-30.0, -0.37, 0.05, 0.37, 2.0, 50.0, 300.0])
+    for alpha in (0.5, 1.0, 1.5, 2.0, 4.0):
+        assert np.max(np.abs(Lomax(alpha).transform(w)
+                             - quadpack_lomax_transform(alpha, w))) < 1e-9
+
+
+def test_lomax_transform_zero_and_conjugate_exact():
+    k = Lomax(1.5)
+    assert k.transform(0.0) == 1.0 and k.transform(-0.0) == 1.0
+    w = np.concatenate([[1e-8, 1e-3], np.linspace(0.01, 80.0, 101), [1e6]])
+    assert np.array_equal(k.transform(-w), np.conj(k.transform(w)))
+
+
+def test_lomax_transform_batch_independent():
+    # each frequency alone is bit-identical to the same frequency in a call
+    # that spans several row blocks
+    w = np.random.default_rng(3).uniform(-60.0, 60.0, 1200)
+    w[::97] = 0.0
+    assert len(w) > 3 * (CHUNK_CELLS // 400)
+    k = Lomax(0.8)
+    batch = k.transform(w)
+    assert all(k.transform(np.array([x]))[0] == v for x, v in zip(w, batch))
+    assert all(k.transform(float(x)) == v for x, v in zip(w[:50], batch[:50]))
+
+
+def test_tabulated_transform_blocks_bit_identical(kernels):
+    # blocked rows reproduce one (frequencies x table) trapezoid sum exactly
+    tab = kernels["tab"]
+    w = np.random.default_rng(4).uniform(-40.0, 40.0, 300)
+    assert len(w) > CHUNK_CELLS // len(tab.values)
+    whole = 2.0 * np.trapezoid(np.cos(np.multiply.outer(w, tab.grid)) * tab.values,
+                               dx=tab.spacing, axis=-1)
+    assert np.array_equal(tab.transform(w), whole.astype(complex))
 
 
 def test_transform_error_bound_reported():
     _, bound = transform_with_bound(Lomax(1.0), 0.37)
     assert 0.0 < bound <= 1e-9
+
+
+def test_no_quadpack_or_mpmath_in_the_package():
+    # generic quadrature is a test oracle only: no module binds QUADPACK's quad,
+    # and nothing the package imports or runs loads mpmath
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "import numpy as np\n"
+        "from scipy.integrate import quad\n"
+        "import clusterbispec\n"
+        "mods = [importlib.import_module('clusterbispec.' + m.name)\n"
+        "        for m in pkgutil.iter_modules(clusterbispec.__path__)]\n"
+        "clusterbispec.kernels.Lomax(1.5).transform(np.linspace(-5.0, 5.0, 11))\n"
+        "assert 'mpmath' not in sys.modules\n"
+        "assert not hasattr(clusterbispec.kernels, 'quad')\n"
+        "assert not any(v is quad for m in mods for v in vars(m).values())\n"
+        "print(len(mods))\n"
+    )
+    src = os.path.dirname(os.path.dirname(clusterbispec.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) >= 9
 
 
 # ---------------------------------------------------------------------------

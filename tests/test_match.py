@@ -2,12 +2,14 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
+from clusterbispec import kernels
 from clusterbispec.cli import main
 from clusterbispec.kernels import (Exponential, Kernel, Lomax, SymmetricLaplace, UniformHalf,
                                    kernel_from_spec)
@@ -350,6 +352,24 @@ def test_matched_kernel_lomax_base_density_and_reload(tmp_path):
     assert np.max(np.abs(loaded.transform(w) - matched.transform(w))) < 1e-2
     draws = loaded.sample(np.random.default_rng(1), 5000)
     assert abs(float(np.median(draws))) < 0.2  # even law
+
+
+def test_reloaded_transform_runs_in_bounded_blocks(tmp_path, monkeypatch):
+    # the trapezoid sums of a reloaded kernel run in row blocks: bounded
+    # memory, and the same bits as one (frequencies x table) block
+    path = tmp_path / "lomax_match.json"
+    save_matched_kernel(build_matched_kernel(MatchSpec(Lomax(2.0), m=0.5)), path)
+    loaded = load_matched_kernel(path)
+    w = np.linspace(-40.0, 40.0, 20000)
+    tracemalloc.start()
+    try:
+        vals = loaded.transform(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    monkeypatch.setattr(kernels, "CHUNK_CELLS", 1 << 40)
+    assert np.array_equal(loaded.transform(w[::50]), vals[::50])
 
 
 def test_matched_kernel_save_load_round_trip(tmp_path):

@@ -79,6 +79,17 @@ def test_b_complete_at_origin():
     assert val.real == pytest.approx(lam * (1 + 2 * m) / (1 - m) ** 4)
 
 
+def test_lomax_b_complete_continuous_across_zero_sum():
+    # on a linspace grid w1 + w2 rounds to ~1e-15 instead of 0; the Lomax
+    # transform there must be ~1, so B_comp matches the exact zero-sum value
+    p = params(Lomax(1.5))
+    w1, w2 = -0.3174603174603199, 0.31746031746031633
+    assert 0.0 < abs(w1 + w2) < 1e-14
+    near = complex(b_complete(p, w1, w2))
+    exact = complex(b_complete(p, w1, -w1))
+    assert abs(near - exact) < 1e-9 * abs(exact)
+
+
 def test_symmetric_kernels_give_real_b_complete():
     axis = np.linspace(-25.0, 25.0, 16)
     W1, W2 = np.meshgrid(axis, axis, indexing="ij")
