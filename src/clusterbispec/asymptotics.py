@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn
 
 from .kernels import Exponential, Kernel, Lomax, TailClass, UniformHalf
 from .simulate import ModelParams
@@ -88,12 +87,12 @@ class MixtureZ:
 
 def c_alpha(alpha: float) -> float:
     """C(alpha) = (pi/2) / (Gamma(alpha) cos(pi alpha / 2)), alpha in (0,2) \\ {1}."""
-    return (math.pi / 2.0) / (_gamma_fn(alpha) * math.cos(math.pi * alpha / 2.0))
+    return (math.pi / 2.0) / (math.gamma(alpha) * math.cos(math.pi * alpha / 2.0))
 
 
 def s_alpha(alpha: float) -> float:
     """S(alpha) = (pi/2) / (Gamma(alpha) sin(pi alpha / 2))."""
-    return (math.pi / 2.0) / (_gamma_fn(alpha) * math.sin(math.pi * alpha / 2.0))
+    return (math.pi / 2.0) / (math.gamma(alpha) * math.sin(math.pi * alpha / 2.0))
 
 
 def chi_alpha(alpha: float) -> float:

@@ -384,7 +384,7 @@ def run(cfg: RunConfig) -> int:
             print(f"warning: inversion imaginary residue {grid.imag_residue:.2e} "
                   "exceeds 1e-6 of max", file=sys.stderr)
         cpath, jpath = out_dir / "c3.csv", out_dir / "c3_meta.json"
-        grid.write_csv(cpath, odd=cumulant3.odd_part(grid))
+        grid.write_csv(cpath)
         grid.write_meta_json(jpath)
         outputs += [str(cpath), str(jpath)]
 

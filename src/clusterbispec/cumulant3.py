@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .simulate import ModelParams
+from .simulate import ModelParams, write_columns
 from .spectra import b_factorial, envelope
 
 __all__ = [
@@ -84,15 +84,10 @@ class CumulantGrid:
     def total_integral(self) -> float:
         return float(self.values.sum() * self.spacing**2)
 
-    def write_csv(self, path, odd: "CumulantGrid | None" = None):
+    def write_csv(self, path):
         lags = self.lags
-        with open(path, "w") as fh:
-            fh.write("tau1,tau2,c3,c3_odd\n")
-            for i in range(self.n):
-                for j in range(self.n):
-                    o = repr(float(odd.values[i, j])) if odd is not None else ""
-                    fh.write(f"{float(lags[i])!r},{float(lags[j])!r},"
-                             f"{float(self.values[i, j])!r},{o}\n")
+        write_columns(path, ["tau1", "tau2", "c3", "c3_odd"], np.repeat(lags, self.n),
+                      np.tile(lags, self.n), self.values, odd_part(self).values)
 
     def write_meta_json(self, path):
         with open(path, "w") as fh:

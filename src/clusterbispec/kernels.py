@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 __all__ = [
     "Kernel",
@@ -30,6 +29,7 @@ __all__ = [
     "TailClass",
     "UnsupportedKernelScaling",
     "InvalidKernel",
+    "TransformOutOfRange",
     "transform_with_bound",
     "scale_kernel",
     "kernel_from_spec",
@@ -39,7 +39,7 @@ __all__ = [
 TRANSFORM_TOL = 1e-9  # absolute error the Lomax rule's reported bound stays within
 CHUNK_CELLS = 1 << 16  # cells of one (frequencies x nodes or table cells) block
 _LOMAX_NODES = 400     # Gauss-Legendre nodes of the Lomax contour rule
-_LOMAX_CUTOFF = 60.0   # the contour ends where e^{-w u} = e^{-60}
+_LOMAX_CUTOFF = 60.0   # the contour ends where e^{-w u} or u^{-alpha} reaches e^{-60}
 
 
 def readonly(a):
@@ -78,6 +78,10 @@ class UnsupportedKernelScaling(ValueError):
 
 class InvalidKernel(ValueError):
     """Kernel parameters or tabulated data violate a construction invariant."""
+
+
+class TransformOutOfRange(ValueError):
+    """The Lomax contour runs past the double range: alpha < 0.085 at a subnormal |w|."""
 
 
 @dataclass(frozen=True)
@@ -320,7 +324,7 @@ class TabulatedSymmetric(Kernel):
             raise InvalidKernel(f"grid spacing must be positive, got {self.spacing}")
         if np.any(~np.isfinite(vals)) or np.any(vals < 0):
             raise InvalidKernel("tabulated density samples must be finite and nonnegative")
-        total = 2.0 * trapezoid(vals, dx=self.spacing)  # even extension
+        total = 2.0 * np.trapezoid(vals, dx=self.spacing)  # even extension
         if abs(total - 1.0) > 1e-3:
             raise InvalidKernel(f"tabulated density integrates to {total:.6f}, expected 1")
         vals = readonly(vals / total)
@@ -340,7 +344,7 @@ class TabulatedSymmetric(Kernel):
         return np.interp(ax, self.grid, self.values, right=0.0)
 
     def transform(self, omega):
-        vals = in_row_chunks(lambda w: 2.0 * trapezoid(
+        vals = in_row_chunks(lambda w: 2.0 * np.trapezoid(
             np.cos(np.multiply.outer(w, self.grid)) * self.values, dx=self.spacing, axis=-1),
             omega, len(self.values))
         return vals.astype(complex) if np.ndim(omega) else complex(vals)
@@ -377,16 +381,17 @@ def transform_with_bound(kernel: Kernel, omega):
     """Transform plus an absolute error bound over all of omega (0.0 if exact).
 
     For Lomax: the change from halving the contour rule's nodes, plus 64 ulps of
-    alpha int_0^inf |1 - iu|^{-1-alpha} du for rounding, plus the alpha e^{-60}/60
-    the cut drops; at most TRANSFORM_TOL for alpha in [0.05, 10] and |w| >= 1e-8.
+    alpha int_0^inf |1 - iu|^{-1-alpha} du for rounding, plus the (alpha/60 + 1) e^{-60}
+    the two cuts drop; at most TRANSFORM_TOL for alpha in [0.05, 10] and |w| >= 1e-8.
     """
     if not isinstance(kernel, Lomax):
         return kernel.transform(omega), 0.0
     a, fine = kernel.alpha, kernel.transform(omega)
     coarse = in_row_chunks(lambda w: _lomax_rows(a, w, _LOMAX_NODES // 2), omega, _LOMAX_NODES)
     modulus = a * math.exp(math.lgamma(a / 2) - math.lgamma((1 + a) / 2)) * math.sqrt(math.pi) / 2
-    rounding = 64.0 * np.finfo(float).eps * modulus + a * math.exp(-_LOMAX_CUTOFF) / _LOMAX_CUTOFF
-    return fine, float(np.max(np.abs(fine - coarse), initial=0.0)) + rounding
+    rounding = 64.0 * np.finfo(float).eps * modulus
+    truncation = (a / _LOMAX_CUTOFF + 1.0) * math.exp(-_LOMAX_CUTOFF)
+    return fine, float(np.max(np.abs(fine - coarse), initial=0.0)) + rounding + truncation
 
 
 def scale_kernel(kernel: Kernel, beta: float) -> Kernel:
@@ -424,14 +429,19 @@ def _lomax_rows(alpha, w, nodes):
     """Lomax hhat at a 1-D block of frequencies by a ``nodes``-point contour rule.
 
     For w > 0, t = -iu gives hhat(w) = -i alpha int_0^inf e^{-w u} (1 - iu)^{-1-alpha} du,
-    which does not oscillate (numerical steepest descent: Huybrechs & Vandewalle,
-    SIAM J. Numer. Anal. 44(3), 2006); u = e^v - 1, v in [0, log1p(60/w)].
+    which does not oscillate (numerical steepest descent: Huybrechs & Vandewalle, SIAM
+    J. Numer. Anal. 44(3), 2006); u = e^v - 1 up to u = min(60/w, e^{60/alpha}).
     Exactly 1 at w = 0 and the conjugate for w < 0; each row is summed alone.
     """
     out = np.ones(w.shape, dtype=complex)
     aw = np.abs(w[w != 0.0])[:, None]
     x, q = _gauss_legendre(nodes)
-    half = 0.5 * np.log1p(_LOMAX_CUTOFF / aw)
+    with np.errstate(over="ignore"):  # 60/|w| and u(v_max) overflow only at subnormal |w|
+        v_max = np.minimum(np.log1p(_LOMAX_CUTOFF / aw), np.logaddexp(_LOMAX_CUTOFF / alpha, 0.0))
+        if np.any(np.isinf(np.expm1(v_max))):
+            raise TransformOutOfRange(f"Lomax({alpha:g}) transform at |w| = {float(aw.min()):g}: "
+                                      "alpha < 0.085 needs |w| >= 3.4e-307")
+    half = 0.5 * v_max
     v = half * (x + 1.0)
     u = np.expm1(v)
     # (1 - iu)^{-1-alpha} = e^{-(1+alpha)(log|1 - iu| - i arctan u)}; hypot keeps |1 - iu| finite

@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import trapezoid
-from scipy.special import hyp2f1
 
 from .kernels import (Exponential, InvalidKernel, Kernel, Lomax, TailClass, UniformHalf,
                       array_key, in_row_chunks, readonly)
@@ -106,6 +104,7 @@ def _autocorrelation(base: Kernel, x):
     if isinstance(base, Exponential):
         return 0.5 * base.beta * np.exp(-base.beta * ax)
     if isinstance(base, Lomax):
+        from scipy.special import hyp2f1  # the package's one scipy use: Lomax bases only
         a = base.alpha
         return a * a * hyp2f1(1.0 + a, 1.0 + 2.0 * a, 2.0 + 2.0 * a, -ax) / (1.0 + 2.0 * a)
     if isinstance(base, UniformHalf):
@@ -208,7 +207,7 @@ class MatchedKernel(Kernel):
         if self.spec is not None:
             out = phi_transform(self.spec, omega)
         else:
-            rho_hat = in_row_chunks(lambda w: 2.0 * trapezoid(
+            rho_hat = in_row_chunks(lambda w: 2.0 * np.trapezoid(
                 np.cos(np.multiply.outer(w, self.rho_x)) * self.rho_vals, self.rho_x, axis=-1),
                 omega, len(self.rho_x))
             out = _phi_hat(self.m, rho_hat)

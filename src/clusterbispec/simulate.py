@@ -41,6 +41,7 @@ __all__ = [
     "replicate_windows",
     "ingest_events",
     "write_events",
+    "write_columns",
 ]
 
 DEFAULT_SIZE_CAP = 10**7
@@ -106,7 +107,7 @@ class EventSeries:
     ``cluster_id`` / ``root_time`` are populated only when the simulator is
     asked to keep genealogy; ingested series leave them None.  Duplicate
     timestamps are legal and kept as distinct indices; NaN or infinite times
-    raise :class:`NonFiniteTime`.
+    or window end raise :class:`NonFiniteTime`.
     """
 
     times: np.ndarray
@@ -119,6 +120,8 @@ class EventSeries:
         t = np.asarray(self.times, dtype=float)
         if not np.all(np.isfinite(t)):
             raise NonFiniteTime("event times must be finite")
+        if not math.isfinite(self.window_end):
+            raise NonFiniteTime(f"window end must be finite, got {self.window_end}")
         if len(t) and (t[0] < 0 or t[-1] > self.window_end or np.any(np.diff(t) < 0)):
             raise ValueError("event times must be sorted within [0, window_end]")
 
@@ -254,7 +257,7 @@ def _replicate(params, T, statistic, pad_tol, stream):
 
 def replicate_windows(params: ModelParams, T, statistic, replicates, seed,
                       pad_tol=DEFAULT_PAD_TOL, threads=1) -> np.ndarray:
-    """``statistic(series)`` on independent windows, stacked in replicate order.
+    """``statistic(series)`` on ``replicates`` >= 2 independent windows, in replicate order.
 
     Each replicate's window is drawn from its own child of ``seed`` (an
     integer or a SeedSequence).  Children are spawned from the seed's
@@ -263,6 +266,8 @@ def replicate_windows(params: ModelParams, T, statistic, replicates, seed,
     in that many worker processes (``statistic`` must then pickle); results
     are identical for any worker count.
     """
+    if int(replicates) < 2:
+        raise ValueError(f"need at least two replicates for a standard error, got {replicates}")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     streams = root.spawn(int(replicates))
     one = partial(_replicate, params, T, statistic, pad_tol)
@@ -312,7 +317,12 @@ def ingest_events(path, window_end=None) -> EventSeries:
 
 def write_events(series: EventSeries, path) -> None:
     """Write a series in the ingestion format (header 't', one time per line)."""
+    write_columns(path, ["t"], series.times)
+
+
+def write_columns(path, header, *columns) -> None:
+    """Write equal-length columns as CSV: the header, then each row's values by ``repr``."""
+    cells = [map(repr, np.asarray(c, dtype=float).ravel().tolist()) for c in columns]
     with open(path, "w") as fh:
-        fh.write("t\n")
-        for t in series.times:
-            fh.write(f"{float(t)!r}\n")
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))

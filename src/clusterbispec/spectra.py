@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import Kernel, scale_kernel
-from .simulate import ModelParams
+from .simulate import ModelParams, write_columns
 
 __all__ = [
     "SpectralGrid",
@@ -40,13 +40,11 @@ __all__ = [
 
 @dataclass
 class SpectralGrid:
-    """Frequencies (1D or 2D) with complex values and optional MC stderr."""
+    """Frequencies (1D or 2D) with complex values."""
 
     dims: int
     frequencies: np.ndarray  # (k,) for dims=1, (k, 2) for dims=2
     values: np.ndarray
-    stderr_re: np.ndarray | None = None
-    stderr_im: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -56,18 +54,9 @@ class SpectralGrid:
             raise ValueError("grid values must be finite")
 
     def write_csv(self, path):
-        cols = ["w1", "w2", "re", "im"] if self.dims == 2 else ["w", "re", "im"]
-        has_err = self.stderr_re is not None
-        if has_err:
-            cols += ["stderr_re", "stderr_im"]
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for i in range(len(self.values)):
-                row = list(np.atleast_1d(self.frequencies[i])) + [
-                    self.values[i].real, self.values[i].imag]
-                if has_err:
-                    row += [self.stderr_re[i], self.stderr_im[i]]
-                fh.write(",".join(f"{float(v)!r}" for v in row) + "\n")
+        freqs = np.reshape(self.frequencies, (len(self.values), self.dims)).T
+        write_columns(path, ["w1", "w2", "re", "im"] if self.dims == 2 else ["w", "re", "im"],
+                      *freqs, self.values.real, self.values.imag)
 
     def write_json(self, path):
         doc = {
@@ -77,9 +66,6 @@ class SpectralGrid:
             "im": self.values.imag.tolist(),
             "meta": self.meta,
         }
-        if self.stderr_re is not None:
-            doc["stderr_re"] = np.asarray(self.stderr_re).tolist()
-            doc["stderr_im"] = np.asarray(self.stderr_im).tolist()
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=1)
 

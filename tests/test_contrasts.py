@@ -296,3 +296,6 @@ def test_linearity_scan_validation():
         linearity_scan(EXP_PARAMS, g, 100.0, (-1.0, 1.0), 10, seed=0)
     with pytest.raises(ValueError):
         linearity_scan(EXP_PARAMS, g, 100.0, (-2.0, 0.0, 1.0), 10, seed=0)
+    for reps in (0, 1):   # no standard error (or no mean) from fewer than two windows
+        with pytest.raises(ValueError, match="replicates"):
+            linearity_scan(EXP_PARAMS, g, 100.0, (-1.0, 0.0, 1.0), reps, seed=0)

@@ -265,7 +265,7 @@ def test_cumulant_grid_csv_dump(tmp_path):
     grid = invert_bispectrum(EXP_PARAMS, half_width=20.0, n=64)
     odd = odd_part(grid)
     path = tmp_path / "c3.csv"
-    grid.write_csv(path, odd=odd)
+    grid.write_csv(path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "tau1,tau2,c3,c3_odd"
     assert len(lines) == 1 + 64 * 64

@@ -20,6 +20,7 @@ from clusterbispec.kernels import (
     Lomax,
     SymmetricLaplace,
     TabulatedSymmetric,
+    TransformOutOfRange,
     UniformHalf,
     UnsupportedKernelScaling,
     kernel_from_spec,
@@ -31,6 +32,9 @@ from clusterbispec.kernels import (
 OMEGA_GRID = np.linspace(-50.0, 50.0, 64)
 LOMAX_ALPHAS = (0.05, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 10.0)
 LOMAX_OMEGAS = np.logspace(-8.0, 6.0, 29)
+# beyond the domain where the bound stays within TRANSFORM_TOL: large alpha, subnormal |w|
+LOMAX_WIDE_ALPHAS = (0.001, 0.01, 30.0, 100.0, 1000.0)
+LOMAX_TINY_OMEGAS = (1e-310, 1e-300, 1e-200, 1e-100, 1e-30, 1e-15)
 
 
 def lomax_transform_gammainc(alpha: float, omega: float) -> complex:
@@ -211,16 +215,35 @@ def test_lomax_transform_against_bruteforce_riemann():
 
 
 def test_lomax_transform_against_incomplete_gamma():
-    # the contour rule within 1e-11, and its reported bound covers the true error
-    for alpha in LOMAX_ALPHAS:
+    # the contour rule within 1e-11 wherever it runs, and its reported bound covers
+    # the true error; the bound is within TRANSFORM_TOL on the documented domain
+    for alpha in LOMAX_ALPHAS + LOMAX_WIDE_ALPHAS:
         k = Lomax(alpha)
-        vals = k.transform(LOMAX_OMEGAS)
-        for w, val in zip(LOMAX_OMEGAS, vals):
+        batch = dict(zip(LOMAX_OMEGAS, k.transform(LOMAX_OMEGAS)))
+        for w in (*LOMAX_TINY_OMEGAS, *LOMAX_OMEGAS):
+            try:
+                val, bound = transform_with_bound(k, w)
+            except TransformOutOfRange:
+                assert alpha < 0.085 and w < 3.4e-307, (alpha, w)
+                continue
             err = abs(val - lomax_transform_gammainc(alpha, w))
-            single, bound = transform_with_bound(k, w)
-            assert single == val
             assert err <= 1e-11, (alpha, w, err)
-            assert err <= bound <= TRANSFORM_TOL, (alpha, w, err, bound)
+            assert err <= bound, (alpha, w, err, bound)
+            assert batch.get(w, val) == val
+            if alpha in LOMAX_ALPHAS and w >= 1e-8:
+                assert bound <= TRANSFORM_TOL, (alpha, w, bound)
+
+
+def test_lomax_transform_out_of_range_is_named():
+    # for alpha < 0.085 the contour's end e^{60/alpha} overflows, so a subnormal |w|,
+    # whose 60/|w| overflows too, is refused rather than returned as NaN
+    for alpha in (0.001, 0.05, 0.08):
+        with pytest.raises(TransformOutOfRange):
+            Lomax(alpha).transform(np.array([1.0, -1e-310]))
+        with pytest.raises(TransformOutOfRange):
+            transform_with_bound(Lomax(alpha), 1e-310)
+        assert np.isfinite(Lomax(alpha).transform(3.4e-307))
+    assert np.isfinite(Lomax(0.09).transform(1e-310))
 
 
 def test_lomax_transform_against_quadpack():
@@ -266,15 +289,26 @@ def test_transform_error_bound_reported():
 
 def test_no_quadpack_or_mpmath_in_the_package():
     # generic quadrature is a test oracle only: no module binds QUADPACK's quad,
-    # and nothing the package imports or runs loads mpmath
+    # and nothing the package imports or runs loads mpmath; importing every module
+    # and running every transform but a Lomax-based match loads no scipy either
     code = (
         "import importlib, pkgutil, sys\n"
         "import numpy as np\n"
-        "from scipy.integrate import quad\n"
         "import clusterbispec\n"
+        "from clusterbispec import asymptotics, kernels, match\n"
         "mods = [importlib.import_module('clusterbispec.' + m.name)\n"
         "        for m in pkgutil.iter_modules(clusterbispec.__path__)]\n"
-        "clusterbispec.kernels.Lomax(1.5).transform(np.linspace(-5.0, 5.0, 11))\n"
+        "w = np.linspace(-5.0, 5.0, 11)\n"
+        "kernels.Exponential(1.0).transform(w)\n"
+        "kernels.Lomax(1.5).transform(w)\n"
+        "kernels.TabulatedSymmetric(np.exp(-0.01 * np.arange(2001)) / 2, 0.01).transform(w)\n"
+        "built = match.build_matched_kernel(match.MatchSpec(kernels.Exponential(1.0), 0.5))\n"
+        "built.transform(w)\n"
+        "match.MatchedKernel(0.5, built.pn, built.rho_x, built.rho_vals).transform(w)\n"
+        "asymptotics.chi_alpha(1.5)\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "assert not loaded, loaded[:5]\n"
+        "from scipy.integrate import quad\n"
         "assert 'mpmath' not in sys.modules\n"
         "assert not hasattr(clusterbispec.kernels, 'quad')\n"
         "assert not any(v is quad for m in mods for v in vars(m).values())\n"

@@ -129,6 +129,9 @@ def test_mean_periodogram_theta_invariant():
 def test_mean_periodogram_rejects_zero_frequency():
     with pytest.raises(ValueError):
         mean_periodogram(EXP_PARAMS, 100.0, [0.0, 1.0], 10, seed=0)
+    for reps in (0, 1):
+        with pytest.raises(ValueError, match="replicates"):
+            mean_periodogram(EXP_PARAMS, 100.0, [1.0], reps, seed=0)
 
 
 def test_mean_periodogram_threads_reproducible():

@@ -244,3 +244,6 @@ def test_event_series_validation():
         EventSeries(np.array([0.5, 1.5]), 1.0)
     with pytest.raises(NonFiniteTime):
         EventSeries(np.array([0.1, np.nan, 0.5]), 1.0)
+    for end in (np.nan, np.inf):
+        with pytest.raises(NonFiniteTime):
+            EventSeries(np.array([0.1, 0.5]), end)

@@ -217,17 +217,15 @@ def test_spectral_grid_csv_stderr_columns(tmp_path):
     from clusterbispec.spectra import SpectralGrid
 
     freqs = np.column_stack([np.array([0.5, 1.0]), np.array([1.5, -1.0])])
-    grid = SpectralGrid(2, freqs, np.array([1 + 2j, 3 - 4j]),
-                        stderr_re=np.array([0.1, 0.2]),
-                        stderr_im=np.array([0.3, 0.4]))
+    grid = SpectralGrid(2, freqs, np.array([1 + 2j, 3 - 4j]))
     path = tmp_path / "grid.csv"
     grid.write_csv(path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "w1,w2,re,im,stderr_re,stderr_im"
+    assert lines[0] == "w1,w2,re,im"
     first = [float(v) for v in lines[1].split(",")]
-    assert first == [0.5, 1.5, 1.0, 2.0, 0.1, 0.3]
+    assert first == [0.5, 1.5, 1.0, 2.0]
     jpath = tmp_path / "grid.json"
     grid.write_json(jpath)
     import json
     doc = json.loads(jpath.read_text())
-    assert doc["stderr_im"] == [0.3, 0.4]
+    assert doc["im"] == [2.0, -4.0]
