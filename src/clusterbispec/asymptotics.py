@@ -1,18 +1,20 @@
 """Small-frequency constants and limit checks for the diagonal orientation signal.
 
-Two regimes govern |Im B_fac(t, t)| as t -> 0 for one-sided kernels:
+The kernel family sets how |Im B_fac(t, t)| behaves as t -> 0:
 
-  * regularly varying survival with index alpha in (0, 2] and constant
-    slowly varying level c:  |Im B(t,t)| / (c t^alpha) -> lam m^2 chi_alpha
+  * Lomax with alpha <= 2 (regularly varying survival with index alpha and
+    slowly varying level 1):  |Im B(t,t)| / t^alpha -> lam m^2 chi_alpha
     / (1-m)^5, with chi_alpha = 2(2 - 2^alpha) C(alpha) away from {1, 2},
     4 log 2 at alpha = 1 and 2 pi at alpha = 2;
-  * monotone kernels with finite third mixing moment:  |Im B(t,t)| / t^3 ->
-    lam m^2 Delta_m(Z) / (2 (1-m)^6), where X = Y Z is the scale-mixture
-    representation (Y uniform on (0,1)) and
-    Delta_m(Z) = (1-m){E Z^3 - E Z E Z^2} + m E Z Var(Z).
+  * Lomax with 2 < alpha <= 3 (finite second, infinite third moment):
+    |Im B(t,t)| / t^3 diverges;
+  * every other exp, lomax or uhalf kernel (monotone, finite third moment):
+    |Im B(t,t)| / t^3 -> lam m^2 Delta_m(Z) / (2 (1-m)^6), where X = Y Z is
+    the scale-mixture representation (Y uniform on (0,1)) and
+    Delta_m(Z) = (1-m){E Z^3 - E Z E Z^2} + m E Z Var(Z), zero for uhalf.
 
-Only constant slowly varying levels are representable here; genuinely
-non-constant L is refused rather than approximated.
+Any other kernel (symmetric, tabulated or matched) has no limit here and is
+refused with NonMonotoneKernel.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Exponential, Kernel, Lomax, TailClass, UniformHalf
+from .kernels import Exponential, Kernel, Lomax, UniformHalf
 from .simulate import ModelParams
 from .spectra import im_b_diagonal
 
@@ -46,7 +48,7 @@ _MONOTONE_FAMILIES = (Exponential, Lomax, UniformHalf)
 
 
 class AlphaOutOfRange(ValueError):
-    """Tail index outside (0, 2]."""
+    """Tail index outside the domain of a small-frequency constant."""
 
 
 class NonMonotoneKernel(ValueError):
@@ -55,43 +57,33 @@ class NonMonotoneKernel(ValueError):
 
 @dataclass(frozen=True)
 class MixtureZ:
-    """Mixing scale Z of the representation X = Y Z, Y ~ Unif(0,1).
+    """Raw moments E Z, E Z^2, E Z^3 (possibly inf) of the mixing scale Z of X = Y Z."""
 
-    kind: 'deterministic' (Z = a), 'gamma2' (Z ~ Gamma(2, rate beta), the
-    exponential-kernel case), or 'moments' (first three raw moments, the
-    third possibly infinite).
-    """
-
-    kind: str
-    a: float | None = None
-    beta: float | None = None
-    ez: float | None = None
-    ez2: float | None = None
-    ez3: float | None = None
+    ez: float
+    ez2: float
+    ez3: float
 
     def moments(self) -> tuple[float, float, float]:
-        if self.kind == "deterministic":
-            return self.a, self.a**2, self.a**3
-        if self.kind == "gamma2":
-            b = self.beta
-            return 2.0 / b, 6.0 / b**2, 24.0 / b**3
         return self.ez, self.ez2, self.ez3
 
     def __post_init__(self):
-        ez, ez2, _ = self.moments()
-        if not (ez > 0 and ez2 > 0):
+        if not (self.ez > 0 and self.ez2 > 0):
             raise ValueError("mixing moments must be positive")
-        if ez2 < ez**2 * (1.0 - 1e-12):
+        if self.ez2 < self.ez**2 * (1.0 - 1e-12):
             raise ValueError("E Z^2 < (E Z)^2 violates Jensen")
 
 
 def c_alpha(alpha: float) -> float:
     """C(alpha) = (pi/2) / (Gamma(alpha) cos(pi alpha / 2)), alpha in (0,2) \\ {1}."""
+    if not (0.0 < alpha < 2.0 and alpha != 1.0):
+        raise AlphaOutOfRange(f"C(alpha) needs alpha in (0, 1) or (1, 2), got {alpha}")
     return (math.pi / 2.0) / (math.gamma(alpha) * math.cos(math.pi * alpha / 2.0))
 
 
 def s_alpha(alpha: float) -> float:
-    """S(alpha) = (pi/2) / (Gamma(alpha) sin(pi alpha / 2))."""
+    """S(alpha) = (pi/2) / (Gamma(alpha) sin(pi alpha / 2)), alpha in (0, 2)."""
+    if not 0.0 < alpha < 2.0:
+        raise AlphaOutOfRange(f"S(alpha) needs alpha in (0, 2), got {alpha}")
     return (math.pi / 2.0) / (math.gamma(alpha) * math.sin(math.pi * alpha / 2.0))
 
 
@@ -131,14 +123,15 @@ def z_from_kernel(kernel: Kernel) -> MixtureZ:
         raise NonMonotoneKernel(
             f"scale mixture needs an exp, lomax or uhalf kernel, got {type(kernel).__name__}")
     if isinstance(kernel, UniformHalf):
-        return MixtureZ("deterministic", a=kernel.a)
+        a = kernel.a
+        return MixtureZ(a, a**2, a**3)
     if isinstance(kernel, Exponential):
-        return MixtureZ("gamma2", beta=kernel.beta)
+        b = kernel.beta
+        return MixtureZ(2.0 / b, 6.0 / b**2, 24.0 / b**3)
     ex = [kernel.moment(p) for p in (1, 2, 3)]
     if not all(math.isfinite(v) for v in ex[:2]):
         raise ValueError("mixture moments need a finite second kernel moment")
-    return MixtureZ("moments", ez=2.0 * ex[0], ez2=3.0 * ex[1],
-                    ez3=4.0 * ex[2] if math.isfinite(ex[2]) else math.inf)
+    return MixtureZ(2.0 * ex[0], 3.0 * ex[1], 4.0 * ex[2] if math.isfinite(ex[2]) else math.inf)
 
 
 @dataclass(frozen=True)
@@ -147,7 +140,7 @@ class DiagLimitReport:
 
     t_values: np.ndarray
     im_values: np.ndarray
-    ratios: np.ndarray          # |Im B(t,t)| / (t^p * level) over the limit
+    ratios: np.ndarray          # |Im B(t,t)| / t^p over the limit
     power: float
     limit: float                # predicted lim |Im B| / t^p; inf in the divergent band
     regime: str                 # 'regularly_varying' | 'finite_third_moment' | 'divergent'
@@ -163,17 +156,20 @@ class DiagLimitReport:
         return "\n".join(lines)
 
 
-def diag_limit_check(params: ModelParams, tail: TailClass | None = None,
-                     t_list=None, rel_tol: float = 0.05) -> DiagLimitReport:
+def diag_limit_check(params: ModelParams, t_list=None,
+                     rel_tol: float = 0.05) -> DiagLimitReport:
     """Check |Im B_fac(t, t)| against its predicted small-t behavior.
 
-    The limit and normalizing power come from the kernel's tail class:
-    regularly varying tails use the chi_alpha route, finite-third-moment
-    monotone kernels the Delta_m route, and the finite-second/infinite-third
-    band only checks divergence of |Im B| / t^3.  ``converged`` requires a
-    monotone approach with the smallest-t ratio within ``rel_tol`` of 1.
+    The kernel family sets the regime and its power (module docstring); a
+    kernel outside exp, lomax and uhalf raises NonMonotoneKernel.  In the
+    divergent band only the growth of |Im B| / t^3 is checked; otherwise
+    ``converged`` requires a monotone approach with the smallest-t ratio
+    within ``rel_tol`` of 1.
     """
-    tail = tail or params.kernel.tail_class()
+    kernel = params.kernel
+    if not isinstance(kernel, _MONOTONE_FAMILIES):
+        raise NonMonotoneKernel(f"no diagonal limit for kernel {kernel.spec_string()}: "
+                                "it needs an exp, lomax or uhalf kernel")
     t = np.asarray([1e-1, 1e-2, 1e-3, 1e-4] if t_list is None else t_list, dtype=float)
     if np.any(np.diff(t) >= 0) or np.any(t <= 0):
         raise ValueError("t_list must be positive and strictly decreasing")
@@ -181,24 +177,15 @@ def diag_limit_check(params: ModelParams, tail: TailClass | None = None,
     under = np.abs(imb) < _UNDERFLOW
     lam, m = params.lam, params.m
 
-    if tail.kind == "regularly_varying":
-        power = tail.index
-        level = tail.level if tail.level is not None else 1.0
-        limit = lam * m**2 * chi_alpha(tail.index) / (1.0 - m) ** 5 * level
-        regime = "regularly_varying"
-    elif tail.kind == "finite_third_moment" and isinstance(params.kernel, _MONOTONE_FAMILIES):
-        power = 3.0
-        z = z_from_kernel(params.kernel)
-        limit = lam * m**2 * delta_m(z, m) / (2.0 * (1.0 - m) ** 6)
-        regime = "finite_third_moment"
-    elif tail.kind == "finite_second_moment":
-        power = 3.0
-        limit = math.inf
-        regime = "divergent"
+    alpha = kernel.alpha if isinstance(kernel, Lomax) else math.inf
+    if alpha <= 2.0:
+        power, regime = alpha, "regularly_varying"
+        limit = lam * m**2 * chi_alpha(alpha) / (1.0 - m) ** 5
+    elif alpha <= 3.0:
+        power, limit, regime = 3.0, math.inf, "divergent"
     else:
-        raise ValueError(
-            f"no diagonal limit available for tail class {tail.kind!r}; "
-            "only constant slowly varying levels are supported")
+        power, regime = 3.0, "finite_third_moment"
+        limit = lam * m**2 * delta_m(z_from_kernel(kernel), m) / (2.0 * (1.0 - m) ** 6)
 
     normalized = np.abs(imb) / t**power
     if regime == "divergent":

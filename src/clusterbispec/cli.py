@@ -10,9 +10,9 @@ listing every option's value, seed, version, wall time) so reruns reproduce
 the artifacts bit-identically.
 
 Exit codes: 0 success, 1 numerical-validation failure (mc suites), 2
-configuration error, including an unreadable or malformed config file and a
-model whose padded window would plan more immigrants than the simulator's
-budget.
+configuration error, including an unreadable or malformed config file, a
+kernel the command does not support, and a model whose padded window would
+plan more immigrants than the simulator's budget.
 
 The angular-frequency convention everywhere is e^{-i omega t} for forward
 transforms (so transform(0) = 1 for probability densities).
@@ -33,6 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
+from .asymptotics import NonMonotoneKernel
 from .kernels import InvalidKernel, Kernel, kernel_from_spec
 from .montecarlo import SUITES
 from .simulate import DEFAULT_PAD_TOL, ModelParams, PaddingBudgetExceeded
@@ -466,7 +467,8 @@ def main(argv=None) -> int:
         return 2
     try:
         return run(cfg)
-    except (ConfigError, PaddingBudgetExceeded) as exc:  # faults found only while running
+    except (ConfigError, InvalidKernel, NonMonotoneKernel,
+            PaddingBudgetExceeded) as exc:  # faults found only while running
         for v in getattr(exc, "violations", [exc]):
             print(f"config error: {v}", file=sys.stderr)
         return 2

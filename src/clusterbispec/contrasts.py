@@ -85,7 +85,6 @@ class OddTestFunction:
     support_radius: float
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     bound: float
-    construction: str = "explicit"
 
     def __post_init__(self):
         if not (self.support_radius > 0 and math.isfinite(self.support_radius)):
@@ -115,7 +114,7 @@ def antisymmetrize(u, H, bound=None) -> OddTestFunction:
         probe = np.linspace(-H, H, 101)
         P1, P2 = np.meshgrid(probe, probe, indexing="ij")
         bound = 2.0 * float(np.max(np.abs(np.asarray(u(P1, P2), dtype=float))))
-    return OddTestFunction(H, evaluate, float(bound), construction="antisymmetrized")
+    return OddTestFunction(H, evaluate, float(bound))
 
 
 def quadrant_indicator(H) -> OddTestFunction:
@@ -153,7 +152,7 @@ def smooth_quadrant_bump(H) -> OddTestFunction:
         return out
 
     # the two lobes have disjoint supports, so sup|g| = e^-1
-    return OddTestFunction(H, evaluate, math.exp(-1.0), construction="antisymmetrized")
+    return OddTestFunction(H, evaluate, math.exp(-1.0))
 
 
 def sign_contrast_function(grid: CumulantGrid, H) -> OddTestFunction:
@@ -184,7 +183,7 @@ def sign_contrast_function(grid: CumulantGrid, H) -> OddTestFunction:
             out[inside] = vals
         return out
 
-    return OddTestFunction(H, evaluate, 1.0, construction="sign-optimal")
+    return OddTestFunction(H, evaluate, 1.0)
 
 
 # ---------------------------------------------------------------------------

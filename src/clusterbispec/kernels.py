@@ -26,7 +26,6 @@ __all__ = [
     "UniformHalf",
     "SymmetricLaplace",
     "TabulatedSymmetric",
-    "TailClass",
     "UnsupportedKernelScaling",
     "InvalidKernel",
     "TransformOutOfRange",
@@ -84,23 +83,10 @@ class TransformOutOfRange(ValueError):
     """The Lomax contour runs past the double range: alpha < 0.085 at a subnormal |w|."""
 
 
-@dataclass(frozen=True)
-class TailClass:
-    """Upper-tail classification used by the small-frequency asymptotics.
-
-    kind is one of 'regularly_varying' (index in (0,2], constant slowly
-    varying level), 'finite_third_moment', 'finite_second_moment', 'unknown'.
-    """
-
-    kind: str
-    index: float | None = None
-    level: float | None = None
-
-
 class Kernel:
     """Common surface for offspring displacement laws.
 
-    Subclasses provide density/transform/survival/sample plus tail metadata.
+    Subclasses provide density/transform/survival/sample plus tail quantiles.
     ``one_sided`` kernels put zero mass on (-inf, 0); ``symmetric`` kernels
     satisfy density(x) == density(-x) exactly.
     """
@@ -124,9 +110,6 @@ class Kernel:
     def tail_quantile(self, eps):
         """q with P(|X| > q) <= eps; used for simulation window padding."""
         raise NotImplementedError
-
-    def tail_class(self) -> TailClass:
-        return TailClass("unknown")
 
     def spec_string(self) -> str:
         raise NotImplementedError
@@ -168,9 +151,6 @@ class Exponential(Kernel):
     def tail_quantile(self, eps):
         return -math.log(eps) / self.beta
 
-    def tail_class(self):
-        return TailClass("finite_third_moment")
-
     def spec_string(self):
         return f"exp:{self.beta:g}"
 
@@ -204,13 +184,6 @@ class Lomax(Kernel):
 
     def tail_quantile(self, eps):
         return eps ** (-1.0 / self.alpha) - 1.0
-
-    def tail_class(self):
-        if self.alpha <= 2.0:
-            return TailClass("regularly_varying", index=self.alpha, level=1.0)
-        if self.alpha <= 3.0:
-            return TailClass("finite_second_moment")
-        return TailClass("finite_third_moment")
 
     def moment(self, p: int) -> float:
         """Raw moment E X^p; inf when p >= alpha."""
@@ -256,9 +229,6 @@ class UniformHalf(Kernel):
     def tail_quantile(self, eps):
         return self.a
 
-    def tail_class(self):
-        return TailClass("finite_third_moment")
-
     def spec_string(self):
         return f"uhalf:{self.a:g}"
 
@@ -293,9 +263,6 @@ class SymmetricLaplace(Kernel):
 
     def tail_quantile(self, eps):
         return -math.log(eps) / self.beta
-
-    def tail_class(self):
-        return TailClass("finite_third_moment")
 
     def spec_string(self):
         return f"slap:{self.beta:g}"
@@ -364,9 +331,6 @@ class TabulatedSymmetric(Kernel):
         tail = self._cdf[-1] - self._cdf  # P(|X| > x_k)
         idx = np.searchsorted(-tail, -eps)
         return float(self.grid[min(idx, len(self.grid) - 1)])
-
-    def tail_class(self):
-        return TailClass("finite_third_moment")  # bounded support
 
     def spec_string(self):
         return "tab:<inline>"

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import (Exponential, InvalidKernel, Kernel, Lomax, TailClass, UniformHalf,
-                      array_key, in_row_chunks, readonly)
+from .kernels import (Exponential, InvalidKernel, Kernel, Lomax, UniformHalf, array_key,
+                      in_row_chunks, readonly)
 
 __all__ = [
     "MatchSpec",
@@ -273,9 +273,6 @@ class MatchedKernel(Kernel):
         """Conservative: P(K > K*) <= eps/2 plus a union bound over the K* summands."""
         k_star = int(np.searchsorted(self._pn_cum, 1.0 - eps / 2.0) + 1)
         return k_star * self._summand_quantile(eps * (2.0 - self.m) / (4.0 * k_star))
-
-    def tail_class(self):
-        return TailClass("unknown")
 
     def spec_string(self):
         return f"match:{self.base_label}:{self.m:g}"

@@ -38,8 +38,6 @@ class McEstimate:
     value: complex
     stderr_re: float
     stderr_im: float
-    n_samples: int
-    seed: int
 
     def z(self, target) -> tuple[float, float]:
         """Component-wise z-scores of the estimate against a target value."""
@@ -54,43 +52,48 @@ class McEstimate:
                 one(self.value.imag - target.imag, self.stderr_im))
 
 
-def _cluster_w_products(params, freqs, n_clusters, seed):
-    """Streamed sums of prod_j W(freq_j) over independent clusters.
+def _cluster_means(params, n_clusters, seed, contributions, scale=1.0) -> list[McEstimate]:
+    """scale times the mean over independent clusters of each per-cluster contribution.
 
-    Returns (sum_v, sum_re2, sum_im2) per frequency tuple.  Chunk order is
-    fixed, so the reduction is deterministic for a given seed.
+    ``contributions(offs, cid, batch)`` maps one chunk of clusters (as
+    ``sample_clusters_batch`` returns them) to a list of per-cluster arrays,
+    real or complex; only their sums and sums of squared parts are kept.
+    Chunk order is fixed, so the reduction is deterministic for a given seed.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    n_tuples = len(freqs)
-    s1 = np.zeros(n_tuples, dtype=complex)
-    s2r = np.zeros(n_tuples)
-    s2i = np.zeros(n_tuples)
-    done = 0
-    while done < n_clusters:
-        batch = min(_CHUNK, n_clusters - done)
-        offs, cid = sample_clusters_batch(batch, params.m, params.kernel, rng)
-        order = np.argsort(cid, kind="stable")
-        offs, cid = offs[order], cid[order]
-        bounds = np.searchsorted(cid, np.arange(batch + 1))
-        for t, wtuple in enumerate(freqs):
-            prod = np.ones(batch, dtype=complex)
-            for w in wtuple:
-                ph = np.exp(-1j * w * offs)
-                cs = np.concatenate([[0.0 + 0.0j], np.cumsum(ph)])
-                prod *= cs[bounds[1:]] - cs[bounds[:-1]]
-            s1[t] += prod.sum()
-            s2r[t] += (prod.real**2).sum()
-            s2i[t] += (prod.imag**2).sum()
-        done += batch
-    return s1, s2r, s2i
+    n = int(n_clusters)
+    if n < 10**3:
+        raise ValueError("need at least 1e3 clusters for a usable stderr")
+    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    sums = None
+    for done in range(0, n, _CHUNK):
+        batch = min(_CHUNK, n - done)
+        parts = contributions(*sample_clusters_batch(batch, params.m, params.kernel, rng), batch)
+        sums = sums or [[0.0, 0.0, 0.0] for _ in parts]
+        for s, v in zip(sums, parts):
+            s[0] += v.sum()
+            s[1] += (v.real**2).sum()
+            if np.iscomplexobj(v):
+                s[2] += (v.imag**2).sum()
+    out = []
+    for s1, s2r, s2i in sums:
+        mean = s1 / n
+        var_re = max((s2r - n * mean.real**2) / (n - 1), 0.0)
+        var_im = max((s2i - n * mean.imag**2) / (n - 1), 0.0)
+        out.append(McEstimate(scale * mean, abs(scale) * math.sqrt(var_re / n),
+                              abs(scale) * math.sqrt(var_im / n)))
+    return out
 
 
-def _finalize(scale, s1, s2r, s2i, n, seed):
-    mean = s1 / n
-    var_re = max((s2r - n * mean.real**2) / (n - 1), 0.0)
-    var_im = max((s2i - n * mean.imag**2) / (n - 1), 0.0)
-    return McEstimate(scale * mean, abs(scale) * math.sqrt(var_re / n),
-                      abs(scale) * math.sqrt(var_im / n), n, seed)
+def _w_product(freqs, offs, cid, batch):
+    """[prod_j W(freq_j)] per cluster, W(w) = sum of e^{-i w x} over its points."""
+    order = np.argsort(cid, kind="stable")
+    offs, cid = offs[order], cid[order]
+    bounds = np.searchsorted(cid, np.arange(batch + 1))
+    prod = np.ones(batch, dtype=complex)
+    for w in freqs:
+        cs = np.concatenate([[0.0 + 0.0j], np.cumsum(np.exp(-1j * float(w) * offs))])
+        prod *= cs[bounds[1:]] - cs[bounds[:-1]]
+    return [prod]
 
 
 def mc_b_complete(params: ModelParams, w1, w2, n_clusters, seed) -> McEstimate:
@@ -99,44 +102,25 @@ def mc_b_complete(params: ModelParams, w1, w2, n_clusters, seed) -> McEstimate:
     This is the direct cluster-transform estimator of B_comp(w1, w2); no
     closed-form input enters, so it is a genuine oracle for the R/Q forms.
     """
-    if n_clusters < 10**3:
-        raise ValueError("need at least 1e3 clusters for a usable stderr")
-    freqs = [(float(w1), float(w2), float(-w1 - w2))]
-    s1, s2r, s2i = _cluster_w_products(params, freqs, int(n_clusters), int(seed))
-    return _finalize(params.nu, s1[0], s2r[0], s2i[0], int(n_clusters), int(seed))
+    product = partial(_w_product, (w1, w2, -w1 - w2))
+    return _cluster_means(params, n_clusters, seed, product, params.nu)[0]
 
 
 def mc_cluster_m2(params: ModelParams, a, b, n_clusters, seed) -> McEstimate:
     """E{W(a) W(b)} over independent clusters; closed form is R(a)R(b)R(a+b)."""
-    if n_clusters < 10**3:
-        raise ValueError("need at least 1e3 clusters for a usable stderr")
-    freqs = [(float(a), float(b))]
-    s1, s2r, s2i = _cluster_w_products(params, freqs, int(n_clusters), int(seed))
-    return _finalize(1.0, s1[0], s2r[0], s2i[0], int(n_clusters), int(seed))
+    return _cluster_means(params, n_clusters, seed, partial(_w_product, (a, b)))[0]
+
+
+def _size_powers(offs, cid, batch):
+    """M, M^2 and M(M-1)(M-2) per cluster, M its total progeny."""
+    sizes = np.bincount(cid, minlength=batch).astype(float)
+    return [sizes, sizes**2, sizes * (sizes - 1.0) * (sizes - 2.0)]
 
 
 def cluster_size_moments(params: ModelParams, n_clusters, seed) -> dict:
     """Sample moments of the total progeny M: mean, second moment, E[(M)_3]."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    n = int(n_clusters)
-    sums = np.zeros(6)
-    done = 0
-    while done < n:
-        batch = min(_CHUNK, n - done)
-        offs, cid = sample_clusters_batch(batch, params.m, params.kernel, rng)
-        sizes = np.bincount(cid, minlength=batch).astype(float)
-        f3 = sizes * (sizes - 1.0) * (sizes - 2.0)
-        sums += [sizes.sum(), (sizes**2).sum(), f3.sum(),
-                 (sizes**2).sum(), (sizes**4).sum(), (f3**2).sum()]
-        done += batch
-    out = {}
-    for name, s, sq in (("mean_size", sums[0], sums[3]),
-                        ("second_moment", sums[1], sums[4]),
-                        ("factorial3", sums[2], sums[5])):
-        mean = s / n
-        var = max((sq - n * mean**2) / (n - 1), 0.0)
-        out[name] = McEstimate(mean, math.sqrt(var / n), 0.0, n, int(seed))
-    return out
+    ests = _cluster_means(params, n_clusters, seed, _size_powers)
+    return dict(zip(("mean_size", "second_moment", "factorial3"), ests))
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +150,8 @@ def mean_periodogram(params: ModelParams, T, omega_list, replicates, seed,
     replicates = int(replicates)
     values = replicate_windows(params, T, partial(periodogram, omega=omegas), replicates,
                                seed, pad_tol=pad_tol, threads=threads)
-    out = []
-    for j in range(len(omegas)):
-        col = values[:, j]
-        out.append(McEstimate(float(col.mean()), float(col.std(ddof=1) / math.sqrt(replicates)),
-                              0.0, replicates, int(seed)))
-    return out
+    return [McEstimate(float(col.mean()), float(col.std(ddof=1) / math.sqrt(replicates)), 0.0)
+            for col in values.T]
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +165,19 @@ def _default_params():
     from .kernels import Exponential
 
     return ModelParams(nu=1.0, m=0.5, theta=1.0, kernel=Exponential(1.0))
+
+
+def _comparison(name, est, target, k, imag=False) -> dict:
+    """One report row: estimate, target, stderr and z of the real part (and of the
+    imaginary part with ``imag``); it passes when each |z| is at most k."""
+    target = complex(target)
+    parts = ("re", "im") if imag else ("re",)
+    cols = {"estimate": (est.value.real, est.value.imag), "target": (target.real, target.imag),
+            "stderr": (est.stderr_re, est.stderr_im), "z": est.z(target)}
+    row = {"name": name}
+    for col, pair in cols.items():
+        row.update(zip([f"{col}_{p}" for p in parts], pair))
+    return {**row, "k": k, "pass": all(abs(z) <= k for z in cols["z"][:len(parts)])}
 
 
 def validate_suite(suite, level="quick", seed=0, params=None, threads=1) -> dict:
@@ -202,29 +195,15 @@ def validate_suite(suite, level="quick", seed=0, params=None, threads=1) -> dict
         n = 10**6 if full else 2 * 10**5
         for i, (a, b) in enumerate(pairs):
             est = mc_b_complete(p, a, b, n, seed + i)
-            target = complex(b_complete(p, a, b))
-            zr, zi = est.z(target)
-            comparisons.append({
-                "name": f"b_complete({a},{b})",
-                "estimate_re": est.value.real, "estimate_im": est.value.imag,
-                "target_re": target.real, "target_im": target.imag,
-                "stderr_re": est.stderr_re, "stderr_im": est.stderr_im,
-                "z_re": zr, "z_im": zi, "k": 3,
-                "pass": bool(abs(zr) <= 3 and abs(zi) <= 3),
-            })
+            comparisons.append(_comparison(f"b_complete({a},{b})", est, b_complete(p, a, b), 3,
+                                           imag=True))
     elif suite == "bartlett":
         omegas = [0.5, 1.0, 2.0, 4.0]
         T = 10**4 if full else 2 * 10**3
         reps = 200 if full else 100
         ests = mean_periodogram(p, T, omegas, reps, seed, threads=threads)
         for w, est in zip(omegas, ests):
-            target = float(bartlett(p, w))
-            z = (est.value.real - target) / est.stderr_re
-            comparisons.append({
-                "name": f"periodogram({w})", "estimate_re": est.value.real,
-                "target_re": target, "stderr_re": est.stderr_re,
-                "z_re": z, "k": 4, "pass": bool(abs(z) <= 4),
-            })
+            comparisons.append(_comparison(f"periodogram({w})", est, float(bartlett(p, w)), 4))
     else:
         n = 10**6 if full else 2 * 10**5
         for i, m in enumerate((0.3, 0.5)):
@@ -236,12 +215,7 @@ def validate_suite(suite, level="quick", seed=0, params=None, threads=1) -> dict
                 "factorial3": borel_factorial3(m),
             }
             for name, est in moments.items():
-                z = (est.value.real - targets[name]) / est.stderr_re
-                comparisons.append({
-                    "name": f"{name}(m={m})", "estimate_re": est.value.real,
-                    "target_re": targets[name], "stderr_re": est.stderr_re,
-                    "z_re": z, "k": 4, "pass": bool(abs(z) <= 4),
-                })
+                comparisons.append(_comparison(f"{name}(m={m})", est, targets[name], 4))
 
     return {
         "suite": suite,

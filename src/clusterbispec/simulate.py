@@ -172,8 +172,11 @@ def padding_length(params: ModelParams, pad_tol: float = DEFAULT_PAD_TOL) -> flo
 
     P is the (1 - pad_tol) quantile of |displacement| multiplied by
     ceil(3 / (1 - m)), so the chance that a cluster rooted outside the padded
-    window leaks a point into the observation window is below pad_tol.
+    window leaks a point into the observation window is below pad_tol, which
+    must lie in (0, 1).
     """
+    if not 0.0 < pad_tol < 1.0:
+        raise ValueError(f"pad_tol must lie in (0, 1), got {pad_tol}")
     generations = math.ceil(3.0 / (1.0 - params.m))
     return params.kernel.tail_quantile(pad_tol) * generations
 

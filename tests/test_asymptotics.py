@@ -50,6 +50,14 @@ def test_chi_alpha_domain():
         chi_alpha(0.0)
     with pytest.raises(AlphaOutOfRange):
         chi_alpha(2.5)
+    # cos(pi/2) and sin(pi) round to about 1e-16, not 0: the constants refuse
+    # their poles and everything outside (0, 2) rather than return 1e16
+    for alpha in (0.0, 1.0, 2.0, 3.0, -0.5, math.nan):
+        with pytest.raises(AlphaOutOfRange):
+            c_alpha(alpha)
+    for alpha in (0.0, 2.0, 2.5, -0.5, math.nan):
+        with pytest.raises(AlphaOutOfRange):
+            s_alpha(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -58,10 +66,10 @@ def test_chi_alpha_domain():
 
 
 def test_delta_m_cases():
-    assert delta_m(MixtureZ("deterministic", a=2.0), 0.5) == 0.0
+    assert delta_m(MixtureZ(2.0, 4.0, 8.0), 0.5) == 0.0      # deterministic Z = 2
     # Gamma(2, 1): EZ=2, EZ2=6, EZ3=24 -> (1-m)(24-12) + m*2*2 = 12 - 8m
-    assert delta_m(MixtureZ("gamma2", beta=1.0), 0.5) == pytest.approx(8.0)
-    inf_z = MixtureZ("moments", ez=1.0, ez2=2.0, ez3=math.inf)
+    assert delta_m(MixtureZ(2.0, 6.0, 24.0), 0.5) == pytest.approx(8.0)
+    inf_z = MixtureZ(1.0, 2.0, math.inf)
     assert delta_m(inf_z, 0.3) == math.inf
 
 
@@ -73,19 +81,19 @@ def test_delta_m_lower_bound(rng):
         # EZ^3 >= EZ2^2 / EZ  (Cauchy-Schwarz on Z^{1/2} Z^{3/2})
         ez3 = (ez2**2 / ez) * rng.uniform(1.0, 3.0)
         m = rng.uniform(0.05, 0.95)
-        z = MixtureZ("moments", ez=ez, ez2=ez2, ez3=ez3)
+        z = MixtureZ(ez, ez2, ez3)
         assert delta_m(z, m) >= m * ez * (ez2 - ez**2) - 1e-12
 
 
 def test_mixture_jensen_guard():
     with pytest.raises(ValueError):
-        MixtureZ("moments", ez=2.0, ez2=1.0, ez3=5.0)
+        MixtureZ(2.0, 1.0, 5.0)
 
 
 def test_z_from_kernel():
-    assert z_from_kernel(UniformHalf(2.0)) == MixtureZ("deterministic", a=2.0)
-    z = z_from_kernel(Exponential(0.5))
-    assert z.kind == "gamma2" and z.beta == 0.5
+    assert z_from_kernel(UniformHalf(2.0)) == MixtureZ(2.0, 4.0, 8.0)
+    # Gamma(2, rate 0.5): E Z^p = (p+1)! / 0.5^p
+    assert z_from_kernel(Exponential(0.5)) == MixtureZ(4.0, 24.0, 192.0)
     # identity EZ^p = (p+1) E X^p against Lomax closed-form moments
     z4 = z_from_kernel(Lomax(4.0))
     assert z4.moments()[0] == pytest.approx(2.0 / 3.0)      # 2 * 1/3

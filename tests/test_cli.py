@@ -130,6 +130,18 @@ def test_cli_exit_code_2_on_unreadable_kernel_file(tmp_path, capsys):
         assert "params.kernel" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["match", "build", "--m", "0.5", "--kernel", "slap:1", "--out", "m.json"],
+    ["asym-check", "--m", "0.5", "--kernel", "slap:1"],
+    ["asym-check", "--m", "0.5", "--kernel", "match:exp:1:0.5"],
+])
+def test_cli_exit_code_2_on_unsupported_kernel(argv, tmp_path, capsys):
+    assert run_cli(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_cli_exit_code_2_on_padding_budget(tmp_path, capsys):
     assert run_cli(tmp_path, "simulate", "--m", "0.5", "--kernel", "lomax:0.5",
                    "--T", "100") == 2

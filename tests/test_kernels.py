@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import clusterbispec
+from clusterbispec.asymptotics import diag_limit_check
 from clusterbispec.kernels import (
     CHUNK_CELLS,
     TRANSFORM_TOL,
@@ -28,6 +29,7 @@ from clusterbispec.kernels import (
     scale_kernel,
     transform_with_bound,
 )
+from clusterbispec.simulate import ModelParams
 
 OMEGA_GRID = np.linspace(-50.0, 50.0, 64)
 LOMAX_ALPHAS = (0.05, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 10.0)
@@ -361,12 +363,13 @@ def test_sampler_matches_cdf(kernels, rng):
 
 
 def test_tail_classification():
-    assert Lomax(1.5).tail_class().kind == "regularly_varying"
-    assert Lomax(1.5).tail_class().index == 1.5
-    assert Lomax(1.5).tail_class().level == 1.0
-    assert Lomax(2.5).tail_class().kind == "finite_second_moment"
-    assert Lomax(4.0).tail_class().kind == "finite_third_moment"
-    assert Exponential(1.0).tail_class().kind == "finite_third_moment"
+    # the kernel family sets the small-frequency regime and its power
+    cases = {Lomax(1.5): ("regularly_varying", 1.5), Lomax(2.5): ("divergent", 3.0),
+             Lomax(4.0): ("finite_third_moment", 3.0),
+             Exponential(1.0): ("finite_third_moment", 3.0)}
+    for kernel, expected in cases.items():
+        report = diag_limit_check(ModelParams(1.0, 0.5, 1.0, kernel), t_list=(1e-1, 1e-2))
+        assert (report.regime, report.power) == expected, kernel
 
 
 def test_tail_quantile_bounds_mass(kernels):

@@ -139,6 +139,9 @@ def test_mean_periodogram_threads_reproducible():
     pooled = mean_periodogram(EXP_PARAMS, 500.0, [1.0, 2.0], 16, seed=12, threads=2)
     for a, b in zip(serial, pooled):
         assert a.value == b.value and a.stderr_re == b.stderr_re
+    sequence = mean_periodogram(EXP_PARAMS, 500.0, [1.0, 2.0], 16,
+                                seed=np.random.SeedSequence(12))
+    assert sequence == serial
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +149,21 @@ def test_mean_periodogram_threads_reproducible():
 # ---------------------------------------------------------------------------
 
 
+REAL_ROW = ["name", "estimate_re", "target_re", "stderr_re", "z_re", "k", "pass"]
+ROW_KEYS = {
+    "bispectrum": ["name", "estimate_re", "estimate_im", "target_re", "target_im",
+                   "stderr_re", "stderr_im", "z_re", "z_im", "k", "pass"],
+    "bartlett": REAL_ROW,
+    "moments": REAL_ROW,
+}
+
+
 def test_validate_suites_pass_quick():
     for suite in ("bispectrum", "bartlett", "moments"):
         report = validate_suite(suite, "quick", seed=0)
         assert report["pass"], report
-        assert all("z_re" in c for c in report["comparisons"])
+        # the CLI writes rows in this key order, unsorted
+        assert all(list(c) == ROW_KEYS[suite] for c in report["comparisons"])
 
 
 def test_cluster_size_moment_targets():

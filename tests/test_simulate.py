@@ -153,6 +153,14 @@ def test_padding_length_rule():
     assert padding_length(p, 1e-6) == pytest.approx(-math.log(1e-6) * 6.0)
     pu = ModelParams(1.0, 0.25, 1.0, UniformHalf(2.0))
     assert padding_length(pu, 1e-6) == pytest.approx(2.0 * 4)
+    # a tolerance outside (0, 1) is refused, not turned into a negative pad
+    # or a math domain error
+    for params in (p, ModelParams(1.0, 0.5, 1.0, Lomax(1.5))):
+        for pad_tol in (0.0, -1.0, 1.0, 2.0, math.nan):
+            with pytest.raises(ValueError, match="pad_tol"):
+                padding_length(params, pad_tol)
+    with pytest.raises(ValueError, match="pad_tol"):
+        simulate_window(p, 100.0, seed=1, pad_tol=2.0)
 
 
 def test_padding_budget_fails_before_drawing():
