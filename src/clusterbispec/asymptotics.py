@@ -109,7 +109,7 @@ def delta_m(z: MixtureZ, m: float) -> float:
     ez, ez2, ez3 = z.moments()
     if not math.isfinite(ez3):
         return math.inf
-    return (1.0 - m) * (ez3 - ez * ez2) + m * ez * (ez2 - ez**2)
+    return (1.0 - m) * (ez3 - ez * ez2) + m * ez * (ez2 - ez * ez)
 
 
 def z_from_kernel(kernel: Kernel) -> MixtureZ:
@@ -123,8 +123,8 @@ def z_from_kernel(kernel: Kernel) -> MixtureZ:
         raise NonMonotoneKernel(
             f"scale mixture needs an exp, lomax or uhalf kernel, got {type(kernel).__name__}")
     if isinstance(kernel, UniformHalf):
-        a = kernel.a
-        return MixtureZ(a, a**2, a**3)
+        a = kernel.a   # products, not powers: E Z^3 - E Z E Z^2 cancels to exactly 0
+        return MixtureZ(a, a * a, a * a * a)
     if isinstance(kernel, Exponential):
         b = kernel.beta
         return MixtureZ(2.0 / b, 6.0 / b**2, 24.0 / b**3)

@@ -50,7 +50,7 @@ class Opt(NamedTuple):
     help: str | None = None
 
 
-GLOBAL_OPTIONS = {"seed": Opt(int, 0), "threads": Opt(int, 1), "out_dir": Opt(str, "."),
+GLOBAL_OPTIONS = {"seed": Opt(int, 0), "out_dir": Opt(str, "."),
                   "format": Opt(("csv", "json"), "csv")}
 _MODEL = {"nu": Opt(float, 1.0), "m": Opt(float), "kernel": Opt(str, help=(
     "kernel spec, e.g. exp:1, lomax:1.5, uhalf:2, slap:1, match:exp:1:0.5, tab:path.csv"))}
@@ -102,7 +102,6 @@ class RunConfig:
 
     command: str
     seed: int
-    threads: int
     out_dir: str
     format: str
     options: dict
@@ -180,8 +179,6 @@ def _validate(cfg: RunConfig) -> None:
     bad = []
     if cfg.seed < 0:
         bad.append(f"seed: must be >= 0, got {cfg.seed}")
-    if cfg.threads < 1:
-        bad.append(f"threads: must be >= 1, got {cfg.threads}")
     opt, cmd = cfg.options, cfg.command
 
     def need_model():
@@ -429,7 +426,7 @@ def run(cfg: RunConfig) -> int:
     elif cfg.command == "mc-validate":
         override = _model(cfg, theta=1.0) if opt["m"] is not None else None
         report = montecarlo.validate_suite(opt["suite"], opt["level"], cfg.seed,
-                                           params=override, threads=cfg.threads)
+                                           params=override)
         outputs.append(_write_json(out_dir / f"mc_{opt['suite']}.json", report))
         if not report["pass"]:
             exit_code = 1

@@ -138,7 +138,7 @@ def periodogram(series: EventSeries, omega):
 
 
 def mean_periodogram(params: ModelParams, T, omega_list, replicates, seed,
-                     pad_tol=DEFAULT_PAD_TOL, threads=1) -> list[McEstimate]:
+                     pad_tol=DEFAULT_PAD_TOL) -> list[McEstimate]:
     """Replicate-averaged periodogram; targets Gamma(w) up to O(1/T) window bias.
 
     The finite-window bias is documented, not corrected: comparisons should
@@ -149,7 +149,7 @@ def mean_periodogram(params: ModelParams, T, omega_list, replicates, seed,
         raise ValueError("omega = 0 is intensity-dominated; use nonzero frequencies")
     replicates = int(replicates)
     values = replicate_windows(params, T, partial(periodogram, omega=omegas), replicates,
-                               seed, pad_tol=pad_tol, threads=threads)
+                               seed, pad_tol=pad_tol)
     return [McEstimate(float(col.mean()), float(col.std(ddof=1) / math.sqrt(replicates)), 0.0)
             for col in values.T]
 
@@ -180,8 +180,10 @@ def _comparison(name, est, target, k, imag=False) -> dict:
     return {**row, "k": k, "pass": all(abs(z) <= k for z in cols["z"][:len(parts)])}
 
 
-def validate_suite(suite, level="quick", seed=0, params=None, threads=1) -> dict:
-    """Run one named oracle suite; returns a JSON-ready report with z-scores."""
+def validate_suite(suite, level="quick", seed=0, params=None) -> dict:
+    """Run one named oracle suite; returns a JSON-ready report with z-scores.
+
+    The moments suite checks m = 0.3 and 0.5, or ``params.m`` when given."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     if level not in ("quick", "full"):
@@ -201,12 +203,12 @@ def validate_suite(suite, level="quick", seed=0, params=None, threads=1) -> dict
         omegas = [0.5, 1.0, 2.0, 4.0]
         T = 10**4 if full else 2 * 10**3
         reps = 200 if full else 100
-        ests = mean_periodogram(p, T, omegas, reps, seed, threads=threads)
+        ests = mean_periodogram(p, T, omegas, reps, seed)
         for w, est in zip(omegas, ests):
             comparisons.append(_comparison(f"periodogram({w})", est, float(bartlett(p, w)), 4))
     else:
         n = 10**6 if full else 2 * 10**5
-        for i, m in enumerate((0.3, 0.5)):
+        for i, m in enumerate((0.3, 0.5) if params is None else (p.m,)):
             pm = ModelParams(p.nu, m, p.theta, p.kernel)
             moments = cluster_size_moments(pm, n, seed + i)
             targets = {

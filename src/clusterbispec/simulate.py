@@ -10,17 +10,15 @@ a configurable leakage tolerance; the infinite-window law is otherwise exact.
 One engine draws every window: immigrants, signs and all clusters come from
 a single generator, with the clusters grown in generation waves.
 Reproducibility: a window is keyed by one integer seed (or one generator),
-and replicate loops spawn one child seed sequence per replicate, so results
-do not depend on how replicates are spread over worker processes.
+and the one replicate loop runs serially, drawing each replicate from its
+own child seed sequence.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -104,17 +102,13 @@ class ModelParams:
 class EventSeries:
     """Sorted event times on [0, window_end] plus provenance metadata.
 
-    ``cluster_id`` / ``root_time`` are populated only when the simulator is
-    asked to keep genealogy; ingested series leave them None.  Duplicate
-    timestamps are legal and kept as distinct indices; NaN or infinite times
-    or window end raise :class:`NonFiniteTime`.
+    Duplicate timestamps are legal and kept as distinct indices; NaN or
+    infinite times or window end raise :class:`NonFiniteTime`.
     """
 
     times: np.ndarray
     window_end: float
     provenance: dict = field(default_factory=dict)
-    cluster_id: np.ndarray | None = None
-    root_time: np.ndarray | None = None
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -181,13 +175,10 @@ def padding_length(params: ModelParams, pad_tol: float = DEFAULT_PAD_TOL) -> flo
     return params.kernel.tail_quantile(pad_tol) * generations
 
 
-def _simulate(params: ModelParams, T, rng, pad_tol, size_cap, gen_cap, keep_genealogy):
-    """The window engine: (pad, times, cluster ids, roots) of one padded window.
+def _simulate(params: ModelParams, T, rng, pad_tol):
+    """The window engine: (pad, sorted times on [0, T]) of one padded window.
 
-    ``times`` are the events inside [0, T] in generation order (unsorted).
-    ``cluster ids`` index ``roots`` per kept event and are None unless
-    ``keep_genealogy``, so replicate loops pay for no gather.  A window
-    whose padding plans more than IMMIGRANT_BUDGET immigrants raises
+    A window whose padding plans more than IMMIGRANT_BUDGET immigrants raises
     :class:`PaddingBudgetExceeded` before anything is drawn.
     """
     if not T > 0:
@@ -202,15 +193,14 @@ def _simulate(params: ModelParams, T, rng, pad_tol, size_cap, gen_cap, keep_gene
     n_imm = int(rng.poisson(planned))
     roots = rng.uniform(lo, hi, size=n_imm)
     signs = np.where(rng.random(n_imm) < (1.0 + params.theta) / 2.0, 1.0, -1.0)
-    offs, cid = sample_clusters_batch(n_imm, params.m, params.kernel, rng, size_cap, gen_cap)
+    offs, cid = sample_clusters_batch(n_imm, params.m, params.kernel, rng)
     t = roots[cid] + signs[cid] * offs
-    inside = (t >= 0.0) & (t <= T)
-    return pad, t[inside], (cid[inside] if keep_genealogy else None), roots
+    t = t[(t >= 0.0) & (t <= T)]
+    t.sort(kind="stable")
+    return pad, t
 
 
-def simulate_window(params: ModelParams, T, seed, pad_tol=DEFAULT_PAD_TOL,
-                    size_cap=DEFAULT_SIZE_CAP, gen_cap=DEFAULT_GEN_CAP,
-                    keep_genealogy=False) -> EventSeries:
+def simulate_window(params: ModelParams, T, seed, pad_tol=DEFAULT_PAD_TOL) -> EventSeries:
     """Simulate the stationary process restricted to [0, T].
 
     Immigrants are Poisson(nu) on the padded window [-P, T+P]; each carries
@@ -219,8 +209,7 @@ def simulate_window(params: ModelParams, T, seed, pad_tol=DEFAULT_PAD_TOL,
     reruns are byte-identical.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    pad, times, cid, roots = _simulate(params, T, rng, pad_tol, size_cap, gen_cap,
-                                       keep_genealogy)
+    pad, times = _simulate(params, T, rng, pad_tol)
     provenance = {
         "kind": "simulated",
         "seed": int(seed),
@@ -232,54 +221,36 @@ def simulate_window(params: ModelParams, T, seed, pad_tol=DEFAULT_PAD_TOL,
         "pad": pad,
         "pad_tol": pad_tol,
     }
-    if not keep_genealogy:
-        times.sort(kind="stable")
-        return EventSeries(times, float(T), provenance)
-    order = np.argsort(times, kind="stable")
-    cid = cid[order]
-    return EventSeries(times[order], float(T), provenance, cid, roots[cid])
+    return EventSeries(times, float(T), provenance)
 
 
-def simulate_window_batched(params: ModelParams, T, rng, pad_tol=DEFAULT_PAD_TOL,
-                            size_cap=DEFAULT_SIZE_CAP, gen_cap=DEFAULT_GEN_CAP) -> np.ndarray:
+def simulate_window_batched(params: ModelParams, T, rng, pad_tol=DEFAULT_PAD_TOL) -> np.ndarray:
     """Sorted event times on [0, T] drawn from the caller's generator.
 
-    Same engine as :func:`simulate_window`, without provenance or genealogy;
-    used by Monte-Carlo replicate loops that own their generators.
+    Same engine as :func:`simulate_window`, without provenance; used by
+    Monte-Carlo replicate loops that own their generators.
     """
-    _, times, _, _ = _simulate(params, T, rng, pad_tol, size_cap, gen_cap, False)
-    times.sort(kind="stable")
-    return times
-
-
-def _replicate(params, T, statistic, pad_tol, stream):
-    rng = np.random.default_rng(stream)
-    times = simulate_window_batched(params, T, rng, pad_tol=pad_tol)
-    return statistic(EventSeries(times, float(T), {"kind": "replicate"}))
+    return _simulate(params, T, rng, pad_tol)[1]
 
 
 def replicate_windows(params: ModelParams, T, statistic, replicates, seed,
-                      pad_tol=DEFAULT_PAD_TOL, threads=1) -> np.ndarray:
+                      pad_tol=DEFAULT_PAD_TOL) -> np.ndarray:
     """``statistic(series)`` on ``replicates`` >= 2 independent windows, in replicate order.
 
     Each replicate's window is drawn from its own child of ``seed`` (an
     integer or a SeedSequence).  Children are spawned from the seed's
     sequence, so calls that share one SeedSequence continue its child
-    numbering and never reuse a stream.  With ``threads`` > 1 replicates run
-    in that many worker processes (``statistic`` must then pickle); results
-    are identical for any worker count.
+    numbering and never reuse a stream.
     """
     if int(replicates) < 2:
         raise ValueError(f"need at least two replicates for a standard error, got {replicates}")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    streams = root.spawn(int(replicates))
-    one = partial(_replicate, params, T, statistic, pad_tol)
-    threads = max(1, int(threads))
-    if threads == 1:
-        return np.array([one(s) for s in streams])
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return np.array(list(pool.map(one, streams,
-                                      chunksize=max(1, len(streams) // threads))))
+
+    def window(stream):
+        times = simulate_window_batched(params, T, np.random.default_rng(stream), pad_tol)
+        return EventSeries(times, float(T), {"kind": "replicate"})
+
+    return np.array([statistic(window(s)) for s in root.spawn(int(replicates))])
 
 
 # ---------------------------------------------------------------------------

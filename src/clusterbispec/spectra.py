@@ -71,22 +71,25 @@ class SpectralGrid:
 
 
 class _TransformTable:
-    """Evaluate hhat once per distinct frequency within one spectra call."""
+    """Evaluate hhat once per distinct |w| within one spectra call.
+
+    Negative frequencies take the conjugate, hhat(-w) = conj(hhat(w)), so a
+    table built from some frequencies answers for their negatives too.
+    """
 
     def __init__(self, kernel: Kernel, frequencies):
-        flat = np.unique(np.concatenate([np.ravel(np.asarray(f, dtype=float))
-                                         for f in frequencies]))
-        self._grid = flat
-        self._vals = np.asarray(kernel.transform(flat))
+        self._grid = np.unique(np.abs(np.concatenate([np.ravel(np.asarray(f, dtype=float))
+                                                      for f in frequencies])))
+        self._vals = np.asarray(kernel.transform(self._grid))
 
     def __call__(self, w):
         w = np.asarray(w, dtype=float)
-        idx = np.searchsorted(self._grid, w)
-        return self._vals[idx]
+        vals = self._vals[np.searchsorted(self._grid, np.abs(w))]
+        return np.where(w < 0, np.conj(vals), vals)
 
 
 def _hhat_table(params: ModelParams, w1, w2):
-    return _TransformTable(params.kernel, [w1, -w1, w2, -w2, w1 + w2, -(w1 + w2)])
+    return _TransformTable(params.kernel, [w1, w2, w1 + w2])
 
 
 def _r_form(params: ModelParams, hh: _TransformTable, w1, w2):
@@ -156,7 +159,7 @@ def im_b_diagonal(params: ModelParams, t):
     with Im b_factorial(t, t) but stays numerically clean at small t.
     """
     t = np.asarray(t, dtype=float)
-    hh = _TransformTable(params.kernel, [t, -t, 2 * t, -2 * t])
+    hh = _TransformTable(params.kernel, [t, 2 * t])
     m, lam = params.m, params.lam
     h1, h2 = hh(t), hh(2 * t)
     U1, V1 = h1.real, -h1.imag

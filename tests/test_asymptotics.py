@@ -129,6 +129,9 @@ def test_uniform_only_kernel_with_zero_delta():
           for k in (UniformHalf(1.0), Exponential(1.0), Lomax(4.0))}
     assert zs["uhalf:1"] == 0.0
     assert zs["exp:1"] > 0.0 and zs["lomax:4"] > 0.0
+    # exactly 0 at non-dyadic widths too (2.759: pow(a, 2) may round unlike a * a)
+    for a in (0.3, 1.3, 2.759):
+        assert [delta_m(z_from_kernel(UniformHalf(a)), m) for m in (0.2, 0.5, 0.8)] == [0.0] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -156,12 +159,13 @@ def test_diag_limit_lomax_alpha1():
 
 
 def test_diag_limit_uniform_underflows():
-    p = ModelParams(1.0, 0.5, 1.0, UniformHalf(1.0))
-    report = diag_limit_check(p, t_list=(1e-1, 1e-2, 1e-3))
-    assert report.limit == 0.0
-    assert np.all(report.underflow)
-    assert report.converged  # reported as identically-zero signal, not failed
-    assert "underflow" in report.summary()
+    for a in (1.0, 0.3, 1.3):
+        p = ModelParams(1.0, 0.5, 1.0, UniformHalf(a))
+        report = diag_limit_check(p, t_list=(1e-1, 1e-2, 1e-3))
+        assert report.limit == 0.0, a
+        assert np.all(report.underflow), a
+        assert report.converged, a  # reported as identically-zero signal, not failed
+        assert "underflow" in report.summary()
 
 
 def test_diag_limit_divergent_band():

@@ -42,7 +42,9 @@ def test_config_json_round_trip():
 
 MODEL = {"m": 0.5, "kernel": "exp:1"}
 MALFORMED_CONFIGS = {
+    # `threads` is not an option: an older manifest's echo that names it has an unknown key
     "threads-string": {"command": "spectrum", "threads": "2", "options": MODEL},
+    "threads-echo": {"command": "spectrum", "threads": 1, "options": MODEL},
     "options-list": {"command": "spectrum", "options": [1]},
     "document-list": [1, 2],
     "no-command": {"options": MODEL},
@@ -100,16 +102,17 @@ def test_json_config_takes_the_flag_defaults(case):
     assert from_json == parse_config(argv)
     # every option is filled in, so the manifest's echo lists each value used
     assert set(from_json.options) == set(COMMANDS[command][1])
-    assert (from_json.seed, from_json.threads, from_json.out_dir, from_json.format) == \
-        (0, 1, ".", "csv")
+    assert (from_json.seed, from_json.out_dir, from_json.format) == (0, ".", "csv")
 
 
 def test_global_flags_before_or_after_subcommand(tmp_path):
-    flags = ["--seed", "3", "--threads", "2", "--out-dir", str(tmp_path), "--format", "json"]
+    flags = ["--seed", "3", "--out-dir", str(tmp_path), "--format", "json"]
     command = ["simulate", "--m", "0.5", "--kernel", "exp:1", "--T", "1e4"]
     first = parse_config(flags + command)
     assert parse_config(command + flags) == first
-    assert (first.seed, first.threads, first.format) == (3, 2, "json")
+    assert (first.seed, first.out_dir, first.format) == (3, str(tmp_path), "json")
+    with pytest.raises(SystemExit):   # argparse's usage error, exit 2
+        parse_config(["--threads", "2"] + command)
 
 
 def test_uniform_alias_accepted():
@@ -270,6 +273,15 @@ def test_mc_validate_quick(tmp_path):
     assert run_cli(tmp_path, "mc-validate", "--suite", "moments") == 0
     doc = json.loads((tmp_path / "mc_moments.json").read_text())
     assert doc["pass"] and all("z_re" in c for c in doc["comparisons"])
+
+
+def test_mc_validate_moments_at_the_given_m(tmp_path):
+    assert run_cli(tmp_path, "mc-validate", "--suite", "moments", "--m", "0.8",
+                   "--kernel", "exp:1") == 0
+    doc = json.loads((tmp_path / "mc_moments.json").read_text())
+    assert doc["params"]["m"] == 0.8
+    assert len(doc["comparisons"]) == 3
+    assert all(c["name"].endswith("(m=0.8)") for c in doc["comparisons"])
 
 
 def test_mc_validate_bartlett_defaults(tmp_path):

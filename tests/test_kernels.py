@@ -1,9 +1,11 @@
 """Kernel densities, transforms, samplers, tails, and the spec grammar."""
 
+import functools
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -29,6 +31,8 @@ from clusterbispec.kernels import (
     scale_kernel,
     transform_with_bound,
 )
+from clusterbispec.match import (MatchSpec, build_matched_kernel, load_matched_kernel,
+                                 save_matched_kernel)
 from clusterbispec.simulate import ModelParams
 
 OMEGA_GRID = np.linspace(-50.0, 50.0, 64)
@@ -441,11 +445,24 @@ def test_tabulated_equality_and_hash_by_value():
     assert a == b and a.values[3] != 0.0
 
 
+@functools.cache
+def matched_kernels():
+    """Built matched exp:1 and lomax:2 kernels, and the lomax:2 one saved and reloaded."""
+    built = [build_matched_kernel(MatchSpec(base, m=0.5)) for base in (Exponential(1.0), Lomax(2.0))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "matched.json")
+        save_matched_kernel(built[1], path)
+        return (*built, load_matched_kernel(path))
+
+
 @settings(max_examples=50, deadline=None)
-@given(st.floats(min_value=-80.0, max_value=80.0, allow_nan=False))
-def test_transform_conjugate_symmetry_property(w):
-    for k in (Exponential(1.3), UniformHalf(1.7), SymmetricLaplace(0.8)):
-        assert k.transform(-w) == pytest.approx(np.conj(k.transform(w)), abs=1e-13)
+@given(w=st.floats(min_value=-80.0, max_value=80.0, allow_nan=False))
+def test_transform_conjugate_symmetry_property(kernels, w):
+    # exact: spectra tabulate hhat once per |w| and conjugate for w < 0
+    for k in (*kernels.values(), *matched_kernels()):
+        assert k.transform(-w) == np.conj(k.transform(w)), k
+        pair = k.transform(np.array([w, -w]))
+        assert pair[1] == np.conj(pair[0]), k
 
 
 @settings(max_examples=30, deadline=None)

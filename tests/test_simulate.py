@@ -131,11 +131,14 @@ def test_pair_correlation_theta_free():
     assert np.max(np.abs(z)) < 4.0
 
 
-def test_one_sided_offspring_follow_roots():
-    p = ModelParams(1.0, 0.6, 1.0, Exponential(1.0))
-    series = simulate_window(p, 200.0, seed=3, keep_genealogy=True)
-    assert series.cluster_id is not None
-    assert np.all(series.times >= series.root_time - 1e-12)
+def test_seeded_and_batched_windows_share_one_engine():
+    for kernel in (Exponential(1.0), UniformHalf(2.0), Lomax(2.5)):
+        p = ModelParams(1.0, 0.5, 0.5, kernel)
+        for seed in (0, 1, 7, 2**40):
+            series = simulate_window(p, 200.0, seed)
+            batched = simulate_window_batched(p, 200.0,
+                                              np.random.default_rng(np.random.SeedSequence(seed)))
+            assert series.times.tobytes() == batched.tobytes()
 
 
 def test_reproducibility_byte_identical():
