@@ -11,8 +11,9 @@ the artifacts bit-identically.
 
 Exit codes: 0 success, 1 numerical-validation failure (mc suites), 2
 configuration error, including an unreadable or malformed config file, a
-kernel the command does not support, and a model whose padded window would
-plan more immigrants than the simulator's budget.
+kernel the command does not support, a model whose padded window would
+plan more immigrants than the simulator's budget, and a ``contrast scan``
+support radius H beyond the half-width of the model's lag grid.
 
 The angular-frequency convention everywhere is e^{-i omega t} for forward
 transforms (so transform(0) = 1 for probability densities).
@@ -34,6 +35,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import NonMonotoneKernel
+from .cumulant3 import SupportExceedsGrid
 from .kernels import InvalidKernel, Kernel, kernel_from_spec
 from .montecarlo import SUITES
 from .simulate import DEFAULT_PAD_TOL, ModelParams, PaddingBudgetExceeded
@@ -412,10 +414,11 @@ def run(cfg: RunConfig) -> int:
                    "window_end": series.window_end, "H": g.support_radius}
         else:
             params = _model(cfg, theta=0.0)
-            scan = contrasts.linearity_scan(params, g, opt["T"], opt["theta"],
-                                            opt["reps"], cfg.seed)
+            # the exact mean checks H against the lag grid before any window is drawn
             grid = cumulant3.invert_bispectrum(params)
             mean = contrasts.exact_mean(params, g, opt["T"], cumulant3.odd_part(grid))
+            scan = contrasts.linearity_scan(params, g, opt["T"], opt["theta"],
+                                            opt["reps"], cfg.seed)
             doc = {"thetas": scan.thetas.tolist(), "means": scan.means.tolist(),
                    "stderrs": scan.stderrs.tolist(),
                    "slope": scan.slope, "slope_stderr": scan.slope_stderr,
@@ -464,8 +467,8 @@ def main(argv=None) -> int:
         return 2
     try:
         return run(cfg)
-    except (ConfigError, InvalidKernel, NonMonotoneKernel,
-            PaddingBudgetExceeded) as exc:  # faults found only while running
+    except (ConfigError, InvalidKernel, NonMonotoneKernel, PaddingBudgetExceeded,
+            SupportExceedsGrid) as exc:  # faults found only while running
         for v in getattr(exc, "violations", [exc]):
             print(f"config error: {v}", file=sys.stderr)
         return 2

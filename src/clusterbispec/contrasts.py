@@ -8,28 +8,41 @@ over ordered triples of distinct indices (equal timestamps at distinct
 indices do contribute), with g bounded, compactly supported, and jointly
 odd.  Its mean under the sign-biased family is exactly theta * mu_{T,g}.
 
-Accumulation is anchor-partitioned and exact.  Anchors are processed in
-blocks of bounded pair count, so memory does not grow with the window.
-Within a block the terms of every anchor are summed by a vectorized exact
-superaccumulator: each term is split into an integer mantissa and an
-exponent, the mantissa is cut into fixed-width limbs at absolute bit
-positions, and the limbs are summed per (anchor, limb) in float64, where
-integer sums below 2**53 are exact.  Each anchor's few scaled limb sums are
-exactly representable, so math.fsum of them is the correctly rounded exact
-sum of the anchor's terms (ties to even, an exact zero comes out +0.0); the
-per-anchor partials are fsum-reduced again.  The per-anchor sum therefore
-does not depend on term order, on how anchors are blocked, or on which
-exactly-zero terms are dropped, and it is sign-symmetric.  Consequences:
-the support-pruned implementation equals the O(n^3) reference exactly,
-reflecting the window negates the statistic exactly, and results are
-reproducible across platforms.
+Accumulation is anchor-partitioned and exact.  Each anchor's neighbors
+are cut into segments; anchors are taken in runs of bounded length and a
+run's segments in blocks of bounded pair count, so memory does not grow
+with the window.  Within a block the terms of every segment are summed by
+a vectorized exact superaccumulator: each term is split into an integer
+mantissa and an exponent, the mantissa is cut into fixed-width limbs at
+absolute bit positions, and the limbs are summed per (segment, limb) in
+float64, where integer sums below 2**53 are exact.  A segment's few scaled limb sums are exactly representable and add
+up exactly to its terms, so math.fsum over the limb sums of all of an
+anchor's segments is the correctly rounded exact sum of the anchor's terms
+(ties to even, an exact zero comes out +0.0); the per-anchor partials are
+fsum-reduced again.  The per-anchor sum therefore does not depend on term
+order, on how anchors are cut or blocked, or on which exactly-zero terms
+are dropped, and it is sign-symmetric.  Consequences: the support-pruned
+implementation equals the O(n^3) reference exactly, reflecting the window
+negates the statistic exactly, and results are reproducible across
+platforms.
+
+Which pairs are formed depends on the test function.  In general an
+anchor has one segment, every neighbor within the box, and all ordered
+pairs j != k are evaluated.  A g declared ``quadrant_symmetric`` is exactly
+0 off the open quadrants (+,+) and (-,-) and has g(a, b) == g(b, a) bit for
+bit, so an anchor has two segments, its forward lags in (0, H] and its
+backward lags in [-H, 0), and only the unordered pairs j < k within a
+segment are evaluated, each term taken as 2 * g.  Every pair left out is an
+exact zero, and 2 * g is the exact sum of the two mirrored terms, so the
+exact per-anchor sum, and with it every statistic, is bit-identical to the
+all-pairs sum.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -67,11 +80,15 @@ class SummationHeadroomExceeded(ValueError):
 _LIMB_BITS = 26
 _LIMB_SCALE = 2.0**_LIMB_BITS
 _MAX_SEGMENT_TERMS = 2 ** (53 - _LIMB_BITS)
-# an anchor block holds at most _BLOCK_PAIRS ordered neighbor pairs, each
-# anchor also costing _ANCHOR_COST for its row of the (anchor, limb) sum
-# table; this bounds the statistic's memory
+# a block holds at most _BLOCK_PAIRS neighbor pairs, each segment also
+# costing _ANCHOR_COST for its row of the (segment, limb) sum table; this
+# bounds the statistic's memory
 _BLOCK_PAIRS = 2**16
 _ANCHOR_COST = 64
+# anchors are taken in runs of _RUN_ANCHORS, whose exact parts (a few
+# hundred bytes per anchor) wait together for their join; long enough that
+# blocks stay full on typical windows
+_RUN_ANCHORS = 2**12
 
 
 @dataclass(frozen=True)
@@ -79,16 +96,36 @@ class OddTestFunction:
     """Bounded jointly odd test function with known support radius.
 
     ``evaluate`` is vectorized over numpy arrays and returns exact 0.0
-    outside the closed box [-H, H]^2.  ``bound`` is a valid sup-norm bound.
+    outside the closed box [-H, H]^2.  ``bound`` is a valid sup-norm bound,
+    finite and nonnegative.
+
+    ``quadrant_symmetric`` declares that g is exactly 0 off the open
+    quadrants (+,+) and (-,-) (on both axes too) and that g(a, b) == g(b, a)
+    bit for bit; contrast_statistic then forms only same-side pairs, each
+    unordered pair once.  A declaration is checked on a probe lattice over
+    the box (both axes, +-H and 0 included), and any violation there raises
+    ValueError, so a wrong declaration fails when g is made.
     """
 
     support_radius: float
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     bound: float
+    quadrant_symmetric: bool = False
 
     def __post_init__(self):
         if not (self.support_radius > 0 and math.isfinite(self.support_radius)):
             raise ValueError("support radius must be positive and finite")
+        if not (self.bound >= 0 and math.isfinite(self.bound)):
+            raise ValueError("bound must be nonnegative and finite")
+        if self.quadrant_symmetric:
+            probe = np.union1d(np.linspace(-self.support_radius, self.support_radius, 101), 0.0)
+            t1, t2 = np.meshgrid(probe, probe, indexing="ij")
+            v = np.asarray(self.evaluate(t1, t2), dtype=float)
+            bits = v.view(np.int64)
+            same_side = ((t1 > 0) & (t2 > 0)) | ((t1 < 0) & (t2 < 0))
+            if np.any(v[~same_side] != 0.0) or not np.array_equal(bits, bits.T):
+                raise ValueError("quadrant_symmetric g must be 0 off the open quadrants "
+                                 "(+,+) and (-,-) and satisfy g(a, b) == g(b, a) bitwise")
 
 
 def antisymmetrize(u, H, bound=None) -> OddTestFunction:
@@ -123,7 +160,7 @@ def quadrant_indicator(H) -> OddTestFunction:
     def u(t1, t2):
         return ((t1 > 0) & (t2 > 0)).astype(float)
 
-    return antisymmetrize(u, H, bound=1.0)
+    return replace(antisymmetrize(u, H, bound=1.0), quadrant_symmetric=True)
 
 
 def smooth_quadrant_bump(H) -> OddTestFunction:
@@ -135,7 +172,9 @@ def smooth_quadrant_bump(H) -> OddTestFunction:
     The disc lies where t1, t2 > 0, so u(-tau) vanishes wherever t1 >= 0 and
     u(tau) wherever t1 <= 0: g is s * u(s * tau) + 0.0 with s = sign(t1),
     the same floating-point values as u(tau) - u(-tau) (a zero stays +0.0)
-    from one bump evaluation per point.
+    from one bump evaluation per point.  On the support sign(t1) = sign(t2),
+    so swapping the lags swaps the two squares of s2: g is quadrant
+    symmetric bit for bit.
     """
     H = float(H)
     c = H / 2.0
@@ -152,7 +191,7 @@ def smooth_quadrant_bump(H) -> OddTestFunction:
         return out
 
     # the two lobes have disjoint supports, so sup|g| = e^-1
-    return OddTestFunction(H, evaluate, math.exp(-1.0))
+    return OddTestFunction(H, evaluate, math.exp(-1.0), quadrant_symmetric=True)
 
 
 def sign_contrast_function(grid: CumulantGrid, H) -> OddTestFunction:
@@ -194,11 +233,11 @@ def sign_contrast_function(grid: CumulantGrid, H) -> OddTestFunction:
 def _exact_parts(values, seg, nseg):
     """Exact per-segment decomposition of sums into few representable floats.
 
-    Returns (parts, starts), Python lists: the floats
-    parts[starts[s]:starts[s + 1]] add up exactly to the sum of the terms
-    values[seg == s], and each is exactly representable, so math.fsum of
-    that slice is the correctly rounded segment sum -- bit for bit what
-    math.fsum(values[seg == s]) returns, whatever the term order.
+    Returns (parts, owner), arrays ordered by segment: the floats
+    parts[owner == s] add up exactly to the sum of the terms
+    values[seg == s], and each is nonzero and exactly representable, so
+    math.fsum of them is the correctly rounded segment sum -- bit for bit
+    what math.fsum(values[seg == s]) returns, whatever the term order.
 
     A nonzero term is v = y * 2**(W * limb) with limb = floor((e - 53) / W)
     for its np.frexp exponent e, so y is an integer below 2**(52 + W) in
@@ -221,7 +260,7 @@ def _exact_parts(values, seg, nseg):
         raise SummationHeadroomExceeded(
             f"a segment holds more than {_MAX_SEGMENT_TERMS} nonzero terms")
     if len(v) == 0:
-        return [], [0] * (nseg + 1)
+        return np.empty(0), np.empty(0, dtype=np.intp)
     mant, exp = np.frexp(v)
     limb = np.floor_divide(exp - 53, _LIMB_BITS)
     y = np.ldexp(mant, exp - limb * _LIMB_BITS)
@@ -236,44 +275,102 @@ def _exact_parts(values, seg, nseg):
         sums += np.bincount(key + t, weights=d, minlength=nseg * width)
     idx = np.flatnonzero(sums)
     owner, lim = np.divmod(idx, width)
-    parts = np.ldexp(sums[idx], ((lim + lmin) * _LIMB_BITS).astype(np.int32))
-    return parts.tolist(), np.searchsorted(owner, np.arange(nseg + 1)).tolist()
+    return np.ldexp(sums[idx], ((lim + lmin) * _LIMB_BITS).astype(np.int32)), owner
+
+
+def _fsum_per_owner(parts, owner, nowner) -> list:
+    """math.fsum of parts[owner == s] for each s < nowner."""
+    order = np.argsort(owner, kind="stable")
+    starts = np.searchsorted(owner[order], np.arange(nowner + 1)).tolist()
+    parts = parts[order].tolist()
+    return [math.fsum(parts[a:b]) for a, b in zip(starts[:-1], starts[1:])]
 
 
 def _exact_sums(values, seg, nseg) -> list:
     """Correctly rounded sum per segment: math.fsum(values[seg == s]), bit for bit."""
-    parts, starts = _exact_parts(values, seg, nseg)
-    return [math.fsum(parts[a:b]) for a, b in zip(starts[:-1], starts[1:])]
+    return _fsum_per_owner(*_exact_parts(values, seg, nseg), nseg)
 
 
-def _anchor_terms(d, rows, f):
-    """Terms g(x_j - x_i, x_k - x_i) of a block of anchors with equal neighbor count.
+def _pair_terms(d, rows, f):
+    """Terms g(x_j - x_i, x_k - x_i) of a block of segments of equal length.
 
-    ``d`` is (c, g): column i holds the lags from the block's i-th anchor to
-    its c neighbors (itself excluded).  Every anchor's ordered neighbor
-    pairs j != k with j in ``rows`` are taken by one shared index pattern.
-    Returns the terms and each term's anchor position in the block.
+    ``d`` is (c, g): column s holds the lags from the anchor of the block's
+    s-th segment to the segment's c neighbors.  One shared index pattern
+    takes the pairs with j in ``rows``: every ordered pair j != k, or, for a
+    quadrant-symmetric g, the pairs k > j with each term doubled (the exact
+    sum of g at (j, k) and at (k, j)).  Returns the terms and each term's
+    segment position in the block.
     """
     c, g = d.shape
     pj = np.repeat(rows, c)
     pk = np.tile(np.arange(c), len(rows))
-    distinct = pj != pk
-    vals = f.evaluate(d[pj[distinct]].ravel(), d[pk[distinct]].ravel())
-    return vals, np.tile(np.arange(g), int(distinct.sum()))
+    keep = pk > pj if f.quadrant_symmetric else pk != pj
+    vals = f.evaluate(d[pj[keep]].ravel(), d[pk[keep]].ravel())
+    if f.quadrant_symmetric:
+        vals = 2.0 * vals
+    return vals, np.tile(np.arange(g), int(keep.sum()))
+
+
+def _anchor_sums(x, a, f) -> list:
+    """Exact sum of the terms of each anchor in ``a``, rounded once.
+
+    ``a`` holds consecutive anchor indices.  The neighbors of each anchor
+    are cut into segments (see contrast_statistic); segment s holds the
+    count[s] neighbors first[s], first[s] + 1, ... of anchor[s], stepping
+    over index skip[s].
+    """
+    H = f.support_radius
+    lo = np.searchsorted(x, x[a] - H, side="left")
+    hi = np.searchsorted(x, x[a] + H, side="right")
+    if f.quadrant_symmetric:   # [lo, first tie) and (last tie, hi); the anchor is in neither
+        below = np.searchsorted(x, x[a], side="left")
+        above = np.searchsorted(x, x[a], side="right")
+        anchor = a.repeat(2)
+        first = np.column_stack([lo, above]).ravel()
+        count = np.column_stack([below - lo, hi - above]).ravel()
+        skip = np.full(len(anchor), len(x))
+    else:                      # the box, skipping the anchor itself
+        anchor, first, count, skip = a, lo, hi - lo - 1, a
+    parts, owners = [np.empty(0)], [np.empty(0, dtype=np.intp)]
+    order = np.argsort(count, kind="stable")
+    for grp in np.split(order, np.flatnonzero(np.diff(count[order])) + 1):
+        c = int(count[grp[0]])
+        if c < 2:
+            continue
+        pairs = c * (c - 1) // 2 if f.quadrant_symmetric else c * (c - 1)
+        per_block = max(1, _BLOCK_PAIRS // (pairs + _ANCHOR_COST))
+        rows_per_block = max(1, _BLOCK_PAIRS // (c - 1))
+        for b in range(0, len(grp), per_block):
+            s = grp[b:b + per_block]
+            nb = first[s] + np.arange(c)[:, None]
+            nb += nb >= skip[s]
+            d = x[nb] - x[anchor[s]]
+            for r0 in range(0, c, rows_per_block):
+                rows = np.arange(r0, min(c, r0 + rows_per_block))
+                p, owner = _exact_parts(*_pair_terms(d, rows, f), len(s))
+                parts.append(p)
+                owners.append(anchor[s][owner])
+    return _fsum_per_owner(np.concatenate(parts), np.concatenate(owners) - a[0], len(a))
 
 
 def contrast_statistic(series: EventSeries, f: OddTestFunction) -> float:
     """Support-pruned triple sum, O(n k^2) with k the neighbor count in radius H.
 
-    For each anchor the neighbors within [x - H, x + H] are enumerated by
-    sorted-window search; ordered neighbor pairs with distinct indices, none
-    the anchor, contribute g(x_j - x_i, x_k - x_i).  Anchors with the same
-    neighbor count are taken together, in blocks of at most _BLOCK_PAIRS
-    pairs (an anchor with more pairs than that is split over its neighbor
-    rows), so memory is bounded independently of the window length.  Each
-    anchor's terms are summed exactly and rounded once (the module
-    docstring's superaccumulator), and the anchor partials are fsum-reduced,
-    so the result does not depend on the blocking.
+    For each anchor the neighbors within [x - H, x + H] are found by
+    sorted-window search and cut into segments: the whole box with the
+    anchor left out, or, for a quadrant-symmetric g, the backward lags in
+    [-H, 0) and the forward lags in (0, H], since every other pair is an
+    exact zero.  Each segment's pairs with distinct indices contribute
+    g(x_j - x_i, x_k - x_i): all ordered pairs, or each unordered pair once
+    as 2 * g when g is quadrant symmetric (the module docstring says why
+    that is exact).  Anchors are taken in runs of _RUN_ANCHORS; within a
+    run, segments of the same length are taken together, in blocks of at
+    most _BLOCK_PAIRS pairs (a segment with more pairs than that is split
+    over its rows j), so memory is bounded independently of the window
+    length.  The exact parts of all of an anchor's segments are joined and
+    rounded once (the module docstring's superaccumulator), and the anchor
+    partials are fsum-reduced, so the result does not depend on the
+    segments, the runs or the blocking.
     """
     x = np.asarray(series.times, dtype=float)
     n = len(x)
@@ -282,30 +379,9 @@ def contrast_statistic(series: EventSeries, f: OddTestFunction) -> float:
         warnings.warn("window has no usable triples; statistic is 0",
                       EmptyWindowWarning, stacklevel=2)
         return 0.0
-    H = f.support_radius
-    lo = np.searchsorted(x, x - H, side="left")
-    nbrs = np.searchsorted(x, x + H, side="right") - lo - 1
-    order = np.argsort(nbrs, kind="stable")
     partials = []
-    for grp in np.split(order, np.flatnonzero(np.diff(nbrs[order])) + 1):
-        c = int(nbrs[grp[0]])
-        if c < 2:
-            continue
-        per_block = max(1, _BLOCK_PAIRS // (c * (c - 1) + _ANCHOR_COST))
-        rows_per_block = max(1, _BLOCK_PAIRS // (c - 1))
-        for b in range(0, len(grp), per_block):
-            a = grp[b:b + per_block]
-            nb = lo[a] + np.arange(c)[:, None]
-            nb += nb >= a                              # skip the anchor itself
-            d = x[nb] - x[a]
-            if rows_per_block >= c:
-                partials += _exact_sums(*_anchor_terms(d, np.arange(c), f), len(a))
-            else:   # one anchor with more pairs than a block: split over its rows
-                parts = []
-                for r0 in range(0, c, rows_per_block):
-                    rows = np.arange(r0, min(c, r0 + rows_per_block))
-                    parts += _exact_parts(*_anchor_terms(d, rows, f), 1)[0]
-                partials.append(math.fsum(parts))
+    for a0 in range(0, n, _RUN_ANCHORS):
+        partials += _anchor_sums(x, np.arange(a0, min(n, a0 + _RUN_ANCHORS)), f)
     return math.fsum(partials) / T
 
 
@@ -313,7 +389,8 @@ def contrast_statistic_bruteforce(series: EventSeries, f: OddTestFunction) -> fl
     """O(n^3) reference: every ordered triple of distinct indices, no pruning.
 
     Same anchor-partitioned exact accumulation as the pruned path, so the
-    two agree exactly (pruning only skips terms that are exactly zero).
+    two agree exactly (pruning only skips terms that are exactly zero, and
+    for a quadrant-symmetric g takes two equal mirrored terms as one 2 * g).
     """
     x = np.asarray(series.times, dtype=float)
     n = len(x)

@@ -152,6 +152,20 @@ def test_cli_exit_code_2_on_padding_budget(tmp_path, capsys):
     assert "config error" in err and "immigrants" in err
 
 
+def test_contrast_scan_support_beyond_grid_fails_before_simulating(tmp_path, capsys, monkeypatch):
+    import clusterbispec.simulate as simulate
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a window was simulated")
+
+    monkeypatch.setattr(simulate, "_simulate", no_draws)
+    assert run_cli(tmp_path, "contrast", "scan", "--m", "0.5", "--kernel", "exp:1",
+                   "--T", "1e2", "--reps", "2", "--H", "45") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "grid half-width" in err
+    assert not (tmp_path / "contrast.json").exists()
+
+
 def test_kernel_built_once_per_run(tmp_path, monkeypatch):
     import clusterbispec.cli as cli
 

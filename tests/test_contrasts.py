@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from clusterbispec import contrasts
 from clusterbispec.contrasts import (
     EmptyWindowWarning,
+    OddTestFunction,
     SummationHeadroomExceeded,
     antisymmetrize,
     contrast_statistic,
@@ -74,6 +76,23 @@ def test_odd_test_function_invariants(rng):
         assert np.max(np.abs(v)) <= g.bound + 1e-15     # bounded
         outside = np.abs(pts).max(axis=1) > g.support_radius
         assert np.all(v[outside] == 0.0)                # compact support
+    g = smooth_quadrant_bump(4.0)
+    for bad in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="bound"):
+            OddTestFunction(2.0, g.evaluate, bad)
+
+
+def test_quadrant_symmetric_declaration_is_checked():
+    assert smooth_quadrant_bump(4.0).quadrant_symmetric
+    assert quadrant_indicator(3.0).quadrant_symmetric
+    # asymmetric on the (+,+) quadrant; nonzero on the (+,-) quadrant; nonzero on an axis
+    for u in (lambda a, b: (a > 0) * (b > 0) * a,
+              lambda a, b: ((a > 0) & (b < 0)).astype(float),
+              lambda a, b: ((a > 0) & (b >= 0)).astype(float)):
+        g = antisymmetrize(u, H=2.0)
+        assert not g.quadrant_symmetric
+        with pytest.raises(ValueError, match="quadrant_symmetric"):
+            replace(g, quadrant_symmetric=True)
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +159,34 @@ def test_null_model_statistic_mean_zero():
     assert abs(vals.mean()) < 4 * se
 
 
+def test_quadrant_indicator_counts_same_side_pairs():
+    # anchor i's terms add up to P_i (P_i - 1) - N_i (N_i - 1), with P_i the
+    # lags in (0, H] and N_i the lags in [-H, 0); dyadic times give ties and
+    # lags of exactly +-H
+    rng = np.random.default_rng(11)
+    for n, ticks, H in ((40, 64, 2.0), (300, 512, 2.0), (500, 4096, 1.5)):
+        T = 64.0
+        x = np.sort(rng.integers(0, ticks + 1, size=n) * (T / ticks))
+        P = np.searchsorted(x, x + H, side="right") - np.searchsorted(x, x, side="right")
+        N = np.searchsorted(x, x, side="left") - np.searchsorted(x, x - H, side="left")
+        want = math.fsum((P * (P - 1) - N * (N - 1)).tolist()) / T
+        got = contrast_statistic(EventSeries(x, T, {"kind": "test"}), quadrant_indicator(H))
+        assert got.hex() == want.hex()
+
+
+def test_declared_and_undeclared_paths_agree():
+    # same-side j < k pairs, doubled, against every ordered pair of the box
+    for theta in (-1.0, 0.0, 1.0):
+        p = ModelParams(1.0, 0.5, theta, Exponential(1.0))
+        rng = np.random.default_rng(int(50 + theta))
+        for _ in range(2):
+            series = EventSeries(simulate_window_batched(p, 1e3, rng), 1e3, {})
+            for g in (smooth_quadrant_bump(4.0), quadrant_indicator(2.0)):
+                a = contrast_statistic(series, g)
+                b = contrast_statistic(series, replace(g, quadrant_symmetric=False))
+                assert a.hex() == b.hex()
+
+
 def test_block_limit_does_not_change_statistic(rng, monkeypatch):
     # one pair per block splits every anchor over its rows; a huge block
     # takes each equal-count anchor group whole
@@ -158,19 +205,32 @@ def test_block_limit_does_not_change_statistic(rng, monkeypatch):
         assert contrast_statistic(reflected, g) == -expected_forward
 
 
+def test_anchor_runs_do_not_change_statistic(rng, monkeypatch):
+    # each anchor's segments are joined within its run of anchors
+    series = [random_series(rng, n, T=40.0) for n in (30, 150)]
+    fs = (smooth_quadrant_bump(3.0), quadrant_indicator(2.0),
+          replace(quadrant_indicator(2.0), quadrant_symmetric=False))
+    expected = [contrast_statistic(s, f).hex() for s in series for f in fs]
+    for run in (1, 7):
+        monkeypatch.setattr(contrasts, "_RUN_ANCHORS", run)
+        assert [contrast_statistic(s, f).hex() for s in series for f in fs] == expected
+
+
 def test_statistic_memory_is_bounded():
     # one T = 1e4 window holds about 8e6 neighbor pairs; materializing them
     # all at once peaks near 1 GB, anchor blocks stay far below 100 MB
     rng = np.random.default_rng(41)
     T = 1e4
     series = EventSeries(simulate_window_batched(EXP_PARAMS, T, rng), T, {})
+    g = smooth_quadrant_bump(4.0)
     tracemalloc.start()
     try:
-        contrast_statistic(series, smooth_quadrant_bump(4.0))
+        value = contrast_statistic(series, g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 100e6
+    assert value.hex() == contrast_statistic(series, replace(g, quadrant_symmetric=False)).hex()
 
 
 # ---------------------------------------------------------------------------
