@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 _UNDERFLOW = 1e-14
+DIAG_REL_TOL = 0.05    # smallest-t ratio within this of 1 counts as converged
+MOMENT_K_SIGMA = 4.0   # z-score band of mixture_moment_check
 # the monotone one-sided families, the bases the spectral match accepts too
 _MONOTONE_FAMILIES = (Exponential, Lomax, UniformHalf)
 
@@ -156,15 +158,14 @@ class DiagLimitReport:
         return "\n".join(lines)
 
 
-def diag_limit_check(params: ModelParams, t_list=None,
-                     rel_tol: float = 0.05) -> DiagLimitReport:
+def diag_limit_check(params: ModelParams, t_list=None) -> DiagLimitReport:
     """Check |Im B_fac(t, t)| against its predicted small-t behavior.
 
     The kernel family sets the regime and its power (module docstring); a
     kernel outside exp, lomax and uhalf raises NonMonotoneKernel.  In the
     divergent band only the growth of |Im B| / t^3 is checked; otherwise
     ``converged`` requires a monotone approach with the smallest-t ratio
-    within ``rel_tol`` of 1.
+    within DIAG_REL_TOL of 1.
     """
     kernel = params.kernel
     if not isinstance(kernel, _MONOTONE_FAMILIES):
@@ -197,14 +198,13 @@ def diag_limit_check(params: ModelParams, t_list=None,
     else:
         ratios = normalized / limit
         gaps = np.abs(ratios - 1.0)
-        converged = bool(gaps[-1] <= rel_tol and np.all(np.diff(gaps) <= 1e-9)
+        converged = bool(gaps[-1] <= DIAG_REL_TOL and np.all(np.diff(gaps) <= 1e-9)
                          and not under[-1])
     return DiagLimitReport(t, imb, ratios, power, limit, regime, under, converged)
 
 
-def mixture_moment_check(kernel: Kernel, p_exponent: int, n_samples, seed,
-                         k_sigma: float = 4.0) -> dict:
-    """Monte-Carlo check of E X^p = E Z^p / (p + 1) for a monotone kernel."""
+def mixture_moment_check(kernel: Kernel, p_exponent: int, n_samples, seed) -> dict:
+    """Monte-Carlo check of E X^p = E Z^p / (p + 1) for a monotone kernel, to MOMENT_K_SIGMA."""
     z = z_from_kernel(kernel)
     target = z.moments()[p_exponent - 1] / (p_exponent + 1.0)
     if not math.isfinite(target):
@@ -221,6 +221,6 @@ def mixture_moment_check(kernel: Kernel, p_exponent: int, n_samples, seed,
         "target": float(target),
         "stderr": se,
         "z": float(zscore),
-        "k": k_sigma,
-        "pass": bool(abs(zscore) <= k_sigma),
+        "k": MOMENT_K_SIGMA,
+        "pass": bool(abs(zscore) <= MOMENT_K_SIGMA),
     }

@@ -12,8 +12,10 @@ the artifacts bit-identically.
 Exit codes: 0 success, 1 numerical-validation failure (mc suites), 2
 configuration error, including an unreadable or malformed config file, a
 kernel the command does not support, a model whose padded window would
-plan more immigrants than the simulator's budget, and a ``contrast scan``
-support radius H beyond the half-width of the model's lag grid.
+plan more immigrants than the simulator's budget, a ``contrast scan``
+support radius H beyond the half-width of the model's lag grid, and a
+``contrast run`` window that would form more neighbor pairs than the
+statistic's budget.
 
 The angular-frequency convention everywhere is e^{-i omega t} for forward
 transforms (so transform(0) = 1 for probability densities).
@@ -35,6 +37,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import NonMonotoneKernel
+from .contrasts import PairBudgetExceeded
 from .cumulant3 import SupportExceedsGrid
 from .kernels import InvalidKernel, Kernel, kernel_from_spec
 from .montecarlo import SUITES
@@ -194,8 +197,6 @@ def _validate(cfg: RunConfig) -> None:
         if spec is None:
             bad.append("params.kernel: required")
             return
-        if spec.startswith("uniform:"):   # an alias of the canonical `uhalf:`
-            spec = "uhalf:" + spec.split(":", 1)[1]
         try:
             cfg.kernel = kernel_from_spec(spec)
         except (InvalidKernel, OSError) as exc:   # OSError: kernel file unreadable
@@ -467,8 +468,8 @@ def main(argv=None) -> int:
         return 2
     try:
         return run(cfg)
-    except (ConfigError, InvalidKernel, NonMonotoneKernel, PaddingBudgetExceeded,
-            SupportExceedsGrid) as exc:  # faults found only while running
+    except (ConfigError, InvalidKernel, NonMonotoneKernel, PairBudgetExceeded,
+            PaddingBudgetExceeded, SupportExceedsGrid) as exc:  # faults found only while running
         for v in getattr(exc, "violations", [exc]):
             print(f"config error: {v}", file=sys.stderr)
         return 2

@@ -10,8 +10,9 @@ odd.  Its mean under the sign-biased family is exactly theta * mu_{T,g}.
 
 Accumulation is anchor-partitioned and exact.  Each anchor's neighbors
 are cut into segments; anchors are taken in runs of bounded length and a
-run's segments in blocks of bounded pair count, so memory does not grow
-with the window.  Within a block the terms of every segment are summed by
+run's segments in blocks of bounded pair count, so beyond the neighbor
+bounds (two or four indices per event) memory does not grow with the
+window.  Within a block the terms of every segment are summed by
 a vectorized exact superaccumulator: each term is split into an integer
 mantissa and an exponent, the mantissa is cut into fixed-width limbs at
 absolute bit positions, and the limbs are summed per (segment, limb) in
@@ -22,9 +23,10 @@ anchor's segments is the correctly rounded exact sum of the anchor's terms
 fsum-reduced again.  The per-anchor sum therefore does not depend on term
 order, on how anchors are cut or blocked, or on which exactly-zero terms
 are dropped, and it is sign-symmetric.  Consequences: the support-pruned
-implementation equals the O(n^3) reference exactly, reflecting the window
-negates the statistic exactly, and results are reproducible across
-platforms.
+implementation equals the O(n^3) reference exactly (the reference, a plain
+math.fsum per anchor over every ordered triple, lives with the tests in
+tests/oracles.py), reflecting the window negates the statistic exactly,
+and results are reproducible across platforms.
 
 Which pairs are formed depends on the test function.  In general an
 anchor has one segment, every neighbor within the box, and all ordered
@@ -36,6 +38,10 @@ segment are evaluated, each term taken as 2 * g.  Every pair left out is an
 exact zero, and 2 * g is the exact sum of the two mirrored terms, so the
 exact per-anchor sum, and with it every statistic, is bit-identical to the
 all-pairs sum.
+
+The pairs a window will form are counted from the segment bounds before
+any term is evaluated; a window above PAIR_BUDGET raises
+PairBudgetExceeded.
 """
 
 from __future__ import annotations
@@ -48,18 +54,18 @@ from typing import Callable
 import numpy as np
 
 from .cumulant3 import CumulantGrid, SupportExceedsGrid, odd_part
-from .simulate import DEFAULT_PAD_TOL, EventSeries, ModelParams, replicate_windows
+from .simulate import EventSeries, ModelParams, replicate_windows
 
 __all__ = [
     "OddTestFunction",
     "EmptyWindowWarning",
     "SummationHeadroomExceeded",
+    "PairBudgetExceeded",
     "antisymmetrize",
     "quadrant_indicator",
     "smooth_quadrant_bump",
     "sign_contrast_function",
     "contrast_statistic",
-    "contrast_statistic_bruteforce",
     "ExactMeanResult",
     "exact_mean",
     "LinearityScan",
@@ -73,6 +79,10 @@ class EmptyWindowWarning(UserWarning):
 
 class SummationHeadroomExceeded(ValueError):
     """More terms in one exact-summation segment than its integer headroom."""
+
+
+class PairBudgetExceeded(ValueError):
+    """The window would form more neighbor pairs than PAIR_BUDGET."""
 
 
 # exact summation: W-bit limbs keep per-limb float64 sums exact up to
@@ -89,6 +99,10 @@ _ANCHOR_COST = 64
 # hundred bytes per anchor) wait together for their join; long enough that
 # blocks stay full on typical windows
 _RUN_ANCHORS = 2**12
+# most neighbor pairs one statistic may form: the README's T = 1e4 window
+# (19,669 events, H = 4) forms 1.9e6 pairs in about 0.2 s on a 2-core Xeon
+# VM, about 100 ns a pair, so 1e10 pairs is about a quarter of an hour
+PAIR_BUDGET = 10**10
 
 
 @dataclass(frozen=True)
@@ -201,7 +215,7 @@ def sign_contrast_function(grid: CumulantGrid, H) -> OddTestFunction:
     so lookups are exactly odd); restricted to the symmetric sub-lattice
     |index| <= n/2 - 1.
     """
-    odd = grid if grid.is_odd_part else odd_part(grid)
+    odd = odd_part(grid)
     H = float(H)
     if H > grid.half_width:
         raise SupportExceedsGrid(f"H={H:g} exceeds grid half-width {grid.half_width:g}")
@@ -286,11 +300,6 @@ def _fsum_per_owner(parts, owner, nowner) -> list:
     return [math.fsum(parts[a:b]) for a, b in zip(starts[:-1], starts[1:])]
 
 
-def _exact_sums(values, seg, nseg) -> list:
-    """Correctly rounded sum per segment: math.fsum(values[seg == s]), bit for bit."""
-    return _fsum_per_owner(*_exact_parts(values, seg, nseg), nseg)
-
-
 def _pair_terms(d, rows, f):
     """Terms g(x_j - x_i, x_k - x_i) of a block of segments of equal length.
 
@@ -311,25 +320,50 @@ def _pair_terms(d, rows, f):
     return vals, np.tile(np.arange(g), int(keep.sum()))
 
 
-def _anchor_sums(x, a, f) -> list:
-    """Exact sum of the terms of each anchor in ``a``, rounded once.
+def _bounds(x, f) -> tuple:
+    """Every anchor's neighbor bounds in the sorted times, one search each.
 
-    ``a`` holds consecutive anchor indices.  The neighbors of each anchor
-    are cut into segments (see contrast_statistic); segment s holds the
-    count[s] neighbors first[s], first[s] + 1, ... of anchor[s], stepping
-    over index skip[s].
+    [lo, hi) is the box [x - H, x + H]; for a quadrant-symmetric g, [below,
+    above) also gives the run of ties with the anchor, which cuts the box
+    into its backward and forward segments.
     """
     H = f.support_radius
-    lo = np.searchsorted(x, x[a] - H, side="left")
-    hi = np.searchsorted(x, x[a] + H, side="right")
+    lo = np.searchsorted(x, x - H, side="left")
+    hi = np.searchsorted(x, x + H, side="right")
+    if not f.quadrant_symmetric:
+        return lo, hi
+    return lo, hi, np.searchsorted(x, x, side="left"), np.searchsorted(x, x, side="right")
+
+
+def _pair_count(bounds) -> float:
+    """Pairs the statistic forms, from _bounds: sum c(c-1) over the boxes, or
+    sum c(c-1)/2 over the two segments of a quadrant-symmetric g.
+
+    Summed in float64: an int64 sum overflows past about 3.8e6 events
+    within one H.
+    """
+    lo, hi, *ties = bounds
+    c = np.concatenate([ties[0] - lo, hi - ties[1]] if ties else [hi - lo - 1]).astype(float)
+    return float(np.sum(c * (c - 1.0))) / (2.0 if ties else 1.0)
+
+
+def _anchor_sums(x, a, f, bounds) -> list:
+    """Exact sum of the terms of each anchor in ``a``, rounded once.
+
+    ``a`` holds consecutive anchor indices and ``bounds`` the window's
+    neighbor bounds (_bounds).  The neighbors of each anchor are cut into
+    segments (see contrast_statistic); segment s holds the count[s]
+    neighbors first[s], first[s] + 1, ... of anchor[s], stepping over
+    index skip[s].
+    """
     if f.quadrant_symmetric:   # [lo, first tie) and (last tie, hi); the anchor is in neither
-        below = np.searchsorted(x, x[a], side="left")
-        above = np.searchsorted(x, x[a], side="right")
+        lo, hi, below, above = (b[a] for b in bounds)
         anchor = a.repeat(2)
         first = np.column_stack([lo, above]).ravel()
         count = np.column_stack([below - lo, hi - above]).ravel()
         skip = np.full(len(anchor), len(x))
     else:                      # the box, skipping the anchor itself
+        lo, hi = (b[a] for b in bounds)
         anchor, first, count, skip = a, lo, hi - lo - 1, a
     parts, owners = [np.empty(0)], [np.empty(0, dtype=np.intp)]
     order = np.argsort(count, kind="stable")
@@ -363,14 +397,16 @@ def contrast_statistic(series: EventSeries, f: OddTestFunction) -> float:
     exact zero.  Each segment's pairs with distinct indices contribute
     g(x_j - x_i, x_k - x_i): all ordered pairs, or each unordered pair once
     as 2 * g when g is quadrant symmetric (the module docstring says why
-    that is exact).  Anchors are taken in runs of _RUN_ANCHORS; within a
-    run, segments of the same length are taken together, in blocks of at
-    most _BLOCK_PAIRS pairs (a segment with more pairs than that is split
-    over its rows j), so memory is bounded independently of the window
-    length.  The exact parts of all of an anchor's segments are joined and
-    rounded once (the module docstring's superaccumulator), and the anchor
-    partials are fsum-reduced, so the result does not depend on the
-    segments, the runs or the blocking.
+    that is exact).  Before any term is evaluated the pairs are counted from
+    the segment bounds, and a window that would form more than PAIR_BUDGET
+    raises PairBudgetExceeded.  Anchors are taken in runs of _RUN_ANCHORS;
+    within a run, segments of the same length are taken together, in blocks
+    of at most _BLOCK_PAIRS pairs (a segment with more pairs than that is
+    split over its rows j), so the working memory beyond the window's bounds
+    is independent of the window length.  The exact parts of all of an
+    anchor's segments are joined and rounded once (the module docstring's
+    superaccumulator), and the anchor partials are fsum-reduced, so the
+    result does not depend on the segments, the runs or the blocking.
     """
     x = np.asarray(series.times, dtype=float)
     n = len(x)
@@ -379,36 +415,15 @@ def contrast_statistic(series: EventSeries, f: OddTestFunction) -> float:
         warnings.warn("window has no usable triples; statistic is 0",
                       EmptyWindowWarning, stacklevel=2)
         return 0.0
+    bounds = _bounds(x, f)
+    pairs = _pair_count(bounds)
+    if pairs > PAIR_BUDGET:
+        raise PairBudgetExceeded(
+            f"{n} events with support radius {f.support_radius:g} form {pairs:.3g} pairs, "
+            f"above the budget of {PAIR_BUDGET:.0e}")
     partials = []
     for a0 in range(0, n, _RUN_ANCHORS):
-        partials += _anchor_sums(x, np.arange(a0, min(n, a0 + _RUN_ANCHORS)), f)
-    return math.fsum(partials) / T
-
-
-def contrast_statistic_bruteforce(series: EventSeries, f: OddTestFunction) -> float:
-    """O(n^3) reference: every ordered triple of distinct indices, no pruning.
-
-    Same anchor-partitioned exact accumulation as the pruned path, so the
-    two agree exactly (pruning only skips terms that are exactly zero, and
-    for a quadrant-symmetric g takes two equal mirrored terms as one 2 * g).
-    """
-    x = np.asarray(series.times, dtype=float)
-    n = len(x)
-    T = series.window_end
-    if T <= 0 or n < 3:
-        warnings.warn("window has no usable triples; statistic is 0",
-                      EmptyWindowWarning, stacklevel=2)
-        return 0.0
-    idx = np.arange(n)
-    partials = []
-    for i in range(n):
-        d = x - x[i]
-        D1, D2 = np.meshgrid(d, d, indexing="ij")
-        vals = f.evaluate(D1, D2)
-        vals[i, :] = 0.0
-        vals[:, i] = 0.0
-        vals[idx, idx] = 0.0
-        partials += _exact_sums(vals, np.zeros(vals.size, dtype=np.int64), 1)
+        partials += _anchor_sums(x, np.arange(a0, min(n, a0 + _RUN_ANCHORS)), f, bounds)
     return math.fsum(partials) / T
 
 
@@ -435,7 +450,7 @@ def exact_mean(params: ModelParams, f: OddTestFunction, T, c3odd: CumulantGrid) 
     if f.support_radius > c3odd.half_width:
         raise SupportExceedsGrid(
             f"support radius {f.support_radius:g} exceeds grid half-width {c3odd.half_width:g}")
-    odd = c3odd if c3odd.is_odd_part else odd_part(c3odd)
+    odd = odd_part(c3odd)
     T = float(T)
     lags = odd.lags
     T1, T2 = np.meshgrid(lags, lags, indexing="ij")
@@ -463,7 +478,7 @@ class LinearityScan:
 
 
 def linearity_scan(params: ModelParams, f: OddTestFunction, T, theta_list,
-                   replicates, seed, pad_tol=DEFAULT_PAD_TOL) -> LinearityScan:
+                   replicates, seed) -> LinearityScan:
     """Mean statistic versus theta with a least-squares line through the data.
 
     Each (theta, replicate) cell simulates an independent window (one child
@@ -482,7 +497,7 @@ def linearity_scan(params: ModelParams, f: OddTestFunction, T, theta_list,
     for ti, theta in enumerate(thetas):
         p = ModelParams(params.nu, params.m, float(theta), params.kernel)
         vals = replicate_windows(p, T, lambda series: contrast_statistic(series, f),
-                                 replicates, root, pad_tol=pad_tol)
+                                 replicates, root)
         means[ti] = vals.mean()
         errs[ti] = vals.std(ddof=1) / math.sqrt(replicates)
     # unweighted LS line; parameter errors propagated from the cell stderrs

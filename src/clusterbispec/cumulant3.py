@@ -38,6 +38,9 @@ __all__ = [
     "mu_g_freq",
 ]
 
+HALF_WIDTH_TOL = 1e-6  # kernel survival at a third of the default lag half-width
+ALIAS_FRAC = 0.01      # boundary-band share of |c3| mass above which AliasWarning fires
+
 
 class AliasWarning(UserWarning):
     """Boundary band of the lag grid carries non-negligible mass (Lambda too small)."""
@@ -68,7 +71,6 @@ class CumulantGrid:
     values: np.ndarray
     spacing: float
     imag_residue: float = 0.0
-    is_odd_part: bool = False
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -100,20 +102,19 @@ class CumulantGrid:
             }, fh, indent=1)
 
 
-def default_half_width(params: ModelParams, tol: float = 1e-6) -> float:
-    """Lag cutoff: kernel survival at Lambda/3 below ``tol``."""
-    return 3.0 * params.kernel.tail_quantile(tol)
+def default_half_width(params: ModelParams) -> float:
+    """Lag cutoff: kernel survival at Lambda/3 below HALF_WIDTH_TOL."""
+    return 3.0 * params.kernel.tail_quantile(HALF_WIDTH_TOL)
 
 
-def invert_bispectrum(params: ModelParams, half_width=None, n=512,
-                      alias_frac=0.01) -> CumulantGrid:
+def invert_bispectrum(params: ModelParams, half_width=None, n=512) -> CumulantGrid:
     """Sample B_fac on the conjugate lattice and invert to the lag grid.
 
     The frequency lattice w_k = k pi / Lambda is conjugate to the lag grid;
     the shared Nyquist row is realified (its +/- pair is identified under
     periodicity), after which the inverse FFT is real to rounding.  The
     discarded imaginary residue is recorded, and an AliasWarning fires when
-    the outermost 5% boundary band holds more than ``alias_frac`` of the
+    the outermost 5% boundary band holds more than ALIAS_FRAC of the
     total absolute mass.
     """
     lam_w = default_half_width(params) if half_width is None else float(half_width)
@@ -141,7 +142,7 @@ def invert_bispectrum(params: ModelParams, half_width=None, n=512,
     band = max(1, n // 20)
     absval = np.abs(values)
     edge = absval.sum() - absval[band:-band, band:-band].sum()
-    if edge > alias_frac * absval.sum():
+    if edge > ALIAS_FRAC * absval.sum():
         warnings.warn(
             f"boundary band holds {edge / absval.sum():.2%} of |c3| mass; "
             f"half_width {lam_w:g} looks undersized", AliasWarning, stacklevel=2)
@@ -161,14 +162,14 @@ def odd_part(grid: CumulantGrid) -> CumulantGrid:
     r = _reflect_index(grid.n)
     odd = 0.5 * (grid.values - grid.values[np.ix_(r, r)])
     return CumulantGrid(grid.half_width, grid.n, odd, grid.spacing,
-                        grid.imag_residue, is_odd_part=True, meta=dict(grid.meta))
+                        grid.imag_residue, meta=dict(grid.meta))
 
 
 def contrast_mass_DH(grid: CumulantGrid, H: float) -> float:
     """D_H: Riemann sum of |odd part| over the centered box [-H, H]^2."""
     if not 0.0 < H <= grid.half_width:
         raise HOutOfRange(f"H must lie in (0, {grid.half_width:g}], got {H}")
-    odd = grid if grid.is_odd_part else odd_part(grid)
+    odd = odd_part(grid)
     inside = np.abs(grid.lags) <= H
     return float(np.abs(odd.values[np.ix_(inside, inside)]).sum() * grid.spacing**2)
 
@@ -178,7 +179,7 @@ def mu_g_time(grid: CumulantGrid, f) -> float:
     if f.support_radius > grid.half_width:
         raise SupportExceedsGrid(
             f"support radius {f.support_radius:g} exceeds grid half-width {grid.half_width:g}")
-    odd = grid if grid.is_odd_part else odd_part(grid)
+    odd = odd_part(grid)
     T1, T2 = np.meshgrid(grid.lags, grid.lags, indexing="ij")
     return float((f.evaluate(T1, T2) * odd.values).sum() * grid.spacing**2)
 

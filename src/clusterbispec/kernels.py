@@ -26,11 +26,9 @@ __all__ = [
     "UniformHalf",
     "SymmetricLaplace",
     "TabulatedSymmetric",
-    "UnsupportedKernelScaling",
     "InvalidKernel",
     "TransformOutOfRange",
     "transform_with_bound",
-    "scale_kernel",
     "kernel_from_spec",
     "load_tabulated_csv",
 ]
@@ -69,10 +67,6 @@ def in_row_chunks(rows, omega, width):
     step = max(1, CHUNK_CELLS // width)
     parts = [rows(w[i:i + step]) for i in range(0, max(w.size, 1), step)]
     return np.concatenate(parts).reshape(np.shape(omega))
-
-
-class UnsupportedKernelScaling(ValueError):
-    """Kernel family is not closed under the time-scale map h -> b*h(b*t)."""
 
 
 class InvalidKernel(ValueError):
@@ -358,21 +352,6 @@ def transform_with_bound(kernel: Kernel, omega):
     return fine, float(np.max(np.abs(fine - coarse), initial=0.0)) + rounding + truncation
 
 
-def scale_kernel(kernel: Kernel, beta: float) -> Kernel:
-    """Time-scale map h(t) -> beta*h(beta*t) for families closed under it."""
-    if not (beta > 0 and math.isfinite(beta)):
-        raise ValueError(f"scale factor must be positive, got {beta}")
-    if isinstance(kernel, Exponential):
-        return Exponential(kernel.beta * beta)
-    if isinstance(kernel, UniformHalf):
-        return UniformHalf(kernel.a / beta)
-    if isinstance(kernel, SymmetricLaplace):
-        return SymmetricLaplace(kernel.beta * beta)
-    raise UnsupportedKernelScaling(
-        f"{type(kernel).__name__} is not closed under time scaling"
-    )
-
-
 @functools.cache
 def _gauss_legendre(n):
     """Gauss-Legendre nodes and weights on [-1, 1] by Newton on the recurrence.
@@ -424,8 +403,8 @@ _FAMILIES = "exp:beta, lomax:alpha, uhalf:a, slap:beta, match:<base>:<m>, tab:<p
 def kernel_from_spec(spec: str) -> Kernel:
     """Parse a kernel spec string.
 
-    Grammar: exp:beta, lomax:alpha, uhalf:a, slap:beta, match:<base>:<m>,
-    match:<path.json>, tab:<path>.
+    Grammar: exp:beta, lomax:alpha, uhalf:a (alias uniform:a), slap:beta,
+    match:<base>:<m>, match:<path.json>, tab:<path>.
     """
     parts = spec.strip().split(":")
     name = parts[0].lower()
@@ -434,7 +413,7 @@ def kernel_from_spec(spec: str) -> Kernel:
             return Exponential(float(parts[1]))
         if name == "lomax" and len(parts) == 2:
             return Lomax(float(parts[1]))
-        if name == "uhalf" and len(parts) == 2:
+        if name in ("uhalf", "uniform") and len(parts) == 2:
             return UniformHalf(float(parts[1]))
         if name == "slap" and len(parts) == 2:
             return SymmetricLaplace(float(parts[1]))

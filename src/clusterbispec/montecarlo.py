@@ -14,8 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from .simulate import (DEFAULT_PAD_TOL, EventSeries, ModelParams, replicate_windows,
-                       sample_clusters_batch)
+from .simulate import EventSeries, ModelParams, replicate_windows, sample_clusters_batch
 from .spectra import b_complete, bartlett, borel_factorial3
 
 __all__ = [
@@ -137,8 +136,7 @@ def periodogram(series: EventSeries, omega):
     return np.abs(ph.sum(axis=-1)) ** 2 / series.window_end
 
 
-def mean_periodogram(params: ModelParams, T, omega_list, replicates, seed,
-                     pad_tol=DEFAULT_PAD_TOL) -> list[McEstimate]:
+def mean_periodogram(params: ModelParams, T, omega_list, replicates, seed) -> list[McEstimate]:
     """Replicate-averaged periodogram; targets Gamma(w) up to O(1/T) window bias.
 
     The finite-window bias is documented, not corrected: comparisons should
@@ -148,8 +146,7 @@ def mean_periodogram(params: ModelParams, T, omega_list, replicates, seed,
     if np.any(omegas == 0):
         raise ValueError("omega = 0 is intensity-dominated; use nonzero frequencies")
     replicates = int(replicates)
-    values = replicate_windows(params, T, partial(periodogram, omega=omegas), replicates,
-                               seed, pad_tol=pad_tol)
+    values = replicate_windows(params, T, partial(periodogram, omega=omegas), replicates, seed)
     return [McEstimate(float(col.mean()), float(col.std(ddof=1) / math.sqrt(replicates)), 0.0)
             for col in values.T]
 

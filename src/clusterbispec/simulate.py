@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import Kernel
+from .kernels import Kernel, readonly
 
 __all__ = [
     "ModelParams",
@@ -103,7 +103,8 @@ class EventSeries:
     """Sorted event times on [0, window_end] plus provenance metadata.
 
     Duplicate timestamps are legal and kept as distinct indices; NaN or
-    infinite times or window end raise :class:`NonFiniteTime`.
+    infinite times or window end raise :class:`NonFiniteTime`.  The times
+    are held as a read-only float copy, so they stay as validated.
     """
 
     times: np.ndarray
@@ -118,6 +119,7 @@ class EventSeries:
             raise NonFiniteTime(f"window end must be finite, got {self.window_end}")
         if len(t) and (t[0] < 0 or t[-1] > self.window_end or np.any(np.diff(t) < 0)):
             raise ValueError("event times must be sorted within [0, window_end]")
+        object.__setattr__(self, "times", readonly(t))
 
     def __len__(self) -> int:
         return len(self.times)
@@ -128,20 +130,20 @@ class EventSeries:
 # ---------------------------------------------------------------------------
 
 
-def sample_clusters_batch(n_clusters, m, kernel, rng,
-                          size_cap=DEFAULT_SIZE_CAP, gen_cap=DEFAULT_GEN_CAP):
+def sample_clusters_batch(n_clusters, m, kernel, rng):
     """Generate ``n_clusters`` independent clusters in generation waves.
 
     Returns (offsets, cluster_ids): displacements from each cluster's root
     and the owning cluster index, concatenated over generations, all drawn
-    from the one generator ``rng``.
+    from the one generator ``rng``.  A cluster larger than DEFAULT_SIZE_CAP
+    or deeper than DEFAULT_GEN_CAP generations raises.
     """
     cur = np.zeros(n_clusters)
     cur_id = np.arange(n_clusters, dtype=np.int64)
     offs = [cur]
     ids = [cur_id]
     sizes = np.ones(n_clusters, dtype=np.int64)
-    for _ in range(gen_cap):
+    for _ in range(DEFAULT_GEN_CAP):
         counts = rng.poisson(m, size=len(cur))
         n_children = int(counts.sum())
         if n_children == 0:
@@ -149,11 +151,11 @@ def sample_clusters_batch(n_clusters, m, kernel, rng,
         cur_id = np.repeat(cur_id, counts)
         cur = np.repeat(cur, counts) + kernel.sample(rng, n_children)
         np.add.at(sizes, cur_id, 1)
-        if sizes.max() > size_cap:
-            raise ClusterSizeCapExceeded(f"cluster size exceeded cap {size_cap}")
+        if sizes.max() > DEFAULT_SIZE_CAP:
+            raise ClusterSizeCapExceeded(f"cluster size exceeded cap {DEFAULT_SIZE_CAP}")
         offs.append(cur)
         ids.append(cur_id)
-    raise GenerationCapExceeded(f"cluster genealogy exceeded {gen_cap} generations")
+    raise GenerationCapExceeded(f"cluster genealogy exceeded {DEFAULT_GEN_CAP} generations")
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +230,13 @@ def simulate_window_batched(params: ModelParams, T, rng, pad_tol=DEFAULT_PAD_TOL
     """Sorted event times on [0, T] drawn from the caller's generator.
 
     Same engine as :func:`simulate_window`, without provenance; used by
-    Monte-Carlo replicate loops that own their generators.
+    Monte-Carlo replicate loops that own their generators.  No caller in the
+    package sets ``pad_tol``; it stays because perfbench/tracing.py reads it.
     """
     return _simulate(params, T, rng, pad_tol)[1]
 
 
-def replicate_windows(params: ModelParams, T, statistic, replicates, seed,
-                      pad_tol=DEFAULT_PAD_TOL) -> np.ndarray:
+def replicate_windows(params: ModelParams, T, statistic, replicates, seed) -> np.ndarray:
     """``statistic(series)`` on ``replicates`` >= 2 independent windows, in replicate order.
 
     Each replicate's window is drawn from its own child of ``seed`` (an
@@ -247,7 +249,7 @@ def replicate_windows(params: ModelParams, T, statistic, replicates, seed,
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
 
     def window(stream):
-        times = simulate_window_batched(params, T, np.random.default_rng(stream), pad_tol)
+        times = simulate_window_batched(params, T, np.random.default_rng(stream))
         return EventSeries(times, float(T), {"kind": "replicate"})
 
     return np.array([statistic(window(s)) for s in root.spawn(int(replicates))])
@@ -258,12 +260,12 @@ def replicate_windows(params: ModelParams, T, statistic, replicates, seed,
 # ---------------------------------------------------------------------------
 
 
-def ingest_events(path, window_end=None) -> EventSeries:
+def ingest_events(path) -> EventSeries:
     """Read an event CSV (one timestamp per line, optional header 't').
 
-    Duplicate timestamps are kept as distinct indices.  window_end defaults
-    to the maximum time; an empty file yields an empty series with
-    window_end 0 and a warning.
+    Duplicate timestamps are kept as distinct indices.  The window ends at
+    the maximum time (``dataclasses.replace`` sets another end); an empty
+    file yields an empty series with window_end 0 and a warning.
     """
     values = []
     with open(path) as fh:
@@ -283,10 +285,9 @@ def ingest_events(path, window_end=None) -> EventSeries:
         raise NonFiniteTime(f"{path}: non-finite timestamp at entry {bad + 1}")
     if len(times) == 0:
         warnings.warn(f"{path}: no events found; returning empty series", stacklevel=2)
-        return EventSeries(times, float(window_end or 0.0), {"kind": "ingested", "path": str(path)})
+        return EventSeries(times, 0.0, {"kind": "ingested", "path": str(path)})
     times = np.sort(times, kind="stable")
-    end = float(window_end) if window_end is not None else float(times[-1])
-    return EventSeries(times, end, {"kind": "ingested", "path": str(path)})
+    return EventSeries(times, float(times[-1]), {"kind": "ingested", "path": str(path)})
 
 
 def write_events(series: EventSeries, path) -> None:

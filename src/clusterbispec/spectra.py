@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import Kernel, scale_kernel
+from .kernels import Kernel
 from .simulate import ModelParams, write_columns
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "im_b_diagonal",
     "borel_factorial3",
     "envelope",
-    "scale_check",
 ]
 
 
@@ -183,15 +182,3 @@ def envelope(params: ModelParams) -> float:
     """Global bound nu E[(M)_3] on |Im B_fac| (kernel-free)."""
     return params.nu * borel_factorial3(params.m)
 
-
-def scale_check(params: ModelParams, beta: float, w1, w2, rtol: float = 1e-10) -> bool:
-    """Check B_fac under the scaled kernel equals B_fac at scaled frequencies.
-
-    Scaling h -> beta*h(beta*t) must give B^(beta)(w1, w2) = B^(1)(w1/beta,
-    w2/beta); returns True when they agree to ``rtol`` relative.
-    """
-    scaled = ModelParams(params.nu, params.m, params.theta, scale_kernel(params.kernel, beta))
-    lhs = b_factorial(scaled, w1, w2)
-    rhs = b_factorial(params, np.asarray(w1) / beta, np.asarray(w2) / beta)
-    scale = np.maximum(np.abs(rhs), params.lam)
-    return bool(np.all(np.abs(lhs - rhs) <= rtol * scale))

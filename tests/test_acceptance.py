@@ -14,7 +14,6 @@ import pytest
 from clusterbispec.asymptotics import chi_alpha, diag_limit_check
 from clusterbispec.contrasts import (
     contrast_statistic,
-    contrast_statistic_bruteforce,
     exact_mean,
     linearity_scan,
     sign_contrast_function,
@@ -26,6 +25,7 @@ from clusterbispec.match import MatchSpec, build_matched_kernel, phi_transform
 from clusterbispec.montecarlo import mc_b_complete, mean_periodogram
 from clusterbispec.simulate import EventSeries, ModelParams
 from clusterbispec.spectra import b_complete, b_factorial, envelope
+from oracles import contrast_statistic_bruteforce
 
 EXP_PARAMS = ModelParams(1.0, 0.5, 1.0, Exponential(1.0))
 

@@ -274,6 +274,18 @@ def test_contrast_run_window_end_is_checked(T, tmp_path, capsys):
     assert not (tmp_path / "contrast.json").exists()
 
 
+def test_cli_exit_code_2_on_pair_budget(tmp_path, capsys, monkeypatch):
+    from clusterbispec import contrasts
+
+    events = tmp_path / "events.csv"
+    events.write_text("t\n" + "\n".join(str(t) for t in np.linspace(0.0, 10.0, 50)))
+    monkeypatch.setattr(contrasts, "PAIR_BUDGET", 100)
+    assert run_cli(tmp_path, "contrast", "run", "--events", str(events), "--H", "4") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "above the budget" in err
+    assert not (tmp_path / "contrast.json").exists()
+
+
 def test_contrast_scan(tmp_path):
     assert run_cli(tmp_path, "--seed", "5", "contrast", "scan", "--m", "0.5",
                    "--kernel", "exp:1", "--T", "150", "--reps", "30",

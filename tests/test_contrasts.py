@@ -13,10 +13,10 @@ from clusterbispec import contrasts
 from clusterbispec.contrasts import (
     EmptyWindowWarning,
     OddTestFunction,
+    PairBudgetExceeded,
     SummationHeadroomExceeded,
     antisymmetrize,
     contrast_statistic,
-    contrast_statistic_bruteforce,
     exact_mean,
     linearity_scan,
     quadrant_indicator,
@@ -26,6 +26,7 @@ from clusterbispec.cumulant3 import invert_bispectrum, odd_part
 from clusterbispec.kernels import Exponential
 from clusterbispec.match import MatchSpec, build_matched_kernel
 from clusterbispec.simulate import EventSeries, ModelParams, simulate_window_batched
+from oracles import contrast_statistic_bruteforce
 
 EXP_PARAMS = ModelParams(1.0, 0.5, 1.0, Exponential(1.0))
 
@@ -233,9 +234,45 @@ def test_statistic_memory_is_bounded():
     assert value.hex() == contrast_statistic(series, replace(g, quadrant_symmetric=False)).hex()
 
 
+def test_pair_budget_refuses_before_evaluating():
+    # 1e5 events within one H form 2 * C(1e5, 3) = 3.3e14 same-side pairs,
+    # hours of work; the count is refused before g is evaluated once
+    bump = smooth_quadrant_bump(4.0)
+    armed = []
+
+    def evaluate(t1, t2):
+        assert not armed, "g evaluated on a window above the pair budget"
+        return bump.evaluate(t1, t2)
+
+    g = OddTestFunction(4.0, evaluate, bump.bound, quadrant_symmetric=True)
+    armed.append(True)
+    with pytest.raises(PairBudgetExceeded, match="3.33e\\+14 pairs"):
+        contrast_statistic(EventSeries(np.linspace(0.0, 1.0, 10**5), 1.0), g)
+
+
+def test_pair_count_is_the_pairs_formed(rng, monkeypatch):
+    # the budget admits a window forming exactly PAIR_BUDGET pairs, and
+    # refuses one more; 60 events within H form 2 * C(60, 3) same-side
+    # pairs and 60 * 59 * 58 ordered pairs
+    series = random_series(rng, 60, T=1.0, dup_frac=0.0)
+    for g, pairs in ((quadrant_indicator(2.0), 2 * 34220),
+                     (replace(quadrant_indicator(2.0), quadrant_symmetric=False), 60 * 59 * 58)):
+        monkeypatch.setattr(contrasts, "PAIR_BUDGET", pairs)
+        contrast_statistic(series, g)
+        monkeypatch.setattr(contrasts, "PAIR_BUDGET", pairs - 1)
+        with pytest.raises(PairBudgetExceeded):
+            contrast_statistic(series, g)
+
+
 # ---------------------------------------------------------------------------
 # exact summation
 # ---------------------------------------------------------------------------
+
+
+def exact_sums(values, seg, nseg):
+    """The statistic's exact summation: the correctly rounded sum of each segment."""
+    return contrasts._fsum_per_owner(*contrasts._exact_parts(values, seg, nseg), nseg)
+
 
 # m * 2**e spans 2**-1074 (subnormal) to just below 2**0, exactly
 _scaled = st.builds(math.ldexp, st.integers(-(2**53) + 1, 2**53 - 1), st.integers(-1074, -53))
@@ -261,7 +298,7 @@ def segmented_terms(draw):
 @example((np.array([2.0**-1074, -(2.0**-1074), -0.0]), np.array([0, 0, 1]), 3))
 def test_exact_sums_equal_fsum_per_segment(case):
     values, seg, nseg = case
-    got = contrasts._exact_sums(values, seg, nseg)
+    got = exact_sums(values, seg, nseg)
     want = [math.fsum(values[seg == s].tolist()) for s in range(nseg)]
     assert [v.hex() for v in got] == [v.hex() for v in want]
 
@@ -269,11 +306,11 @@ def test_exact_sums_equal_fsum_per_segment(case):
 def test_exact_sums_refuse_segments_beyond_headroom(monkeypatch):
     monkeypatch.setattr(contrasts, "_MAX_SEGMENT_TERMS", 4)
     seg = np.array([0, 1, 1, 1, 1])
-    assert contrasts._exact_sums(np.ones(5), seg, 2) == [1.0, 4.0]
+    assert exact_sums(np.ones(5), seg, 2) == [1.0, 4.0]
     with pytest.raises(SummationHeadroomExceeded):
-        contrasts._exact_sums(np.ones(6), np.append(seg, 1), 2)
+        exact_sums(np.ones(6), np.append(seg, 1), 2)
     with pytest.raises(ValueError, match="finite"):
-        contrasts._exact_sums(np.array([1.0, np.nan]), np.zeros(2, dtype=np.intp), 1)
+        exact_sums(np.array([1.0, np.nan]), np.zeros(2, dtype=np.intp), 1)
 
 
 # ---------------------------------------------------------------------------

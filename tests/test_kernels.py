@@ -25,15 +25,14 @@ from clusterbispec.kernels import (
     TabulatedSymmetric,
     TransformOutOfRange,
     UniformHalf,
-    UnsupportedKernelScaling,
     kernel_from_spec,
     load_tabulated_csv,
-    scale_kernel,
     transform_with_bound,
 )
 from clusterbispec.match import (MatchSpec, build_matched_kernel, load_matched_kernel,
                                  save_matched_kernel)
 from clusterbispec.simulate import ModelParams
+from oracles import UnsupportedKernelScaling, scale_kernel
 
 OMEGA_GRID = np.linspace(-50.0, 50.0, 64)
 LOMAX_ALPHAS = (0.05, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 10.0)
@@ -398,6 +397,12 @@ def test_kernel_spec_round_trip():
         kernel_from_spec("weibull:1")
     with pytest.raises(InvalidKernel):
         kernel_from_spec("exp:-1")
+
+
+def test_uniform_alias_in_the_grammar():
+    # `uniform:a` names `uhalf:a` wherever a spec is parsed, a match base included
+    assert kernel_from_spec("uniform:2") == UniformHalf(2.0)
+    assert kernel_from_spec("match:uniform:1:0.5") == kernel_from_spec("match:uhalf:1:0.5")
 
 
 def test_tabulated_csv_io(tmp_path):

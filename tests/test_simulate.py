@@ -1,10 +1,12 @@
 """Cluster generation, window simulation, and event ingestion."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from clusterbispec import simulate
 from clusterbispec.kernels import Exponential, Lomax, UniformHalf
 from clusterbispec.simulate import (
     ClusterSizeCapExceeded,
@@ -71,9 +73,10 @@ def test_cluster_structure(rng):
     assert np.all(offs >= 0.0)
 
 
-def test_cluster_size_cap(rng):
+def test_cluster_size_cap(rng, monkeypatch):
+    monkeypatch.setattr(simulate, "DEFAULT_SIZE_CAP", 10)
     with pytest.raises(ClusterSizeCapExceeded):
-        sample_clusters_batch(200, 0.99, Exponential(1.0), rng, size_cap=10)
+        sample_clusters_batch(200, 0.99, Exponential(1.0), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +247,8 @@ def test_write_then_ingest_round_trip(tmp_path):
     series = simulate_window(p, 100.0, seed=5)
     path = tmp_path / "events.csv"
     write_events(series, path)
-    back = ingest_events(path, window_end=100.0)
-    assert np.array_equal(back.times, series.times)
+    back = replace(ingest_events(path), window_end=100.0)
+    assert np.array_equal(back.times, series.times) and back.window_end == 100.0
 
 
 def test_event_series_validation():
@@ -258,3 +261,13 @@ def test_event_series_validation():
     for end in (np.nan, np.inf):
         with pytest.raises(NonFiniteTime):
             EventSeries(np.array([0.1, 0.5]), end)
+
+
+def test_event_series_times_are_read_only():
+    # the times stay as validated: sorted, within the window, and not the caller's array
+    given = np.array([0.1, 0.5, 0.7])
+    series = EventSeries(given, 1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        series.times[0] = 0.9
+    given[0] = 0.9
+    assert series.times.tolist() == [0.1, 0.5, 0.7]

@@ -8,7 +8,6 @@ from clusterbispec.kernels import (
     Lomax,
     SymmetricLaplace,
     UniformHalf,
-    UnsupportedKernelScaling,
 )
 from clusterbispec.simulate import ModelParams, sample_clusters_batch
 from clusterbispec.spectra import (
@@ -18,8 +17,8 @@ from clusterbispec.spectra import (
     borel_factorial3,
     envelope,
     im_b_diagonal,
-    scale_check,
 )
+from oracles import UnsupportedKernelScaling, scale_check
 
 
 def params(kernel=None, nu=1.0, m=0.5, theta=1.0):
