@@ -240,6 +240,8 @@ def _validate(cfg: RunConfig) -> None:
             need_model()
             if len(opt["theta"]) < 3:
                 bad.append("contrast.theta: need at least three values")
+            elif len(set(opt["theta"])) < 2:
+                bad.append("contrast.theta: need at least two distinct values")
             elif any(abs(t) > 1 for t in opt["theta"]):
                 bad.append("contrast.theta: values must lie in [-1, 1]")
             if not opt["reps"] >= 2:

@@ -8,25 +8,45 @@ over ordered triples of distinct indices (equal timestamps at distinct
 indices do contribute), with g bounded, compactly supported, and jointly
 odd.  Its mean under the sign-biased family is exactly theta * mu_{T,g}.
 
-Accumulation is anchor-partitioned and exact.  Each anchor's neighbors
-are cut into segments; anchors are taken in runs of bounded length and a
-run's segments in blocks of bounded pair count, so beyond the neighbor
-bounds (two or four indices per event) memory does not grow with the
-window.  Within a block the terms of every segment are summed by
-a vectorized exact superaccumulator: each term is split into an integer
-mantissa and an exponent, the mantissa is cut into fixed-width limbs at
-absolute bit positions, and the limbs are summed per (segment, limb) in
-float64, where integer sums below 2**53 are exact.  A segment's few scaled limb sums are exactly representable and add
-up exactly to its terms, so math.fsum over the limb sums of all of an
-anchor's segments is the correctly rounded exact sum of the anchor's terms
-(ties to even, an exact zero comes out +0.0); the per-anchor partials are
-fsum-reduced again.  The per-anchor sum therefore does not depend on term
-order, on how anchors are cut or blocked, or on which exactly-zero terms
-are dropped, and it is sign-symmetric.  Consequences: the support-pruned
-implementation equals the O(n^3) reference exactly (the reference, a plain
-math.fsum per anchor over every ordered triple, lives with the tests in
-tests/oracles.py), reflecting the window negates the statistic exactly,
-and results are reproducible across platforms.
+Accumulation is anchor-partitioned, and each anchor's sum is the correctly
+rounded exact sum of its terms (ties to even, an exact zero as +0.0); the
+per-anchor partials are fsum-reduced.  Each anchor's neighbors are cut into
+segments; anchors are taken in runs of bounded length and a run's segments
+in blocks of bounded pair count, one column per segment, so beyond the
+neighbor bounds (two or four indices per event) memory does not grow with
+the window.
+
+The fast path certifies most sums.  Each column of a block is split by one
+error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
+summation part I", SIAM J. Sci. Comput. 31, 2008): against a power of two
+sigma above the column's sum, every term x = q + r exactly, the q add up
+exactly in any order to t, and lo = fl(sum r) comes with an a-posteriori
+bound beta on its rounding.  An anchor's columns are joined by TwoSum into
+T + L, rounded once to s = fl(T + L), and s is kept when the enclosure of
+the exact sum, T + L +- beta, lies strictly inside s's rounding interval
+(part II of the same series: rounding to nearest).  Integer-valued terms,
+as the quadrant indicator's, give beta = 0, so their exact cancellations
+certify as +0.0.
+
+Every other anchor -- a tie or a near-tie the bound cannot resolve,
+subnormal-range or non-finite terms -- is summed again by the exact routine,
+which is also the oracle for the fast path in the tests: a vectorized
+superaccumulator that splits each term into an integer mantissa and an
+exponent, cuts the mantissa into fixed-width limbs at absolute bit
+positions, and sums the limbs per (segment, limb) in float64, where integer
+sums below 2**53 are exact.  A segment's few scaled limb sums are exactly
+representable and add up exactly to its terms, so math.fsum over those of
+all of an anchor's segments is the correctly rounded sum.  It raises the
+ValueError for non-finite terms and SummationHeadroomExceeded.
+
+Both paths return the correctly rounded exact sum, so the per-anchor sum
+does not depend on which path took it, on term order, on how anchors are
+cut or blocked, or on which exactly-zero terms are dropped, and it is
+sign-symmetric.  Consequences: the support-pruned implementation equals
+the O(n^3) reference exactly (the reference, a plain math.fsum per anchor
+over every ordered triple, lives with the tests in tests/oracles.py),
+reflecting the window negates the statistic exactly, and results are
+reproducible across platforms.
 
 Which pairs are formed depends on the test function.  In general an
 anchor has one segment, every neighbor within the box, and all ordered
@@ -95,13 +115,27 @@ _MAX_SEGMENT_TERMS = 2 ** (53 - _LIMB_BITS)
 # bounds the statistic's memory
 _BLOCK_PAIRS = 2**16
 _ANCHOR_COST = 64
-# anchors are taken in runs of _RUN_ANCHORS, whose exact parts (a few
-# hundred bytes per anchor) wait together for their join; long enough that
-# blocks stay full on typical windows
+# the fast sums (_extract, _join).  A column is extracted only when its
+# largest |term| is at least _EXTRACT_FLOOR: then sigma >= 2**-897, the
+# granularity 2**-53 sigma of its q is a normal double far above underflow,
+# and their partial sums are exact.  The rounding of lo = fl(sum r) over n
+# terms, in any order, is at most gamma_{n-1} sum|r| (Higham, ch. 4;
+# additions below the normal range are exact), at most 1.01 n u fl(sum|r|)
+# with u = 2**-53 while n <= _MAX_SEGMENT_TERMS.  beta = _BOUND_FACTOR n
+# fl(sum|r|) takes 4 u, twice that twice over, which covers the roundings of
+# the products and sums that form beta: where a product underflows it loses
+# at most 2**-1075, while a nonzero rounding error is a multiple of 2**-1074.
+# The join bounds its L the same way: for m columns it adds m lo and m TwoSum
+# errors, the first of which is exactly 0, so 2m - 2 additions round
+_EXTRACT_FLOOR = 2.0**-900
+_BOUND_FACTOR = 4 * 2.0**-53
+# anchors are taken in runs of _RUN_ANCHORS, whose column sums (t, lo, beta)
+# wait together for their join; long enough that blocks stay full on
+# typical windows
 _RUN_ANCHORS = 2**12
 # most neighbor pairs one statistic may form: the README's T = 1e4 window
-# (19,669 events, H = 4) forms 1.9e6 pairs in about 0.2 s on a 2-core Xeon
-# VM, about 100 ns a pair, so 1e10 pairs is about a quarter of an hour
+# (19,669 events, H = 4) forms 1.9e6 pairs in about 0.11 s on a 2-core Xeon
+# VM, about 60 ns a pair, so 1e10 pairs is about ten minutes
 PAIR_BUDGET = 10**10
 
 
@@ -196,13 +230,23 @@ def smooth_quadrant_bump(H) -> OddTestFunction:
 
     def evaluate(t1, t2):
         t1, t2 = np.broadcast_arrays(np.asarray(t1, dtype=float), np.asarray(t2, dtype=float))
+        shape = t1.shape
+        t1, t2 = t1.ravel(), t2.ravel()
         s = np.copysign(1.0, t1)
-        s2 = ((np.abs(t1) - c) ** 2 + (s * t2 - c) ** 2) / r**2
-        out = np.zeros(t1.shape)
+        s2 = np.abs(t1)                        # ((|t1| - c)^2 + (s t2 - c)^2) / r^2, in place
+        s2 -= c
+        np.square(s2, out=s2)
+        v = s * t2
+        v -= c
+        s2 += np.square(v, out=v)
+        s2 /= r**2
+        out = np.zeros(len(s2))
         inside = np.flatnonzero(s2 < 1.0)
-        bump = np.exp(-1.0 / (1.0 - s2.ravel()[inside]))
-        out.ravel()[inside] = s.ravel()[inside] * bump + 0.0
-        return out
+        v = np.subtract(1.0, s2[inside])
+        np.exp(np.divide(-1.0, v, out=v), out=v)
+        v *= s[inside]
+        out[inside] = v + 0.0
+        return out.reshape(shape)
 
     # the two lobes have disjoint supports, so sup|g| = e^-1
     return OddTestFunction(H, evaluate, math.exp(-1.0), quadrant_symmetric=True)
@@ -300,24 +344,143 @@ def _fsum_per_owner(parts, owner, nowner) -> list:
     return [math.fsum(parts[a:b]) for a, b in zip(starts[:-1], starts[1:])]
 
 
-def _pair_terms(d, rows, f):
-    """Terms g(x_j - x_i, x_k - x_i) of a block of segments of equal length.
+def _extract(vals):
+    """One error-free extraction per column of a (terms x columns) block.
 
-    ``d`` is (c, g): column s holds the lags from the anchor of the block's
-    s-th segment to the segment's c neighbors.  One shared index pattern
-    takes the pairs with j in ``rows``: every ordered pair j != k, or, for a
-    quadrant-symmetric g, the pairs k > j with each term doubled (the exact
-    sum of g at (j, k) and at (k, j)).  Returns the terms and each term's
-    segment position in the block.
+    Returns (t, lo, beta) per column: t is exact, and the column's exact sum
+    lies within beta of t + lo.  With M the column's largest |term| and
+    sigma = 2**(e + k) (e = np.frexp(M)'s exponent, so M < 2**e, and
+    2**k > n + 2 for n terms), q = (x + sigma) - sigma and r = x - q are
+    exact, every q is a multiple of 2**-53 sigma and |q| <= 2**e, so every
+    partial sum of the q is a multiple of 2**-53 sigma below sigma in
+    magnitude: t = sum(q) is exact in any order (Rump, Ogita & Oishi 2008,
+    ExtractVector).  beta bounds the rounding of lo = fl(sum(r)); it is 0
+    when every r is, as for integer-valued terms.  A column that cannot be
+    extracted this way -- a term that is not finite, M below _EXTRACT_FLOOR
+    or so large that sigma overflows, or more terms than the bound allows --
+    comes back as t = lo = 0 with beta = inf.
     """
-    c, g = d.shape
-    pj = np.repeat(rows, c)
-    pk = np.tile(np.arange(c), len(rows))
-    keep = pk > pj if f.quadrant_symmetric else pk != pj
-    vals = f.evaluate(d[pj[keep]].ravel(), d[pk[keep]].ravel())
-    if f.quadrant_symmetric:
-        vals = 2.0 * vals
-    return vals, np.tile(np.arange(g), int(keep.sum()))
+    n = len(vals)
+    k = (n + 2).bit_length()
+    big = np.abs(vals).max(axis=0)
+    ok = (big == 0.0) | ((big >= _EXTRACT_FLOOR) & (big < 2.0 ** (1023 - k)))
+    ok &= n <= _MAX_SEGMENT_TERMS
+    if not ok.all():
+        vals = np.where(ok, vals, 0.0)
+        big = np.where(ok, big, 0.0)
+    sigma = np.ldexp(1.0, np.frexp(big)[1] + k)
+    q = vals + sigma
+    q -= sigma
+    r = vals - q
+    t = q.sum(axis=0)
+    lo = r.sum(axis=0)
+    beta = (_BOUND_FACTOR * n) * np.abs(r, out=r).sum(axis=0)
+    beta[~ok] = np.inf
+    return t, lo, beta
+
+
+def _two_sum(a, b):
+    """s = fl(a + b) and its exact error a + b - s (Knuth), elementwise."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _join(pos, t, lo, beta, npos):
+    """Correctly rounded sums per position, where certified.
+
+    Column i belongs to position pos[i], and its exact sum lies within
+    beta[i] of t[i] + lo[i] with t[i] exact (_extract).  Each position's t
+    are added by a cascade of TwoSum, whose errors join the lo in L, so the
+    position's exact sum lies within B of T + L.  With s = fl(T + L) and
+    its exact residual res, s is the correctly rounded exact sum when that
+    whole enclosure lies strictly inside s's rounding interval: |res| + B
+    below the half-gap on res's side, and B - |res| below the other one.
+    The half-gap toward zero is a quarter ulp of s when |s| is a power of
+    two.  s = 0 (so res = 0) is certified only when B = 0, and comes out
+    +0.0.  Returns (sums, certified).
+    """
+    order = np.argsort(pos, kind="stable")
+    pos, t = pos[order], t[order]
+    count = np.bincount(pos, minlength=npos)
+    start = np.cumsum(count) - count
+    by_count = np.argsort(-count, kind="stable")
+    ranked = -count[by_count]
+    T = np.zeros(npos)
+    err = np.zeros(len(t))
+    for j in range(int(count.max(initial=0))):
+        o = by_count[:np.searchsorted(ranked, -j)]   # positions with more than j columns
+        i = start[o] + j
+        T[o], err[i] = _two_sum(T[o], t[i])
+    both = np.concatenate([pos, pos])
+    small = np.concatenate([lo[order], err])
+    L = np.bincount(both, small, minlength=npos)
+    bound = (np.bincount(pos, beta[order], minlength=npos)
+             + (_BOUND_FACTOR * 2) * (count - 1) * np.bincount(both, np.abs(small),
+                                                              minlength=npos))
+    s, res = _two_sum(T, L)
+    mag = np.abs(s)
+    away = np.copysign(1.0, s) * res                 # res, positive away from zero
+    with np.errstate(over="ignore"):
+        up = np.spacing(mag) / 2.0                   # inf at the largest double
+    down = (mag - np.nextafter(mag, 0.0)) / 2.0
+    certified = ((away + bound < up) & (bound - away < down) & (up < np.inf)
+                 | (s == 0.0) & (bound == 0.0))
+    return s + 0.0, certified
+
+
+def _pair_index(c, r0, r1, symmetric):
+    """(j, k) of the pairs a segment of c neighbors forms with r0 <= j < r1,
+    in row-major order: every ordered pair j != k, or the pairs k > j when
+    ``symmetric``."""
+    k = np.arange(c)
+    j = np.arange(r0, r1)[:, None]
+    pj, pk = np.nonzero(k > j if symmetric else k != j)
+    return pj + r0, pk
+
+
+def _blocks(x, a, f, bounds):
+    """Yield (pos, vals) for every block of the segments of the anchors ``a``.
+
+    ``a`` holds anchor indices and ``bounds`` the window's neighbor bounds
+    (_bounds).  The neighbors of each anchor are cut into segments (see
+    contrast_statistic); segment s holds the count[s] neighbors first[s],
+    first[s] + 1, ... of its anchor, stepping over index skip[s].  vals is a
+    (pairs x segments) block of terms g(x_j - x_i, x_k - x_i), one column
+    per segment, each term doubled for a quadrant-symmetric g (the exact
+    sum of g at (j, k) and at (k, j)), and pos[s] is the position in ``a``
+    of column s's anchor.
+    """
+    if f.quadrant_symmetric:   # [lo, first tie) and (last tie, hi); the anchor is in neither
+        lo, hi, below, above = (b[a] for b in bounds)
+        pos = np.arange(len(a)).repeat(2)
+        first = np.column_stack([lo, above]).ravel()
+        count = np.column_stack([below - lo, hi - above]).ravel()
+        skip = np.full(len(pos), len(x))
+    else:                      # the box, skipping the anchor itself
+        lo, hi = (b[a] for b in bounds)
+        pos, first, count, skip = np.arange(len(a)), lo, hi - lo - 1, a
+    anchor = a[pos]
+    order = np.argsort(count, kind="stable")
+    for grp in np.split(order, np.flatnonzero(np.diff(count[order])) + 1):
+        c = int(count[grp[0]])
+        if c < 2:
+            continue
+        pairs = c * (c - 1) // 2 if f.quadrant_symmetric else c * (c - 1)
+        per_block = max(1, _BLOCK_PAIRS // (pairs + _ANCHOR_COST))
+        rows_per_block = max(1, _BLOCK_PAIRS // (c - 1))
+        for r0 in range(0, c, rows_per_block):
+            pj, pk = _pair_index(c, r0, min(c, r0 + rows_per_block), f.quadrant_symmetric)
+            if len(pj) == 0:
+                continue
+            for b in range(0, len(grp), per_block):
+                s = grp[b:b + per_block]
+                nb = first[s] + np.arange(c)[:, None]
+                nb += nb >= skip[s]
+                d = x[nb] - x[anchor[s]]
+                vals = np.asarray(f.evaluate(d[pj].ravel(), d[pk].ravel()), dtype=float)
+                vals = vals.reshape(len(pj), len(s))
+                yield pos[s], 2.0 * vals if f.quadrant_symmetric else vals
 
 
 def _bounds(x, f) -> tuple:
@@ -347,44 +510,32 @@ def _pair_count(bounds) -> float:
     return float(np.sum(c * (c - 1.0))) / (2.0 if ties else 1.0)
 
 
-def _anchor_sums(x, a, f, bounds) -> list:
-    """Exact sum of the terms of each anchor in ``a``, rounded once.
-
-    ``a`` holds consecutive anchor indices and ``bounds`` the window's
-    neighbor bounds (_bounds).  The neighbors of each anchor are cut into
-    segments (see contrast_statistic); segment s holds the count[s]
-    neighbors first[s], first[s] + 1, ... of anchor[s], stepping over
-    index skip[s].
-    """
-    if f.quadrant_symmetric:   # [lo, first tie) and (last tie, hi); the anchor is in neither
-        lo, hi, below, above = (b[a] for b in bounds)
-        anchor = a.repeat(2)
-        first = np.column_stack([lo, above]).ravel()
-        count = np.column_stack([below - lo, hi - above]).ravel()
-        skip = np.full(len(anchor), len(x))
-    else:                      # the box, skipping the anchor itself
-        lo, hi = (b[a] for b in bounds)
-        anchor, first, count, skip = a, lo, hi - lo - 1, a
+def _exact_anchor_sums(x, a, f, bounds) -> list:
+    """Each anchor's sum by the exact routine: _exact_parts per block, then
+    math.fsum of all of an anchor's parts."""
     parts, owners = [np.empty(0)], [np.empty(0, dtype=np.intp)]
-    order = np.argsort(count, kind="stable")
-    for grp in np.split(order, np.flatnonzero(np.diff(count[order])) + 1):
-        c = int(count[grp[0]])
-        if c < 2:
-            continue
-        pairs = c * (c - 1) // 2 if f.quadrant_symmetric else c * (c - 1)
-        per_block = max(1, _BLOCK_PAIRS // (pairs + _ANCHOR_COST))
-        rows_per_block = max(1, _BLOCK_PAIRS // (c - 1))
-        for b in range(0, len(grp), per_block):
-            s = grp[b:b + per_block]
-            nb = first[s] + np.arange(c)[:, None]
-            nb += nb >= skip[s]
-            d = x[nb] - x[anchor[s]]
-            for r0 in range(0, c, rows_per_block):
-                rows = np.arange(r0, min(c, r0 + rows_per_block))
-                p, owner = _exact_parts(*_pair_terms(d, rows, f), len(s))
-                parts.append(p)
-                owners.append(anchor[s][owner])
-    return _fsum_per_owner(np.concatenate(parts), np.concatenate(owners) - a[0], len(a))
+    for pos, vals in _blocks(x, a, f, bounds):
+        p, col = _exact_parts(vals, np.broadcast_to(np.arange(vals.shape[1]), vals.shape),
+                              vals.shape[1])
+        parts.append(p)
+        owners.append(pos[col])
+    return _fsum_per_owner(np.concatenate(parts), np.concatenate(owners), len(a))
+
+
+def _anchor_sums(x, a, f, bounds) -> list:
+    """Correctly rounded sum of the terms of each anchor in ``a``.
+
+    Every block is extracted (_extract) and the anchors' columns joined and
+    certified (_join); the anchors left uncertified are summed again, in
+    one batch, by the exact routine (_exact_anchor_sums).
+    """
+    cols = [(np.empty(0, dtype=np.intp), np.empty(0), np.empty(0), np.empty(0))]
+    cols += [(pos, *_extract(vals)) for pos, vals in _blocks(x, a, f, bounds)]
+    sums, certified = _join(*(np.concatenate(c) for c in zip(*cols)), len(a))
+    redo = np.flatnonzero(~certified)
+    if len(redo):
+        sums[redo] = _exact_anchor_sums(x, a[redo], f, bounds)
+    return sums.tolist()
 
 
 def contrast_statistic(series: EventSeries, f: OddTestFunction) -> float:
@@ -403,10 +554,13 @@ def contrast_statistic(series: EventSeries, f: OddTestFunction) -> float:
     within a run, segments of the same length are taken together, in blocks
     of at most _BLOCK_PAIRS pairs (a segment with more pairs than that is
     split over its rows j), so the working memory beyond the window's bounds
-    is independent of the window length.  The exact parts of all of an
-    anchor's segments are joined and rounded once (the module docstring's
-    superaccumulator), and the anchor partials are fsum-reduced, so the
-    result does not depend on the segments, the runs or the blocking.
+    is independent of the window length.  Each block's columns are summed
+    by extraction, an anchor's columns are joined and rounded once, and the
+    rounding is kept where it is certified correct; the run's other anchors
+    are recomputed in one batch by the exact superaccumulator (the module
+    docstring has both).  The anchor partials are fsum-reduced, so the
+    result does not depend on the segments, the runs, the blocking or the
+    path an anchor took.
     """
     x = np.asarray(series.times, dtype=float)
     n = len(x)
@@ -447,11 +601,13 @@ def exact_mean(params: ModelParams, f: OddTestFunction, T, c3odd: CumulantGrid) 
     overlap(tau) = max(0, min(T, T - tau1, T - tau2) - max(0, -tau1, -tau2)),
     so mu_{T,g} is a single lag-lattice Riemann sum of g * overlap/T * c3_odd.
     """
+    T = float(T)
+    if not (T > 0 and math.isfinite(T)):
+        raise ValueError(f"window length T must be positive and finite, got {T}")
     if f.support_radius > c3odd.half_width:
         raise SupportExceedsGrid(
             f"support radius {f.support_radius:g} exceeds grid half-width {c3odd.half_width:g}")
     odd = odd_part(c3odd)
-    T = float(T)
     lags = odd.lags
     T1, T2 = np.meshgrid(lags, lags, indexing="ij")
     overlap = np.maximum(
@@ -488,6 +644,8 @@ def linearity_scan(params: ModelParams, f: OddTestFunction, T, theta_list,
     thetas = np.asarray(theta_list, dtype=float)
     if len(thetas) < 3:
         raise ValueError("need at least three theta values")
+    if len(np.unique(thetas)) < 2:
+        raise ValueError("need at least two distinct theta values to fit a line")
     if np.any(np.abs(thetas) > 1):
         raise ValueError("theta values must lie in [-1, 1]")
     replicates = int(replicates)

@@ -166,6 +166,20 @@ def test_contrast_scan_support_beyond_grid_fails_before_simulating(tmp_path, cap
     assert not (tmp_path / "contrast.json").exists()
 
 
+def test_contrast_scan_needs_two_distinct_thetas(tmp_path, capsys, monkeypatch):
+    import clusterbispec.simulate as simulate
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a window was simulated")
+
+    monkeypatch.setattr(simulate, "_simulate", no_draws)
+    assert run_cli(tmp_path, "contrast", "scan", "--m", "0.5", "--kernel", "exp:1",
+                   "--T", "20", "--reps", "2", "--theta", "0.5,0.5,0.5") == 2
+    err = capsys.readouterr().err
+    assert "config error: contrast.theta: need at least two distinct values" in err
+    assert not (tmp_path / "contrast.json").exists()
+
+
 def test_kernel_built_once_per_run(tmp_path, monkeypatch):
     import clusterbispec.cli as cli
 

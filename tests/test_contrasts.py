@@ -40,6 +40,17 @@ def random_series(rng, n, T=50.0, dup_frac=0.1):
     return EventSeries(np.sort(times), T, {"kind": "test"})
 
 
+def clustered_series(rng, T, n_parents):
+    """Parents uniform on [0, T), each with a Poisson(1) number of children at
+    two-sided exponential offsets, all on a 1/64 grid (ties, lags of exactly
+    +-H), clipped to the window; no simulator involved."""
+    parents = rng.uniform(0.0, T, size=n_parents)
+    sizes = rng.poisson(1.0, size=n_parents)
+    offsets = rng.choice([-1.0, 1.0], size=sizes.sum()) * rng.exponential(1.0, size=sizes.sum())
+    times = np.round(np.concatenate([parents, np.repeat(parents, sizes) + offsets]) * 64.0) / 64.0
+    return EventSeries(np.sort(times[(times >= 0.0) & (times < T)]), T, {"kind": "test"})
+
+
 # ---------------------------------------------------------------------------
 # test functions
 # ---------------------------------------------------------------------------
@@ -116,6 +127,28 @@ def test_pruned_equals_bruteforce(rng):
         series = random_series(rng, n, T=float(rng.uniform(20, 60)))
         for f in (g, q):
             assert contrast_statistic(series, f) == contrast_statistic_bruteforce(series, f)
+
+
+def test_statistic_bits_are_pinned():
+    # float.hex of the statistic on two fixed windows, one with duplicated
+    # times and one clustered on a dyadic grid, as the superaccumulator
+    # alone computed them: the certified fast sums must not move a bit
+    bump, quad = smooth_quadrant_bump(4.0), quadrant_indicator(2.0)
+    fs = (bump, quad, replace(quad, quadrant_symmetric=False),
+          replace(bump, quadrant_symmetric=False))
+    windows = {
+        "ties": random_series(np.random.default_rng(1207), 400, T=60.0),
+        "clustered": clustered_series(np.random.default_rng(1208), 1e3, 700),
+    }
+    pinned = {
+        "ties": ["0x1.be651c98d5375p+0", "0x1.2222222222222p-1",
+                 "0x1.2222222222222p-1", "0x1.be651c98d5375p+0"],
+        "clustered": ["0x1.7f98d942f9af8p-3", "-0x1.47ae147ae147bp-7",
+                      "-0x1.47ae147ae147bp-7", "0x1.7f98d942f9af8p-3"],
+    }
+    assert len(windows["clustered"]) == 1407
+    for name, series in windows.items():
+        assert [contrast_statistic(series, f).hex() for f in fs] == pinned[name]
 
 
 def test_reflection_negates_exactly():
@@ -274,10 +307,46 @@ def exact_sums(values, seg, nseg):
     return contrasts._fsum_per_owner(*contrasts._exact_parts(values, seg, nseg), nseg)
 
 
+def certified_sums(values, seg, nseg, chunks=1):
+    """The statistic's fast path on segments of any length.
+
+    Segment s's terms are dealt in turn over ``chunks`` zero-padded columns
+    of one block, as the rows of a large segment are split over blocks;
+    the block is extracted and the columns joined per segment.  Returns
+    (sums, certified).
+    """
+    cols = [[] for _ in range(nseg * chunks)]
+    for i, (v, s) in enumerate(zip(values.tolist(), seg.tolist())):
+        cols[s * chunks + i % chunks].append(v)
+    block = np.zeros((max(1, *map(len, cols)), len(cols)))
+    for c, vs in enumerate(cols):
+        block[:len(vs), c] = vs
+    pos = np.arange(len(cols)) // chunks
+    return contrasts._join(pos, *contrasts._extract(block), nseg)
+
+
 # m * 2**e spans 2**-1074 (subnormal) to just below 2**0, exactly
 _scaled = st.builds(math.ldexp, st.integers(-(2**53) + 1, 2**53 - 1), st.integers(-1074, -53))
 _special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1022),
                             1.0, -1.0, 2.0**-53, -(2.0**-53), 1.0 + 2.0**-52, 3 * 2.0**-54])
+
+
+@st.composite
+def _near_tie(draw):
+    """Terms whose sum is on a rounding boundary or at most 3 * 2**-60 ulp off it.
+
+    v plus half its ulp, or, when v is a power of two, minus a quarter of
+    its ulp (the boundary below it); the offset is cut into equal pieces.
+    """
+    mant = draw(st.one_of(st.just(2**52), st.integers(2**52, 2**53 - 1)))
+    e = draw(st.integers(-800, 800))
+    v = math.ldexp(mant, e)
+    below = mant == 2**52 and draw(st.booleans())
+    offset = -math.ldexp(1.0, e - 2) if below else math.ldexp(1.0, e - 1)
+    pieces = draw(st.sampled_from([1, 2, 4, 8]))
+    nudge = math.ldexp(draw(st.integers(-3, 3)), e - 60 - draw(st.integers(0, 40)))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    return [sign * t for t in [v, *[offset / pieces] * pieces, nudge]]
 
 
 @st.composite
@@ -288,6 +357,10 @@ def segmented_terms(draw):
     terms = draw(st.permutations(terms))
     nseg = draw(st.integers(1, 5))
     seg = draw(st.lists(st.integers(0, nseg - 1), min_size=len(terms), max_size=len(terms)))
+    for tie in draw(st.lists(_near_tie(), max_size=2)):   # each in a segment of its own
+        terms += draw(st.permutations(tie))
+        seg += [nseg] * len(tie)
+        nseg += 1
     return np.array(terms, dtype=float), np.array(seg, dtype=np.intp), nseg
 
 
@@ -301,6 +374,114 @@ def test_exact_sums_equal_fsum_per_segment(case):
     got = exact_sums(values, seg, nseg)
     want = [math.fsum(values[seg == s].tolist()) for s in range(nseg)]
     assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+@settings(max_examples=300, deadline=None)
+@given(segmented_terms(), st.integers(1, 3))
+@example((np.array([1.0, 2.0**-53]), np.zeros(2, dtype=np.intp), 1), 1)
+@example((np.array([1.0, 2.0**-53 - 2.0**-106] + [2.0**-108] * 5), np.zeros(7, dtype=np.intp), 1),
+         1)
+def test_certified_sums_equal_fsum_per_segment(case, chunks):
+    values, seg, nseg = case
+    sums, certified = certified_sums(values, seg, nseg, chunks)
+    want = [math.fsum(values[seg == s].tolist()) for s in range(nseg)]
+    assert [v.hex() for v in sums[certified]] == [w.hex() for w, c in zip(want, certified) if c]
+
+
+def test_certificate_needs_the_bound():
+    # fl(sum r) loses all five 2**-108: t + lo = 1 + 2**-53 - 2**-106 rounds
+    # to 1.0, while the exact sum 1 + 2**-53 + 2**-108 rounds to 1 + 2**-52
+    values = np.array([1.0, 2.0**-53 - 2.0**-106] + [2.0**-108] * 5)
+    t, lo, beta = contrasts._extract(values[:, None])
+    assert (t[0], lo[0]) == (1.0, 2.0**-53 - 2.0**-106) and beta[0] > 0.0
+    sums, certified = certified_sums(values, np.zeros(7, dtype=np.intp), 1)
+    assert not certified[0]
+    assert exact_sums(values, np.zeros(7, dtype=np.intp), 1) == [1.0 + 2.0**-52]
+    # the exact tie 1 + 2**-53 is left to the exact routine
+    assert not certified_sums(np.array([1.0, 2.0**-53]), np.zeros(2, dtype=np.intp), 1)[1][0]
+    # integer-valued terms carry no bound and certify, an exact zero as +0.0
+    sums, certified = certified_sums(np.array([3.0, -1.0, -2.0, 5.0, 1.0]),
+                                     np.array([0, 0, 0, 1, 1]), 2, chunks=2)
+    assert certified.all() and [v.hex() for v in sums] == ["0x0.0p+0", "0x1.8000000000000p+2"]
+
+
+def test_certificate_below_a_power_of_two():
+    # below 1.0 the doubles are 2**-53 apart, so the half-gap toward zero is
+    # 2**-54, a quarter of 1.0's ulp; an enclosure reaching past it is refused
+    one = np.ones(1)
+    for sign in (1.0, -1.0):
+        for beta, ok in ((2.0**-55, True), (2.0**-54, False), (2.0**-53, False)):
+            sums, certified = contrasts._join(np.zeros(1, dtype=np.intp), sign * one,
+                                              sign * -(2.0**-56) * one, np.array([beta]), 1)
+            assert sums[0] == sign and certified[0] == ok, (sign, beta)
+    # away from zero the gap is the full ulp: 1 + 2**-54 + 2**-55 still rounds to 1
+    sums, certified = contrasts._join(np.zeros(1, dtype=np.intp), one, 2.0**-54 * one,
+                                      np.array([2.0**-55]), 1)
+    assert sums[0] == 1.0 and certified[0]
+    # an exact zero needs a zero bound
+    sums, certified = contrasts._join(np.zeros(2, dtype=np.intp), np.array([1.0, -1.0]),
+                                      np.zeros(2), np.array([0.0, 2.0**-80]), 1)
+    assert sums[0] == 0.0 and not certified[0]
+
+
+def _count_exact_columns(monkeypatch):
+    """Columns (segments of a block) that reach the exact routine."""
+    seen = [0]
+    exact_parts = contrasts._exact_parts
+
+    def counting(values, seg, nseg):
+        seen[0] += nseg
+        return exact_parts(values, seg, nseg)
+
+    monkeypatch.setattr(contrasts, "_exact_parts", counting)
+    return seen
+
+
+def test_uncertified_anchors_take_the_exact_routine(monkeypatch):
+    # anchor 0 of events 0, 1, 2 sums g(1, 2) + g(2, 1) = 1 + 2**-53, a tie
+    # that rounds to even; anchor 2 sums its negation
+    def u(a, b):
+        return np.where((a == 1) & (b == 2), 1.0, np.where((a == 2) & (b == 1), 2.0**-53, 0.0))
+
+    g = antisymmetrize(u, H=3.0, bound=1.0)
+    series = EventSeries(np.array([0.0, 1.0, 2.0]), 3.0, {"kind": "test"})
+    seen = _count_exact_columns(monkeypatch)
+    assert contrast_statistic(series, g) == contrast_statistic_bruteforce(series, g)
+    assert seen[0] == 2
+    assert contrasts._anchor_sums(series.times, np.arange(3), g,
+                                  contrasts._bounds(series.times, g)) == [1.0, 0.0, -1.0]
+
+
+def test_fast_path_certifies_almost_every_anchor(monkeypatch):
+    # on an exp:1 T = 1e3 window with the bump at most 1 % of the anchors
+    # fall back (each brings at least one column); none for the indicator
+    series = EventSeries(simulate_window_batched(EXP_PARAMS, 1e3, np.random.default_rng(3)),
+                         1e3, {})
+    seen = _count_exact_columns(monkeypatch)
+    contrast_statistic(series, smooth_quadrant_bump(4.0))
+    assert seen[0] <= 0.01 * len(series)
+    seen[0] = 0
+    for q in (quadrant_indicator(2.0), replace(quadrant_indicator(2.0), quadrant_symmetric=False)):
+        contrast_statistic(series, q)
+    assert seen[0] == 0
+
+
+def test_extreme_scales_match_bruteforce(rng):
+    # terms near the top of the double range are extracted; terms in the
+    # subnormal range go to the exact routine; both equal the reference
+    series = random_series(rng, 60, T=20.0)
+    base = smooth_quadrant_bump(3.0)
+    for scale in (2.0**1000, 1e-300, 2.0**-1060):
+        g = antisymmetrize(lambda a, b, s=scale: s * base.evaluate(a, b), H=3.0, bound=scale)
+        assert contrast_statistic(series, g) == contrast_statistic_bruteforce(series, g)
+
+
+def test_non_finite_terms_raise():
+    for bad in (math.nan, math.inf):
+        g = antisymmetrize(lambda a, b, v=bad: np.where((a > 0) & (b > 0), v, 0.0), H=2.0,
+                           bound=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            contrast_statistic(EventSeries(np.array([0.0, 0.5, 1.0, 1.5]), 2.0), g)
 
 
 def test_exact_sums_refuse_segments_beyond_headroom(monkeypatch):
@@ -342,6 +523,13 @@ def test_exact_mean_gap_shrinks_with_T(exp_odd_grid):
             * np.abs(exp_odd_grid.values).sum() * exp_odd_grid.spacing**2 / T)
     gaps = [abs(r.mu_Tg - r.mu_g) for r in results]
     assert gaps[0] >= gaps[1] >= gaps[2]
+
+
+def test_exact_mean_needs_a_positive_finite_window(exp_odd_grid):
+    g = smooth_quadrant_bump(4.0)
+    for T in (-5.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            exact_mean(EXP_PARAMS, g, T, exp_odd_grid)
 
 
 def test_exact_mean_matches_simulation(exp_odd_grid):
@@ -396,3 +584,14 @@ def test_linearity_scan_validation():
     for reps in (0, 1):   # no standard error (or no mean) from fewer than two windows
         with pytest.raises(ValueError, match="replicates"):
             linearity_scan(EXP_PARAMS, g, 100.0, (-1.0, 0.0, 1.0), reps, seed=0)
+
+
+def test_linearity_scan_needs_two_distinct_thetas(monkeypatch):
+    # one distinct theta leaves the line undefined (NaN slope); refused
+    # before a window is drawn
+    def no_windows(*args, **kwargs):
+        raise AssertionError("a window was simulated")
+
+    monkeypatch.setattr(contrasts, "replicate_windows", no_windows)
+    with pytest.raises(ValueError, match="distinct"):
+        linearity_scan(EXP_PARAMS, smooth_quadrant_bump(3.0), 20.0, (0.5, 0.5, 0.5), 2, seed=0)
