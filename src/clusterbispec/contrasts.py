@@ -29,15 +29,12 @@ as the quadrant indicator's, give beta = 0, so their exact cancellations
 certify as +0.0.
 
 Every other anchor -- a tie or a near-tie the bound cannot resolve,
-subnormal-range or non-finite terms -- is summed again by the exact routine,
-which is also the oracle for the fast path in the tests: a vectorized
-superaccumulator that splits each term into an integer mantissa and an
-exponent, cuts the mantissa into fixed-width limbs at absolute bit
-positions, and sums the limbs per (segment, limb) in float64, where integer
-sums below 2**53 are exact.  A segment's few scaled limb sums are exactly
-representable and add up exactly to its terms, so math.fsum over those of
-all of an anchor's segments is the correctly rounded sum.  It raises the
-ValueError for non-finite terms and SummationHeadroomExceeded.
+subnormal-range or non-finite terms -- is summed again by math.fsum over its
+nonzero terms (Shewchuk, "Adaptive precision floating-point arithmetic and
+fast robust geometric predicates", DCG 18, 1997), which returns the
+correctly rounded sum.  Exact zeros are dropped first, so an exact zero is
++0.0 whatever sign a Python version gives fsum([-0.0]); non-finite terms
+raise ValueError.
 
 Both paths return the correctly rounded exact sum, so the per-anchor sum
 does not depend on which path took it, on term order, on how anchors are
@@ -79,7 +76,6 @@ from .simulate import EventSeries, ModelParams, replicate_windows
 __all__ = [
     "OddTestFunction",
     "EmptyWindowWarning",
-    "SummationHeadroomExceeded",
     "PairBudgetExceeded",
     "antisymmetrize",
     "quadrant_indicator",
@@ -97,21 +93,12 @@ class EmptyWindowWarning(UserWarning):
     """Statistic evaluated on a window with no usable triples."""
 
 
-class SummationHeadroomExceeded(ValueError):
-    """More terms in one exact-summation segment than its integer headroom."""
-
-
 class PairBudgetExceeded(ValueError):
     """The window would form more neighbor pairs than PAIR_BUDGET."""
 
 
-# exact summation: W-bit limbs keep per-limb float64 sums exact up to
-# 2**(53 - W) terms per segment; blocks stay far below that
-_LIMB_BITS = 26
-_LIMB_SCALE = 2.0**_LIMB_BITS
-_MAX_SEGMENT_TERMS = 2 ** (53 - _LIMB_BITS)
 # a block holds at most _BLOCK_PAIRS neighbor pairs, each segment also
-# costing _ANCHOR_COST for its row of the (segment, limb) sum table; this
+# costing _ANCHOR_COST for its gather and its extracted column sums; this
 # bounds the statistic's memory
 _BLOCK_PAIRS = 2**16
 _ANCHOR_COST = 64
@@ -121,12 +108,15 @@ _ANCHOR_COST = 64
 # and their partial sums are exact.  The rounding of lo = fl(sum r) over n
 # terms, in any order, is at most gamma_{n-1} sum|r| (Higham, ch. 4;
 # additions below the normal range are exact), at most 1.01 n u fl(sum|r|)
-# with u = 2**-53 while n <= _MAX_SEGMENT_TERMS.  beta = _BOUND_FACTOR n
-# fl(sum|r|) takes 4 u, twice that twice over, which covers the roundings of
-# the products and sums that form beta: where a product underflows it loses
-# at most 2**-1075, while a nonzero rounding error is a multiple of 2**-1074.
-# The join bounds its L the same way: for m columns it adds m lo and m TwoSum
-# errors, the first of which is exactly 0, so 2m - 2 additions round
+# with u = 2**-53 while n u <= 0.01, that is n <= 9e13.  A block has at most
+# max(_BLOCK_PAIRS, events) rows (a segment with more pairs than a block
+# takes one row j at a time), so no column comes near that.  beta =
+# _BOUND_FACTOR n fl(sum|r|) takes 4 u, twice that twice over, which covers
+# the roundings of the products and sums that form beta: where a product
+# underflows it loses at most 2**-1075, while a nonzero rounding error is a
+# multiple of 2**-1074.  The join bounds its L the same way: for m columns
+# it adds m lo and m TwoSum errors, the first of which is exactly 0, so
+# 2m - 2 additions round
 _EXTRACT_FLOOR = 2.0**-900
 _BOUND_FACTOR = 4 * 2.0**-53
 # anchors are taken in runs of _RUN_ANCHORS, whose column sums (t, lo, beta)
@@ -134,8 +124,10 @@ _BOUND_FACTOR = 4 * 2.0**-53
 # typical windows
 _RUN_ANCHORS = 2**12
 # most neighbor pairs one statistic may form: the README's T = 1e4 window
-# (19,669 events, H = 4) forms 1.9e6 pairs in about 0.11 s on a 2-core Xeon
-# VM, about 60 ns a pair, so 1e10 pairs is about ten minutes
+# (19,669 events, H = 4) forms 1.9e6 pairs in about 0.1 s on a 2-core Xeon
+# VM, about 60 ns a pair.  In the worst case, every anchor summed again by
+# math.fsum, it takes about 0.4 s, about 200 ns a pair, so 1e10 pairs take
+# at most about 35 minutes
 PAIR_BUDGET = 10**10
 
 
@@ -288,62 +280,6 @@ def sign_contrast_function(grid: CumulantGrid, H) -> OddTestFunction:
 # ---------------------------------------------------------------------------
 
 
-def _exact_parts(values, seg, nseg):
-    """Exact per-segment decomposition of sums into few representable floats.
-
-    Returns (parts, owner), arrays ordered by segment: the floats
-    parts[owner == s] add up exactly to the sum of the terms
-    values[seg == s], and each is nonzero and exactly representable, so
-    math.fsum of them is the correctly rounded segment sum -- bit for bit
-    what math.fsum(values[seg == s]) returns, whatever the term order.
-
-    A nonzero term is v = y * 2**(W * limb) with limb = floor((e - 53) / W)
-    for its np.frexp exponent e, so y is an integer below 2**(52 + W) in
-    magnitude.  y is cut into three W-bit digits (by exact floor and
-    power-of-two steps) whose weights 2**(W * (limb + t)) sit at absolute
-    bit positions, and the digits are summed per (segment, limb) by
-    np.bincount in float64.  A digit is at most 2**W in magnitude, so those
-    integer sums are exact while a segment holds at most 2**(53 - W) terms.
-    A scaled limb sum keeps at most 53 significant bits, none below 2**-1074
-    (every digit is a bit field of a double), so np.ldexp returns it
-    exactly, subnormals included.
-    """
-    v = np.asarray(values, dtype=float).ravel()
-    seg = np.asarray(seg, dtype=np.intp).ravel()
-    nonzero = np.flatnonzero(v)
-    v, seg = v[nonzero], seg[nonzero]
-    if not np.isfinite(v).all():
-        raise ValueError("exact summation needs finite terms")
-    if len(v) > _MAX_SEGMENT_TERMS and np.bincount(seg).max() > _MAX_SEGMENT_TERMS:
-        raise SummationHeadroomExceeded(
-            f"a segment holds more than {_MAX_SEGMENT_TERMS} nonzero terms")
-    if len(v) == 0:
-        return np.empty(0), np.empty(0, dtype=np.intp)
-    mant, exp = np.frexp(v)
-    limb = np.floor_divide(exp - 53, _LIMB_BITS)
-    y = np.ldexp(mant, exp - limb * _LIMB_BITS)
-    hi = np.floor(y / _LIMB_SCALE)
-    top = np.floor(hi / _LIMB_SCALE)
-    digits = (y - hi * _LIMB_SCALE, hi - top * _LIMB_SCALE, top)
-    lmin = int(limb.min())
-    width = int(limb.max()) - lmin + len(digits)
-    key = seg * width + (limb - lmin)
-    sums = np.zeros(nseg * width)
-    for t, d in enumerate(digits):
-        sums += np.bincount(key + t, weights=d, minlength=nseg * width)
-    idx = np.flatnonzero(sums)
-    owner, lim = np.divmod(idx, width)
-    return np.ldexp(sums[idx], ((lim + lmin) * _LIMB_BITS).astype(np.int32)), owner
-
-
-def _fsum_per_owner(parts, owner, nowner) -> list:
-    """math.fsum of parts[owner == s] for each s < nowner."""
-    order = np.argsort(owner, kind="stable")
-    starts = np.searchsorted(owner[order], np.arange(nowner + 1)).tolist()
-    parts = parts[order].tolist()
-    return [math.fsum(parts[a:b]) for a, b in zip(starts[:-1], starts[1:])]
-
-
 def _extract(vals):
     """One error-free extraction per column of a (terms x columns) block.
 
@@ -356,15 +292,13 @@ def _extract(vals):
     magnitude: t = sum(q) is exact in any order (Rump, Ogita & Oishi 2008,
     ExtractVector).  beta bounds the rounding of lo = fl(sum(r)); it is 0
     when every r is, as for integer-valued terms.  A column that cannot be
-    extracted this way -- a term that is not finite, M below _EXTRACT_FLOOR
-    or so large that sigma overflows, or more terms than the bound allows --
-    comes back as t = lo = 0 with beta = inf.
+    extracted this way -- a term that is not finite, or M below
+    _EXTRACT_FLOOR or so large that sigma overflows -- comes back as t = lo = 0 with beta = inf.
     """
     n = len(vals)
     k = (n + 2).bit_length()
     big = np.abs(vals).max(axis=0)
     ok = (big == 0.0) | ((big >= _EXTRACT_FLOOR) & (big < 2.0 ** (1023 - k)))
-    ok &= n <= _MAX_SEGMENT_TERMS
     if not ok.all():
         vals = np.where(ok, vals, 0.0)
         big = np.where(ok, big, 0.0)
@@ -511,15 +445,17 @@ def _pair_count(bounds) -> float:
 
 
 def _exact_anchor_sums(x, a, f, bounds) -> list:
-    """Each anchor's sum by the exact routine: _exact_parts per block, then
-    math.fsum of all of an anchor's parts."""
-    parts, owners = [np.empty(0)], [np.empty(0, dtype=np.intp)]
+    """Each anchor's sum by math.fsum over all of its nonzero terms."""
+    terms = [[] for _ in range(len(a))]
     for pos, vals in _blocks(x, a, f, bounds):
-        p, col = _exact_parts(vals, np.broadcast_to(np.arange(vals.shape[1]), vals.shape),
-                              vals.shape[1])
-        parts.append(p)
-        owners.append(pos[col])
-    return _fsum_per_owner(np.concatenate(parts), np.concatenate(owners), len(a))
+        keep = vals.T != 0.0
+        flat = vals.T[keep]                  # the nonzero terms, column by column
+        if not np.isfinite(flat).all():
+            raise ValueError("exact summation needs finite terms")
+        flat, ends = flat.tolist(), np.cumsum(keep.sum(axis=1)).tolist()
+        for p, start, end in zip(pos.tolist(), [0] + ends, ends):
+            terms[p] += flat[start:end]
+    return [math.fsum(t) for t in terms]
 
 
 def _anchor_sums(x, a, f, bounds) -> list:
@@ -527,7 +463,7 @@ def _anchor_sums(x, a, f, bounds) -> list:
 
     Every block is extracted (_extract) and the anchors' columns joined and
     certified (_join); the anchors left uncertified are summed again, in
-    one batch, by the exact routine (_exact_anchor_sums).
+    one batch, by math.fsum (_exact_anchor_sums).
     """
     cols = [(np.empty(0, dtype=np.intp), np.empty(0), np.empty(0), np.empty(0))]
     cols += [(pos, *_extract(vals)) for pos, vals in _blocks(x, a, f, bounds)]
@@ -557,8 +493,8 @@ def contrast_statistic(series: EventSeries, f: OddTestFunction) -> float:
     is independent of the window length.  Each block's columns are summed
     by extraction, an anchor's columns are joined and rounded once, and the
     rounding is kept where it is certified correct; the run's other anchors
-    are recomputed in one batch by the exact superaccumulator (the module
-    docstring has both).  The anchor partials are fsum-reduced, so the
+    are recomputed in one batch by math.fsum over their nonzero terms (the
+    module docstring has both).  The anchor partials are fsum-reduced, so the
     result does not depend on the segments, the runs, the blocking or the
     path an anchor took.
     """

@@ -118,8 +118,8 @@ def invert_bispectrum(params: ModelParams, half_width=None, n=512) -> CumulantGr
     total absolute mass.
     """
     lam_w = default_half_width(params) if half_width is None else float(half_width)
-    if lam_w <= 0:
-        raise ValueError("half_width must be positive")
+    if not (lam_w > 0 and math.isfinite(lam_w)):
+        raise ValueError(f"half_width must be positive and finite, got {lam_w}")
     n = int(n)
     if n & (n - 1) or n < 64:
         raise ValueError(f"n must be a power of two >= 64, got {n}")
@@ -200,9 +200,11 @@ def mu_g_freq(params: ModelParams, f, omega_max=40.0, n_omega=1600) -> MuFreqRes
     truncated at ``omega_max``.  The reported bound combines the outer-ring
     contribution with the global envelope on |Im B|.
     """
+    if not (omega_max > 0 and math.isfinite(omega_max)):
+        raise ValueError(f"omega_max must be positive and finite, got {omega_max}")
     n_omega = int(n_omega)
-    if n_omega & 1:
-        raise ValueError("n_omega must be even")
+    if n_omega < 2 or n_omega & 1:
+        raise ValueError(f"n_omega must be an even integer >= 2, got {n_omega}")
     dw = 2.0 * omega_max / n_omega
     A = math.pi / dw                       # conjugate lag half-width
     delta = 2.0 * A / n_omega              # lag spacing; pi / omega_max

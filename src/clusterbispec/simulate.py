@@ -3,9 +3,10 @@
 The process is built from Poisson immigrants on a padded window, an
 independent Galton-Watson cluster per immigrant (Poisson(m) offspring,
 kernel-displaced), and an independent per-cluster sign that reflects the
-whole cluster about its root.  Padding is chosen so that the probability of
-a cluster outside the padded window reaching the observation window is below
-a configurable leakage tolerance; the infinite-window law is otherwise exact.
+whole cluster about its root.  Clusters rooted outside a padded window are
+not drawn, and the padding is a heuristic (see padding_length) with no
+guarantee on how many events that leaves out; apart from that truncation the
+infinite-window law is exact.
 
 One engine draws every window: immigrants, signs and all clusters come from
 a single generator, with the clusters grown in generation waves.
@@ -167,9 +168,10 @@ def padding_length(params: ModelParams, pad_tol: float = DEFAULT_PAD_TOL) -> flo
     """Window padding: displacement quantile times an expected-depth factor.
 
     P is the (1 - pad_tol) quantile of |displacement| multiplied by
-    ceil(3 / (1 - m)), so the chance that a cluster rooted outside the padded
-    window leaks a point into the observation window is below pad_tol, which
-    must lie in (0, 1).
+    ceil(3 / (1 - m)); pad_tol must lie in (0, 1).  This bounds nothing:
+    the events a cluster rooted outside [-P, T + P] would put into the
+    window are left out, and their expected number can exceed pad_tol.  For
+    Lomax(2) at m = 0.5 and T = 2000 it is about 8e-5 at the default 1e-6.
     """
     if not 0.0 < pad_tol < 1.0:
         raise ValueError(f"pad_tol must lie in (0, 1), got {pad_tol}")

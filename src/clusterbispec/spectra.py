@@ -87,10 +87,6 @@ class _TransformTable:
         return np.where(w < 0, np.conj(vals), vals)
 
 
-def _hhat_table(params: ModelParams, w1, w2):
-    return _TransformTable(params.kernel, [w1, w2, w1 + w2])
-
-
 def _r_form(params: ModelParams, hh: _TransformTable, w1, w2):
     """R-form of B_comp(w1, w2) from an already-built transform table."""
     m = params.m
@@ -118,7 +114,7 @@ def b_complete(params: ModelParams, w1, w2, form="R"):
         raise ValueError(f"form must be 'R' or 'Q', got {form!r}")
     w1 = np.asarray(w1, dtype=float)
     w2 = np.asarray(w2, dtype=float)
-    hh = _hhat_table(params, w1, w2)
+    hh = _TransformTable(params.kernel, [w1, w2, w1 + w2])
     if form == "R":
         return _r_form(params, hh, w1, w2)
     m, lam = params.m, params.lam
@@ -135,7 +131,7 @@ def b_factorial(params: ModelParams, w1, w2):
     """Factorial bispectrum B_fac = B_comp - Gamma(w1) - Gamma(w2) - Gamma(w1+w2) + 2 lam."""
     w1 = np.asarray(w1, dtype=float)
     w2 = np.asarray(w2, dtype=float)
-    hh = _hhat_table(params, w1, w2)
+    hh = _TransformTable(params.kernel, [w1, w2, w1 + w2])
     m, lam = params.m, params.lam
 
     def gamma(w):

@@ -14,7 +14,6 @@ from clusterbispec.contrasts import (
     EmptyWindowWarning,
     OddTestFunction,
     PairBudgetExceeded,
-    SummationHeadroomExceeded,
     antisymmetrize,
     contrast_statistic,
     exact_mean,
@@ -131,8 +130,8 @@ def test_pruned_equals_bruteforce(rng):
 
 def test_statistic_bits_are_pinned():
     # float.hex of the statistic on two fixed windows, one with duplicated
-    # times and one clustered on a dyadic grid, as the superaccumulator
-    # alone computed them: the certified fast sums must not move a bit
+    # times and one clustered on a dyadic grid, as exact summation of every
+    # anchor computed them before the fast path: certified sums move no bit
     bump, quad = smooth_quadrant_bump(4.0), quadrant_indicator(2.0)
     fs = (bump, quad, replace(quad, quadrant_symmetric=False),
           replace(bump, quadrant_symmetric=False))
@@ -302,11 +301,6 @@ def test_pair_count_is_the_pairs_formed(rng, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def exact_sums(values, seg, nseg):
-    """The statistic's exact summation: the correctly rounded sum of each segment."""
-    return contrasts._fsum_per_owner(*contrasts._exact_parts(values, seg, nseg), nseg)
-
-
 def certified_sums(values, seg, nseg, chunks=1):
     """The statistic's fast path on segments of any length.
 
@@ -365,18 +359,6 @@ def segmented_terms(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(segmented_terms())
-@example((np.array([1.0, 2.0**-53]), np.zeros(2, dtype=np.intp), 1))          # tie, to even
-@example((np.array([1.0 + 2.0**-52, 2.0**-53]), np.zeros(2, dtype=np.intp), 1))  # tie, up
-@example((np.array([2.0**-1074, -(2.0**-1074), -0.0]), np.array([0, 0, 1]), 3))
-def test_exact_sums_equal_fsum_per_segment(case):
-    values, seg, nseg = case
-    got = exact_sums(values, seg, nseg)
-    want = [math.fsum(values[seg == s].tolist()) for s in range(nseg)]
-    assert [v.hex() for v in got] == [v.hex() for v in want]
-
-
-@settings(max_examples=300, deadline=None)
 @given(segmented_terms(), st.integers(1, 3))
 @example((np.array([1.0, 2.0**-53]), np.zeros(2, dtype=np.intp), 1), 1)
 @example((np.array([1.0, 2.0**-53 - 2.0**-106] + [2.0**-108] * 5), np.zeros(7, dtype=np.intp), 1),
@@ -396,8 +378,8 @@ def test_certificate_needs_the_bound():
     assert (t[0], lo[0]) == (1.0, 2.0**-53 - 2.0**-106) and beta[0] > 0.0
     sums, certified = certified_sums(values, np.zeros(7, dtype=np.intp), 1)
     assert not certified[0]
-    assert exact_sums(values, np.zeros(7, dtype=np.intp), 1) == [1.0 + 2.0**-52]
-    # the exact tie 1 + 2**-53 is left to the exact routine
+    assert math.fsum(values.tolist()) == 1.0 + 2.0**-52
+    # the exact tie 1 + 2**-53 is left to math.fsum
     assert not certified_sums(np.array([1.0, 2.0**-53]), np.zeros(2, dtype=np.intp), 1)[1][0]
     # integer-valued terms carry no bound and certify, an exact zero as +0.0
     sums, certified = certified_sums(np.array([3.0, -1.0, -2.0, 5.0, 1.0]),
@@ -424,16 +406,27 @@ def test_certificate_below_a_power_of_two():
     assert sums[0] == 0.0 and not certified[0]
 
 
-def _count_exact_columns(monkeypatch):
-    """Columns (segments of a block) that reach the exact routine."""
+def test_join_needs_its_own_bound():
+    # one anchor's seven columns with exact t and lo (beta = 0): the join's
+    # fl(sum lo) loses the five 2**-108, so only the join's own bound keeps
+    # 1.0 from being certified, while the exact sum rounds to 1 + 2**-52
+    t = np.array([1.0] + [0.0] * 6)
+    lo = np.array([0.0, 2.0**-53 - 2.0**-106] + [2.0**-108] * 5)
+    sums, certified = contrasts._join(np.zeros(7, dtype=np.intp), t, lo, np.zeros(7), 1)
+    assert sums[0] == 1.0 and not certified[0]
+    assert math.fsum([*t, *lo]) == 1.0 + 2.0**-52
+
+
+def _count_fallback_anchors(monkeypatch):
+    """Anchors handed to the fallback, math.fsum over their terms."""
     seen = [0]
-    exact_parts = contrasts._exact_parts
+    exact_anchor_sums = contrasts._exact_anchor_sums
 
-    def counting(values, seg, nseg):
-        seen[0] += nseg
-        return exact_parts(values, seg, nseg)
+    def counting(x, a, f, bounds):
+        seen[0] += len(a)
+        return exact_anchor_sums(x, a, f, bounds)
 
-    monkeypatch.setattr(contrasts, "_exact_parts", counting)
+    monkeypatch.setattr(contrasts, "_exact_anchor_sums", counting)
     return seen
 
 
@@ -445,7 +438,7 @@ def test_uncertified_anchors_take_the_exact_routine(monkeypatch):
 
     g = antisymmetrize(u, H=3.0, bound=1.0)
     series = EventSeries(np.array([0.0, 1.0, 2.0]), 3.0, {"kind": "test"})
-    seen = _count_exact_columns(monkeypatch)
+    seen = _count_fallback_anchors(monkeypatch)
     assert contrast_statistic(series, g) == contrast_statistic_bruteforce(series, g)
     assert seen[0] == 2
     assert contrasts._anchor_sums(series.times, np.arange(3), g,
@@ -454,10 +447,10 @@ def test_uncertified_anchors_take_the_exact_routine(monkeypatch):
 
 def test_fast_path_certifies_almost_every_anchor(monkeypatch):
     # on an exp:1 T = 1e3 window with the bump at most 1 % of the anchors
-    # fall back (each brings at least one column); none for the indicator
+    # fall back; none for the indicator
     series = EventSeries(simulate_window_batched(EXP_PARAMS, 1e3, np.random.default_rng(3)),
                          1e3, {})
-    seen = _count_exact_columns(monkeypatch)
+    seen = _count_fallback_anchors(monkeypatch)
     contrast_statistic(series, smooth_quadrant_bump(4.0))
     assert seen[0] <= 0.01 * len(series)
     seen[0] = 0
@@ -482,16 +475,6 @@ def test_non_finite_terms_raise():
                            bound=1.0)
         with pytest.raises(ValueError, match="finite"):
             contrast_statistic(EventSeries(np.array([0.0, 0.5, 1.0, 1.5]), 2.0), g)
-
-
-def test_exact_sums_refuse_segments_beyond_headroom(monkeypatch):
-    monkeypatch.setattr(contrasts, "_MAX_SEGMENT_TERMS", 4)
-    seg = np.array([0, 1, 1, 1, 1])
-    assert exact_sums(np.ones(5), seg, 2) == [1.0, 4.0]
-    with pytest.raises(SummationHeadroomExceeded):
-        exact_sums(np.ones(6), np.append(seg, 1), 2)
-    with pytest.raises(ValueError, match="finite"):
-        exact_sums(np.array([1.0, np.nan]), np.zeros(2, dtype=np.intp), 1)
 
 
 # ---------------------------------------------------------------------------

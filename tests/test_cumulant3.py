@@ -65,6 +65,13 @@ def test_undersized_half_width_warns():
         invert_bispectrum(EXP_PARAMS, half_width=3.0, n=64)
 
 
+@pytest.mark.parametrize("half_width", [0.0, -1.0, math.nan, math.inf])
+def test_half_width_must_be_positive_and_finite(half_width):
+    # NaN gave an all-NaN grid and inf a grid of infinite spacing
+    with pytest.raises(ValueError, match="half_width must be positive and finite"):
+        invert_bispectrum(EXP_PARAMS, half_width=half_width, n=64)
+
+
 def test_quadrant_masses_match_cluster_histogram(exp_grid, rng):
     # Monte-Carlo oracle: histogram of (x1 - x0, x2 - x0) over ordered
     # distinct triples of simulated cluster points, binned on the same
@@ -212,6 +219,19 @@ def test_mu_g_freq_warns_on_slow_transform_decay():
 
     with pytest.warns(TransformNotIntegrable):
         mu_g_freq(EXP_PARAMS, quadrant_indicator(4.0), omega_max=20.0, n_omega=400)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"omega_max": 0.0}, "omega_max"), ({"omega_max": -1.0}, "omega_max"),
+    ({"omega_max": math.nan}, "omega_max"), ({"omega_max": math.inf}, "omega_max"),
+    ({"n_omega": 0}, "n_omega"), ({"n_omega": -2}, "n_omega"), ({"n_omega": 7}, "n_omega"),
+])
+def test_mu_g_freq_checks_its_lattice(kwargs, name):
+    # 0 raised ZeroDivisionError, NaN a zero-size array error and -1 a
+    # misleading SupportExceedsGrid
+    with pytest.raises(ValueError, match=name) as info:
+        mu_g_freq(EXP_PARAMS, smooth_quadrant_bump(4.0), **kwargs)
+    assert not isinstance(info.value, SupportExceedsGrid)
 
 
 def test_mu_g_freq_zero_for_matched():
