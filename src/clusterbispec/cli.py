@@ -6,7 +6,8 @@ default); the flags derive from it, and every config, from argv or from JSON
 its flag's default; an unknown key or a wrongly typed value is a config error.
 A run then checks ranges and cross-field rules (collecting all violations),
 executes one command, and writes a manifest beside the outputs (config echo
-listing every option's value, seed, version, wall time) so reruns reproduce
+listing every option's value, seed, version, wall time; for ``simulate`` also
+the window's pads, planned immigrants and leakage bound) so reruns reproduce
 the artifacts bit-identically.
 
 Exit codes: 0 success, 1 numerical-validation failure (mc suites), 2
@@ -63,7 +64,9 @@ _OMEGA_MAX = {"omega_max": Opt(float, 20.0)}
 COMMANDS = {   # command -> (help, options)
     "simulate": ("simulate the sign-biased process on [0, T]", {
         **_MODEL, "theta": Opt(float, 0.0), "T": Opt(float),
-        "pad_tol": Opt(float, DEFAULT_PAD_TOL)}),
+        "pad_tol": Opt(float, DEFAULT_PAD_TOL, (
+            "bound on the expected number of window events lost to clusters rooted "
+            "outside the padded window, hence on the chance of losing any; in (0, 1)"))}),
     "spectrum": ("Bartlett spectrum on a frequency grid", {
         **_MODEL, **_OMEGA_MAX, "n": Opt(int, 256)}),
     "bispectrum": ("third-order transform on an n-by-n grid", {
@@ -347,7 +350,7 @@ def run(cfg: RunConfig) -> int:
     t0 = time.time()
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs, exit_code, opt = [], 0, cfg.options
+    outputs, exit_code, opt, record = [], 0, cfg.options, {}
 
     if cfg.command == "simulate":
         from .simulate import simulate_window, write_events
@@ -357,6 +360,8 @@ def run(cfg: RunConfig) -> int:
         path = out_dir / "events.csv"
         write_events(series, path)
         outputs.append(str(path))
+        record["window"] = {key: series.provenance[key] for key in (
+            "pad_left", "pad_right", "immigrants_planned", "leakage_bound")}
 
     elif cfg.command == "spectrum":
         params = _model(cfg, theta=0.0)
@@ -456,6 +461,7 @@ def run(cfg: RunConfig) -> int:
         "version": __version__,
         "wall_time_s": round(time.time() - t0, 3),
         "outputs": outputs,
+        **record,
     }
     _write_json(out_dir / "manifest.json", manifest)
     return exit_code

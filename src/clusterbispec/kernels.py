@@ -102,7 +102,7 @@ class Kernel:
         raise NotImplementedError
 
     def tail_quantile(self, eps):
-        """q with P(|X| > q) <= eps; used for simulation window padding."""
+        """q with P(|X| > q) <= eps; sets the default lag-grid half-width and rho table ranges."""
         raise NotImplementedError
 
     def spec_string(self) -> str:

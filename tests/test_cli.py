@@ -219,9 +219,20 @@ def test_simulate_writes_events_and_manifest(tmp_path):
     assert manifest["seed"] == 3
     assert manifest["config"]["options"]["kernel"] == "exp:1"
     assert str(tmp_path / "events.csv") in manifest["outputs"]
+    # the window record: a forward exp:1 window pads only its left side
+    window = manifest["window"]
+    assert window["pad_left"] > 0.0 and window["pad_right"] == 0.0
+    assert window["immigrants_planned"] == 200.0 + window["pad_left"]
+    assert 0.0 < window["leakage_bound"] <= 1e-6
     # rerun reproduces the artifact byte for byte
     assert run_cli(tmp_path, *args) == 0
     assert (tmp_path / "events.csv").read_text() == events
+
+
+def test_pad_tol_help_states_its_meaning(capsys):
+    with pytest.raises(SystemExit):
+        parse_config(["simulate", "--help"])
+    assert "expected number of window events lost" in " ".join(capsys.readouterr().out.split())
 
 
 def test_bispectrum_uniform_kernel_metadata(tmp_path):

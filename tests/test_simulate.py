@@ -8,6 +8,7 @@ import pytest
 
 from clusterbispec import simulate
 from clusterbispec.kernels import Exponential, Lomax, UniformHalf
+from clusterbispec.match import MatchSpec, build_matched_kernel, rho_density
 from clusterbispec.simulate import (
     ClusterSizeCapExceeded,
     IMMIGRANT_BUDGET,
@@ -17,6 +18,7 @@ from clusterbispec.simulate import (
     PaddingBudgetExceeded,
     ParseError,
     ingest_events,
+    leakage_bound,
     padding_length,
     replicate_windows,
     sample_clusters_batch,
@@ -155,10 +157,27 @@ def test_reproducibility_byte_identical():
 
 
 def test_padding_length_rule():
+    # exp:1 at theta = 1: the left pad is the Chernoff bound's minimum over s,
+    # min_s log(m M(s) / (e s (1 - m M(s))) / pad_tol) / s with M(s) = 1 / (1 - s),
+    # and nothing can leak in from the right
     p = ModelParams(1.0, 0.5, 1.0, Exponential(1.0))
-    assert padding_length(p, 1e-6) == pytest.approx(-math.log(1e-6) * 6.0)
-    pu = ModelParams(1.0, 0.25, 1.0, UniformHalf(2.0))
-    assert padding_length(pu, 1e-6) == pytest.approx(2.0 * 4)
+    s = np.linspace(1e-4, 0.5 - 1e-4, 100001)
+    best = np.min(np.log(0.5 / (math.e * s * (0.5 - s)) / 1e-6) / s)
+    prov = simulate_window(p, 100.0, seed=1).provenance
+    assert prov["pad_right"] == 0.0
+    assert best <= prov["pad_left"] <= best * (1.0 + 1e-3)
+    # padding_length gives a unit window's pads, which for exp:1 are any window's
+    assert padding_length(p, 1e-6) == pytest.approx(0.5 * prov["pad_left"], rel=1e-12)
+    assert prov["immigrants_planned"] == p.nu * (100.0 + prov["pad_left"])
+    # each pad meets pad_tol and is the shortest that does
+    for params, T in ((p, 100.0), (ModelParams(1.0, 0.5, 0.0, Lomax(2.0)), 2000.0),
+                      (ModelParams(1.0, 0.25, 0.3, UniformHalf(2.0)), 50.0)):
+        prov = simulate_window(params, T, seed=1).provenance
+        left, right = prov["pad_left"], prov["pad_right"]
+        assert prov["leakage_bound"] == leakage_bound(params, T, left, right) <= 1e-6
+        assert leakage_bound(params, T, 0.99 * left, right) > 1e-6
+        if right > 0.0:
+            assert leakage_bound(params, T, left, 0.99 * right) > 1e-6
     # a tolerance outside (0, 1) is refused, not turned into a negative pad
     # or a math domain error
     for params in (p, ModelParams(1.0, 0.5, 1.0, Lomax(1.5))):
@@ -169,18 +188,99 @@ def test_padding_length_rule():
         simulate_window(p, 100.0, seed=1, pad_tol=2.0)
 
 
+def _matched(base, m=0.5):
+    return build_matched_kernel(MatchSpec(base, m))
+
+
+@pytest.mark.parametrize("name, pads", [
+    ("exp", (2.0, 5.0)), ("uhalf", (4.0, 6.0)), ("slap", (3.0, 6.0)), ("tab", (3.0, 6.0)),
+    ("match_exp", (3.0, 6.0)), ("match_uhalf", (2.0, 3.0)), ("lomax2", (100.0, 500.0)),
+])
+def test_leakage_bound_above_cluster_monte_carlo(kernels, name, pads):
+    # the expected number of window events from clusters rooted beyond a pad
+    # P is nu E sum over members of min((D - P)^+, T), D the signed offset of
+    # a member from its root: estimated from independent clusters
+    kernel = {"match_exp": lambda: _matched(Exponential(1.0)),
+              "match_uhalf": lambda: _matched(UniformHalf(1.0)),
+              "lomax2": lambda: Lomax(2.0)}.get(name, lambda: kernels[name])()
+    p = ModelParams(1.0, 0.5, 0.4, kernel)
+    T, n = 2000.0, 10**6 if name == "lomax2" else 10**5
+    rng = np.random.default_rng(1404)
+    offs, cid = sample_clusters_batch(n, p.m, kernel, rng)
+    signs = np.where(rng.random(n) < (1.0 + p.theta) / 2.0, 1.0, -1.0)
+    d = signs[cid] * offs
+    for pad in pads:
+        lost = np.minimum(np.clip(d - pad, 0.0, None) + np.clip(-d - pad, 0.0, None), T)
+        per = np.bincount(cid, weights=lost, minlength=n)
+        mc = per.mean()
+        bound = leakage_bound(p, T, pad, pad)
+        assert 0.0 < mc <= bound <= 20.0 * mc, (pad, mc, bound)
+    if name == "lomax2":
+        # a 1e7-cluster estimate at theta = 1 put 0.0175 and 0.0026 events
+        # past pads of 100 and 500
+        forward = ModelParams(1.0, 0.5, 1.0, kernel)
+        assert leakage_bound(forward, T, 100.0, 0.0) >= 0.0175
+        assert leakage_bound(forward, T, 500.0, 0.0) >= 0.0026
+
+
+def test_matched_lomax_bound_uses_the_base_tail():
+    # the rho table of a matched Lomax(2) ends at 1e5, yet its summands reach
+    # beyond: one generation-1 member of one summand alone loses
+    # nu m p_1 T P(Y > P + T) events past a pad P, Y ~ rho_h
+    from scipy.integrate import quad
+
+    matched = _matched(Lomax(2.0))
+    p, T = ModelParams(1.0, 0.5, 0.0, matched), 2000.0
+    pad = 2.0 * matched.rho_x[-1]
+    tail = quad(lambda x: rho_density(matched.spec, x), pad + T, np.inf)[0]
+    assert tail > 0.0
+    assert leakage_bound(p, T, pad, pad) >= 2.0 * p.nu * p.m * matched.pn[0] * T * tail
+    # the null window of the benchmark's matched Lomax(2) plans at most 4e5 immigrants
+    left, right, _ = simulate._window_pads(p, T, simulate.DEFAULT_PAD_TOL)
+    assert p.nu * (T + left + right) <= 4e5
+
+
+def test_matched_bound_covers_the_drawn_law():
+    # a matched kernel draws p_n-many summands from its rho table, each uniform
+    # within a table cell; near s = 0 that law's generating function lies above
+    # the ideal rho_h's, so the bound must be built from the table
+    matched = _matched(Exponential(1.0))
+    x, mass = matched.rho_x, np.diff(matched._cdf) / matched._cdf[-1]
+    s = np.array([0.05, 0.1, 0.2, 0.3])
+    cell = ((np.sinh(np.outer(s, x[1:])) - np.sinh(np.outer(s, x[:-1])))
+            / np.outer(s, np.diff(x))) @ mass
+    drawn = np.polynomial.polynomial.polyval(cell, np.concatenate([[0.0], matched.pn]))
+    mgf, _ = simulate._mgf(matched)
+    assert np.all(mgf(s) >= drawn)
+
+
+def test_one_sided_far_side_pad_is_zero(kernels):
+    for kernel in (kernels["exp"], kernels["uhalf"], Lomax(2.0)):
+        for theta, near, far in ((1.0, "pad_left", "pad_right"), (-1.0, "pad_right", "pad_left")):
+            prov = simulate_window(ModelParams(1.0, 0.5, theta, kernel), 100.0, seed=2).provenance
+            assert prov[far] == 0.0 and prov[near] > 0.0
+    # an even kernel's clusters reach the window from both sides whatever their sign
+    prov = simulate_window(ModelParams(1.0, 0.5, 1.0, kernels["slap"]), 100.0, seed=2).provenance
+    assert prov["pad_left"] == prov["pad_right"] > 0.0
+
+
 def test_padding_budget_fails_before_drawing():
-    # lomax:0.5 at m = 0.5 pads T = 100 to about 1.2e13 immigrants
-    p = ModelParams(1.0, 0.5, 1.0, Lomax(0.5))
-    planned = p.nu * (100.0 + 2.0 * padding_length(p))
-    assert planned > IMMIGRANT_BUDGET
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
-    with pytest.raises(PaddingBudgetExceeded, match=r"padding .* plans .* immigrants"):
-        simulate_window_batched(p, 100.0, rng)
-    assert rng.bit_generator.state == state
-    with pytest.raises(PaddingBudgetExceeded):
-        simulate_window(p, 100.0, seed=1)
+    # lomax:0.5 at m = 0.5 meets pad_tol at no pad the budget allows; lomax:1.5
+    # at theta = 0 and T = 2000 needs about 5e6 on each side, so the two sides
+    # fit the budget alone but not together
+    for p, T in ((ModelParams(1.0, 0.5, 1.0, Lomax(0.5)), 100.0),
+                 (ModelParams(1.0, 0.5, 0.0, Lomax(1.5)), 2000.0)):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(PaddingBudgetExceeded, match=r"padding .* plans .* immigrants"):
+            simulate_window_batched(p, T, rng)
+        assert rng.bit_generator.state == state
+        with pytest.raises(PaddingBudgetExceeded):
+            simulate_window(p, T, seed=1)
+    # the same Lomax(1.5) window moving forward only pads one side, and fits
+    forward = ModelParams(1.0, 0.5, 1.0, Lomax(1.5))
+    left, right, _ = simulate._window_pads(forward, 2000.0, simulate.DEFAULT_PAD_TOL)
+    assert right == 0.0 < left <= IMMIGRANT_BUDGET - 2000.0
 
 
 def test_batched_engine_matches_law():
@@ -261,6 +361,16 @@ def test_event_series_validation():
     for end in (np.nan, np.inf):
         with pytest.raises(NonFiniteTime):
             EventSeries(np.array([0.1, 0.5]), end)
+
+
+def test_event_series_is_a_value():
+    p = ModelParams(1.0, 0.5, 1.0, Exponential(1.0))
+    a, b = simulate_window(p, 50.0, seed=4), simulate_window(p, 50.0, seed=4)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    # the provenance is left out: the same times and end are the same window
+    assert a == EventSeries(np.array(a.times), 50.0, {"kind": "other"})
+    assert a != replace(a, window_end=60.0)
+    assert a != simulate_window(p, 50.0, seed=5)
 
 
 def test_event_series_times_are_read_only():
