@@ -1,22 +1,22 @@
 """Command-line surface: run configuration, dispatch, and report emission.
 
 Each command's options are declared once, in ``COMMANDS`` (type or choices,
-default); the flags derive from it, and every config, from argv or from JSON
-(``--config run.json``), passes one normalization step: a missing option takes
-its flag's default; an unknown key or a wrongly typed value is a config error.
-A run then checks ranges and cross-field rules (collecting all violations),
-executes one command, and writes a manifest beside the outputs (config echo
-listing every option's value, seed, version, wall time; for ``simulate`` also
-the window's pads, planned immigrants and leakage bound) so reruns reproduce
-the artifacts bit-identically.
+default, range rules), with the inputs the command requires; the flags derive
+from it, and every config, from argv or from JSON (``--config run.json``),
+passes one normalization step: a missing option takes its flag's default; an
+unknown key or a wrongly typed value is a config error.  A run then checks the
+declarations (collecting all violations), executes one command, and writes a
+manifest beside the outputs (config echo listing every option's value, seed,
+version, wall time; for ``simulate`` also the window's pads, planned
+immigrants and leakage bound) so reruns reproduce the artifacts bit-identically.
 
 Exit codes: 0 success, 1 numerical-validation failure (mc suites), 2
 configuration error, including an unreadable or malformed config file, a
-kernel the command does not support, a model whose padded window would
-plan more immigrants than the simulator's budget, a ``contrast scan``
-support radius H beyond the half-width of the model's lag grid, and a
-``contrast run`` window that would form more neighbor pairs than the
-statistic's budget.
+kernel the command does not support, a grid of more cells than the grid
+budget, a model whose padded window would plan more immigrants than the
+simulator's budget, a ``contrast scan`` support radius H beyond the
+half-width of the model's lag grid, and a ``contrast run`` window that would
+form more neighbor pairs than the statistic's budget.
 
 The angular-frequency convention everywhere is e^{-i omega t} for forward
 transforms (so transform(0) = 1 for probability densities).
@@ -39,7 +39,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import NonMonotoneKernel
 from .contrasts import PairBudgetExceeded
-from .cumulant3 import SupportExceedsGrid
+from .cumulant3 import GRID_BUDGET, SupportExceedsGrid
 from .kernels import InvalidKernel, Kernel, kernel_from_spec
 from .montecarlo import SUITES
 from .simulate import DEFAULT_PAD_TOL, ModelParams, PaddingBudgetExceeded
@@ -49,45 +49,73 @@ __all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main"]
 
 class Opt(NamedTuple):
     """One option.  kind: float, int, str, bool, list (of numbers) or a tuple of
-    choices; default None means no value unless given; ``action`` is positional."""
+    choices; default None means no value unless given; ``action`` is positional.
+    rules: (test, text) pairs; a given value's violation is the text (formatted
+    with it) of the first it fails.  label: its prefix, if not the command's."""
 
     kind: object
     default: object = None
     help: str | None = None
+    rules: tuple = ()
+    label: str | None = None
 
 
-GLOBAL_OPTIONS = {"seed": Opt(int, 0), "out_dir": Opt(str, "."),
-                  "format": Opt(("csv", "json"), "csv")}
-_MODEL = {"nu": Opt(float, 1.0), "m": Opt(float), "kernel": Opt(str, help=(
-    "kernel spec, e.g. exp:1, lomax:1.5, uhalf:2, slap:1, match:exp:1:0.5, tab:path.csv"))}
-_OMEGA_MAX = {"omega_max": Opt(float, 20.0)}
-COMMANDS = {   # command -> (help, options)
+def _most(n: int):   # the rule of an n whose grid fills at most the budget
+    return (lambda v: v <= n), f"must be <= {n}, within the grid budget of {GRID_BUDGET} cells"
+
+
+_POSITIVE = ((lambda v: v > 0, "must be positive, got {}"),)
+_AT_LEAST_2 = (lambda v: v >= 2, "must be >= 2")
+_SIDE = math.isqrt(GRID_BUDGET)   # the widest n-by-n grid within the budget
+GLOBAL_OPTIONS = {"seed": Opt(int, 0, rules=((lambda v: v >= 0, "must be >= 0, got {}"),)),
+                  "out_dir": Opt(str, "."), "format": Opt(("csv", "json"), "csv", (
+                      "format of the spectrum and bispectrum grids; other commands ignore "
+                      "it (simulate writes CSV, invert CSV and JSON, the rest JSON)"))}
+_P = "params."   # the model's options are labelled as its parameters
+_MODEL = {"nu": Opt(float, 1.0, rules=_POSITIVE, label=_P),
+          "m": Opt(float, rules=((lambda v: 0 < v < 1, "branching ratio must lie strictly "
+                                  "in (0, 1), got {}"),), label=_P),
+          "kernel": Opt(str, help="kernel spec, e.g. exp:1, lomax:1.5, uhalf:2, slap:1, "
+                        "match:exp:1:0.5, tab:path.csv", label=_P)}
+_NEEDS_MODEL = ("m", "kernel")   # a model is given whole or not at all
+_OMEGA_MAX = {"omega_max": Opt(float, 20.0, rules=_POSITIVE)}
+COMMANDS = {   # command -> (help, options, required inputs, per action if a dict)
     "simulate": ("simulate the sign-biased process on [0, T]", {
-        **_MODEL, "theta": Opt(float, 0.0), "T": Opt(float),
-        "pad_tol": Opt(float, DEFAULT_PAD_TOL, (
+        **_MODEL, "theta": Opt(float, 0.0, rules=((
+            lambda v: -1 <= v <= 1, "must lie in [-1, 1], got {}"),), label=_P),
+        "T": Opt(float, rules=_POSITIVE), "pad_tol": Opt(float, DEFAULT_PAD_TOL, (
             "bound on the expected number of window events lost to clusters rooted "
-            "outside the padded window, hence on the chance of losing any; in (0, 1)"))}),
+            "outside the padded window, hence on the chance of losing any; in (0, 1)"),
+            ((lambda v: 0 < v < 1, "must lie in (0, 1)"),))}, (*_NEEDS_MODEL, "T")),
     "spectrum": ("Bartlett spectrum on a frequency grid", {
-        **_MODEL, **_OMEGA_MAX, "n": Opt(int, 256)}),
+        **_MODEL, **_OMEGA_MAX, "n": Opt(int, 256, rules=(_AT_LEAST_2, _most(GRID_BUDGET)))},
+        _NEEDS_MODEL),
     "bispectrum": ("third-order transform on an n-by-n grid", {
-        **_MODEL, **_OMEGA_MAX, "n": Opt(int, 64), "form": Opt(("R", "Q"), "R"),
-        "factorial": Opt(bool, False,
-                         "emit the factorial transform instead of the complete one")}),
+        **_MODEL, **_OMEGA_MAX, "n": Opt(int, 64, rules=(_AT_LEAST_2, _most(_SIDE))),
+        "form": Opt(("R", "Q"), "R"), "factorial": Opt(
+            bool, False, "emit the factorial transform instead of the complete one")},
+        _NEEDS_MODEL),
     "invert": ("invert B_fac to the lag-domain cumulant grid", {
-        **_MODEL, "half_width": Opt(float), "n": Opt(int, 512)}),
+        **_MODEL, "half_width": Opt(float, rules=_POSITIVE), "n": Opt(int, 512, rules=((
+            lambda v: v >= 64 and not v & (v - 1), "must be a power of two >= 64, got {}"),
+            _most(_SIDE)))}, _NEEDS_MODEL),
     "match": ("build the reversible spectral match", {
         "action": Opt(("build",), "build"), **_MODEL,
-        "out": Opt(str, help="output JSON path for the matched kernel")}),
-    "contrast": ("odd orientation contrasts", {
-        "action": Opt(("run", "scan")), **_MODEL,
+        "out": Opt(str, help="output JSON path for the matched kernel")}, (*_NEEDS_MODEL, "out")),
+    "contrast": ("odd orientation contrasts", {"action": Opt(("run", "scan")), **_MODEL,
         "events": Opt(str, help="event CSV (contrast run)"),
-        "g": Opt(("bump", "quadrant"), "bump"), "H": Opt(float, 4.0), "T": Opt(float),
-        "reps": Opt(int, 200),
-        "theta": Opt(list, (-1.0, 0.0, 1.0), "comma-separated theta values (contrast scan)")}),
+        "g": Opt(("bump", "quadrant"), "bump"), "H": Opt(float, 4.0, rules=_POSITIVE),
+        "T": Opt(float, rules=((lambda v: v > 0, "window end must be positive, got {}"),)),
+        "reps": Opt(int, 200, rules=((lambda v: v >= 2, "need at least two replicates"),)),
+        "theta": Opt(list, (-1.0, 0.0, 1.0), "comma-separated theta values (contrast scan)", (
+            (lambda v: len(v) >= 3, "need at least three values"),
+            (lambda v: len(set(v)) >= 2, "need at least two distinct values"),
+            (lambda v: all(abs(t) <= 1 for t in v), "values must lie in [-1, 1]")))},
+        {"run": ("events",), "scan": (*_NEEDS_MODEL, "T")}),
     "mc-validate": ("Monte-Carlo oracle suites", {
-        "suite": Opt(SUITES), "level": Opt(("quick", "full"), "quick"), **_MODEL}),
+        "suite": Opt(SUITES), "level": Opt(("quick", "full"), "quick"), **_MODEL}, ()),
     "asym-check": ("small-frequency diagonal limit check", {
-        **_MODEL, "tmin": Opt(float, 1e-4)}),
+        **_MODEL, "tmin": Opt(float, 1e-4, rules=_POSITIVE)}, _NEEDS_MODEL),
 }
 _TOP = {"command": Opt(tuple(COMMANDS)), **GLOBAL_OPTIONS, "options": Opt(dict, {})}
 
@@ -183,79 +211,31 @@ def _normalize(doc) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
-    """Range and cross-field checks of a normalized config; builds its kernel."""
-    bad = []
-    if cfg.seed < 0:
-        bad.append(f"seed: must be >= 0, got {cfg.seed}")
-    opt, cmd = cfg.options, cfg.command
+    """Check a normalized config against the declarations; builds its kernel.
 
-    def need_model():
-        m, spec = opt["m"], opt["kernel"]
-        if m is None:
-            bad.append("params.m: required")
-        elif not 0.0 < m < 1.0:
-            bad.append(f"params.m: branching ratio must lie strictly in (0, 1), got {m}")
-        if not opt["nu"] > 0:
-            bad.append(f"params.nu: must be positive, got {opt['nu']}")
-        if spec is None:
-            bad.append("params.kernel: required")
-            return
+    A required input left out, or a given value that fails a rule of its
+    option, is a violation.  The one rule that relates options: m and kernel
+    form the model, so either one needs the other.
+    """
+    _, decl, needs = COMMANDS[cfg.command]
+    opt, bad = cfg.options, []
+    needs = needs[opt["action"]] if isinstance(needs, dict) else needs
+    if opt["m"] is not None or opt["kernel"] is not None:
+        needs += _NEEDS_MODEL
+    for options, values, where in ((GLOBAL_OPTIONS, vars(cfg), ""),
+                                   (decl, opt, f"{cfg.command}.")):
+        for name, o in options.items():
+            label, value = (o.label or where) + name, values[name]
+            if value is None:
+                bad += [f"{label}: required"] if name in needs else []
+            else:
+                bad += [f"{label}: {text.format(value)}" for test, text in o.rules
+                        if not test(value)][:1]
+    if opt["kernel"] is not None:
         try:
-            cfg.kernel = kernel_from_spec(spec)
+            cfg.kernel = kernel_from_spec(opt["kernel"])
         except (InvalidKernel, OSError) as exc:   # OSError: kernel file unreadable
             bad.append(f"params.kernel: {exc}")
-
-    def positive(name):
-        if opt[name] is None or not opt[name] > 0:
-            bad.append(f"{cmd}.{name}: must be positive, got {opt[name]}")
-
-    if cmd == "simulate":
-        need_model()
-        if not -1.0 <= opt["theta"] <= 1.0:
-            bad.append(f"params.theta: must lie in [-1, 1], got {opt['theta']}")
-        positive("T")
-        if not 0 < opt["pad_tol"] < 1:
-            bad.append("simulate.pad_tol: must lie in (0, 1)")
-    elif cmd in ("spectrum", "bispectrum"):
-        need_model()
-        positive("omega_max")
-        if not opt["n"] >= 2:
-            bad.append(f"{cmd}.n: must be >= 2")
-    elif cmd == "invert":
-        need_model()
-        n = opt["n"]
-        if n < 64 or n & (n - 1):
-            bad.append(f"invert.n: must be a power of two >= 64, got {n}")
-        if opt["half_width"] is not None:
-            positive("half_width")
-    elif cmd == "match":
-        need_model()
-        if opt["out"] is None:
-            bad.append("match.out: output path required")
-    elif cmd == "contrast":
-        positive("H")
-        if opt["action"] == "run":
-            if opt["events"] is None:
-                bad.append("contrast.events: input CSV required")
-            if opt["T"] is not None and not opt["T"] > 0:
-                bad.append(f"contrast.T: window end must be positive, got {opt['T']}")
-        elif opt["action"] == "scan":
-            need_model()
-            if len(opt["theta"]) < 3:
-                bad.append("contrast.theta: need at least three values")
-            elif len(set(opt["theta"])) < 2:
-                bad.append("contrast.theta: need at least two distinct values")
-            elif any(abs(t) > 1 for t in opt["theta"]):
-                bad.append("contrast.theta: values must lie in [-1, 1]")
-            if not opt["reps"] >= 2:
-                bad.append("contrast.reps: need at least two replicates")
-            positive("T")
-    elif cmd == "mc-validate":
-        if opt["m"] is not None or opt["kernel"] is not None:  # a model override needs both
-            need_model()
-    elif cmd == "asym-check":
-        need_model()
-        positive("tmin")
     if bad:
         raise ConfigError(bad)
 
@@ -297,7 +277,7 @@ def _parse_argv(argv) -> RunConfig:
                     "nulls, and orientation contrasts "
                     "(Fourier convention e^{-i omega t}).")
     sub = parser.add_subparsers(dest="command")
-    for command, (help_text, options) in COMMANDS.items():
+    for command, (help_text, options, _) in COMMANDS.items():
         p = sub.add_parser(command, parents=[common], help=help_text,
                            argument_default=argparse.SUPPRESS)
         for name, opt in options.items():

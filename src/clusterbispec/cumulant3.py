@@ -28,6 +28,7 @@ __all__ = [
     "AliasWarning",
     "HOutOfRange",
     "SupportExceedsGrid",
+    "GridBudgetExceeded",
     "TransformNotIntegrable",
     "MuFreqResult",
     "default_half_width",
@@ -40,6 +41,10 @@ __all__ = [
 
 HALF_WIDTH_TOL = 1e-6  # kernel survival at a third of the default lag half-width
 ALIAS_FRAC = 0.01      # boundary-band share of |c3| mass above which AliasWarning fires
+# most cells one frequency grid may hold (a lag lattice, a CLI spectrum or bispectrum):
+# the bispectrum command peaks at about 240 B a cell (tracemalloc, n = 256, JSON out;
+# invert and mu_g_freq 160 B), so 2^22 cells, n = 2048 a side, take about 1 GB
+GRID_BUDGET = 2**22
 
 
 class AliasWarning(UserWarning):
@@ -52,6 +57,10 @@ class HOutOfRange(ValueError):
 
 class SupportExceedsGrid(ValueError):
     """Test-function support does not fit inside the lag grid."""
+
+
+class GridBudgetExceeded(ValueError):
+    """The lattice would hold more cells than GRID_BUDGET."""
 
 
 class TransformNotIntegrable(UserWarning):
@@ -115,7 +124,8 @@ def invert_bispectrum(params: ModelParams, half_width=None, n=512) -> CumulantGr
     periodicity), after which the inverse FFT is real to rounding.  The
     discarded imaginary residue is recorded, and an AliasWarning fires when
     the outermost 5% boundary band holds more than ALIAS_FRAC of the
-    total absolute mass.
+    total absolute mass.  An n^2 above GRID_BUDGET raises
+    :class:`GridBudgetExceeded` before any frequency is sampled.
     """
     lam_w = default_half_width(params) if half_width is None else float(half_width)
     if not (lam_w > 0 and math.isfinite(lam_w)):
@@ -123,6 +133,9 @@ def invert_bispectrum(params: ModelParams, half_width=None, n=512) -> CumulantGr
     n = int(n)
     if n & (n - 1) or n < 64:
         raise ValueError(f"n must be a power of two >= 64, got {n}")
+    if n * n > GRID_BUDGET:
+        raise GridBudgetExceeded(f"n = {n} needs {n * n} cells, above the grid budget "
+                                 f"of {GRID_BUDGET}")
     dtau = 2.0 * lam_w / n
     dw = math.pi / lam_w
     k = np.arange(-n // 2, n // 2)
@@ -198,13 +211,17 @@ def mu_g_freq(params: ModelParams, f, omega_max=40.0, n_omega=1600) -> MuFreqRes
     H_g is obtained on the lattice by an FFT of g (g real and jointly odd
     makes ghat = i H_g with H_g real), and the integral is a lattice sum
     truncated at ``omega_max``.  The reported bound combines the outer-ring
-    contribution with the global envelope on |Im B|.
+    contribution with the global envelope on |Im B|.  An n_omega^2 above
+    GRID_BUDGET raises :class:`GridBudgetExceeded` before any sampling.
     """
     if not (omega_max > 0 and math.isfinite(omega_max)):
         raise ValueError(f"omega_max must be positive and finite, got {omega_max}")
     n_omega = int(n_omega)
     if n_omega < 2 or n_omega & 1:
         raise ValueError(f"n_omega must be an even integer >= 2, got {n_omega}")
+    if n_omega * n_omega > GRID_BUDGET:
+        raise GridBudgetExceeded(f"n_omega = {n_omega} needs {n_omega**2} cells, "
+                                 f"above the grid budget of {GRID_BUDGET}")
     dw = 2.0 * omega_max / n_omega
     A = math.pi / dw                       # conjugate lag half-width
     delta = 2.0 * A / n_omega              # lag spacing; pi / omega_max

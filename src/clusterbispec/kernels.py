@@ -437,24 +437,15 @@ def load_tabulated_csv(path: str) -> TabulatedSymmetric:
 
     x must be strictly increasing, uniformly spaced, and start at 0.
     """
-    xs, ds = [], []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if lineno == 1 and line.lower().replace(" ", "") == "x,density":
-                continue
-            try:
-                sx, sd = line.split(",")
-                xs.append(float(sx))
-                ds.append(float(sd))
-            except ValueError as exc:
-                raise InvalidKernel(f"{path}:{lineno}: cannot parse {line!r}") from exc
-    x = np.asarray(xs)
+    from .simulate import ParseError, read_columns
+
+    try:
+        x, ds = read_columns(path, ["x", "density"])
+    except ParseError as exc:
+        raise InvalidKernel(str(exc)) from exc
     if len(x) < 2 or np.any(np.diff(x) <= 0):
         raise InvalidKernel(f"{path}: x column must be strictly increasing")
     dx = x[1] - x[0]
     if abs(x[0]) > 1e-9 * dx or np.max(np.abs(np.diff(x) - dx)) > 1e-9 * dx:
         raise InvalidKernel(f"{path}: grid must be uniform and start at 0")
-    return TabulatedSymmetric(np.asarray(ds), float(dx))
+    return TabulatedSymmetric(ds, float(dx))

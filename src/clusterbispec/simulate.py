@@ -46,6 +46,7 @@ __all__ = [
     "replicate_windows",
     "ingest_events",
     "write_events",
+    "read_columns",
     "write_columns",
 ]
 
@@ -475,19 +476,7 @@ def ingest_events(path) -> EventSeries:
     the maximum time (``dataclasses.replace`` sets another end); an empty
     file yields an empty series with window_end 0 and a warning.
     """
-    values = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            token = line.strip()
-            if not token:
-                continue
-            if lineno == 1 and token.lower() == "t":
-                continue
-            try:
-                values.append(float(token))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: cannot parse {token!r}") from exc
-    times = np.asarray(values, dtype=float)
+    (times,) = read_columns(path, ["t"])
     if np.any(~np.isfinite(times)):
         bad = int(np.flatnonzero(~np.isfinite(times))[0])
         raise NonFiniteTime(f"{path}: non-finite timestamp at entry {bad + 1}")
@@ -501,6 +490,27 @@ def ingest_events(path) -> EventSeries:
 def write_events(series: EventSeries, path) -> None:
     """Write a series in the ingestion format (header 't', one time per line)."""
     write_columns(path, ["t"], series.times)
+
+
+def read_columns(path, header) -> np.ndarray:
+    """Read a CSV as write_columns writes it: one float array per header name.
+
+    Blank lines are skipped and the header is optional (line 1, any case); a row
+    that is not len(header) floats raises :class:`ParseError` naming path:line."""
+    rows = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or (lineno == 1 and line.lower().replace(" ", "") == ",".join(header)):
+                continue
+            try:
+                cells = line.split(",")
+                if len(cells) != len(header):
+                    raise ValueError(f"{len(cells)} fields")
+                rows.append([float(c) for c in cells])
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: cannot parse {line!r}") from exc
+    return np.array(rows, dtype=float).reshape(-1, len(header)).T.copy()
 
 
 def write_columns(path, header, *columns) -> None:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from clusterbispec.cli import COMMANDS, ConfigError, RunConfig, main, parse_config
+from clusterbispec.cli import COMMANDS, GLOBAL_OPTIONS, ConfigError, RunConfig, main, parse_config
 
 
 def run_cli(tmp_path, *args):
@@ -103,6 +103,103 @@ def test_json_config_takes_the_flag_defaults(case):
     # every option is filled in, so the manifest's echo lists each value used
     assert set(from_json.options) == set(COMMANDS[command][1])
     assert (from_json.seed, from_json.out_dir, from_json.format) == (0, ".", "csv")
+
+
+# values just inside and just outside each declared rule, by (command, option) or by
+# option for every command that declares it; the "seed" rule is a global option's
+JUST_INSIDE = {
+    "seed": 0, "nu": 5e-324, "m": (5e-324, 1.0 - 2**-53), ("simulate", "theta"): (-1.0, 1.0),
+    "T": 5e-324, "pad_tol": (5e-324, 1.0 - 2**-53), "omega_max": 5e-324, "half_width": 5e-324,
+    "H": 5e-324, "tmin": 5e-324, "reps": 2, ("spectrum", "n"): (2, 2**22),
+    ("bispectrum", "n"): (2, 2048), ("invert", "n"): (64, 2048),
+    ("contrast", "theta"): ([-1.0, 1.0, 1.0], [1.0, -1.0, 0.0, 0.5]),
+}
+JUST_OUTSIDE = {
+    "seed": -1, "nu": (0.0, -5e-324), "m": (0.0, 1.0),
+    ("simulate", "theta"): (-1.0 - 2**-52, 1.0 + 2**-52),
+    "T": (0.0, -5e-324), "pad_tol": (0.0, 1.0), "omega_max": 0.0, "half_width": 0.0,
+    "H": 0.0, "tmin": 0.0, "reps": 1, ("spectrum", "n"): (1, 2**22 + 1),
+    ("bispectrum", "n"): (1, 2049), ("invert", "n"): (32, 96, 4096),
+    ("contrast", "theta"): ([0.0, 1.0], [0.5, 0.5, 0.5], [-1.0, 0.0, 1.0 + 2**-52]),
+}
+
+
+def _declared(command):
+    """(label, key, inside values, outside values) of each option with a rule;
+    a global option's key starts with "@"."""
+    options = {**{f"@{k}": o for k, o in GLOBAL_OPTIONS.items()}, **COMMANDS[command][1]}
+    for key, opt in options.items():
+        if opt.rules:
+            name = key.lstrip("@")
+            label = ("" if key[0] == "@" else opt.label or f"{command}.") + name
+            inside, outside = (table.get((command, name), table.get(name))
+                               for table in (JUST_INSIDE, JUST_OUTSIDE))
+            yield label, key, *(v if isinstance(v, tuple) else (v,) for v in (inside, outside))
+
+
+@pytest.mark.parametrize("case", REQUIRED_ONLY)
+def test_each_declared_rule_refuses_just_outside_it(case):
+    # a rule declared in COMMANDS without a row in the tables above fails here
+    command = REQUIRED_ONLY[case][0][0]
+    options = {**MODEL, **REQUIRED_ONLY[case][1]}      # m needs the kernel in every command
+    base = {"command": command, "options": options}
+    parse_config(json_doc=json.dumps(base))             # every default is accepted
+    for label, key, inside, outside in _declared(command):
+        assert None not in inside + outside, f"{label} has no boundary values"
+
+        def doc(value):
+            if key[0] == "@":
+                return json.dumps({**base, key[1:]: value})
+            return json.dumps({**base, "options": {**options, key: value}})
+
+        for value in inside:
+            parse_config(json_doc=doc(value))
+        for value in outside:
+            with pytest.raises(ConfigError) as err:
+                parse_config(json_doc=doc(value))
+            (violation,) = err.value.violations
+            assert violation.startswith(f"{label}: ") and not violation.endswith(": required")
+
+
+def test_violations_of_each_kind_are_all_reported():
+    with pytest.raises(ConfigError) as err:
+        parse_config(["contrast", "scan", "--m", "0.5", "--kernel", "weibull:1", "--reps", "1"])
+    bad = err.value.violations
+    assert len(bad) == 3
+    assert "contrast.reps: need at least two replicates" in bad       # a declared range
+    assert "contrast.T: required" in bad                              # a required input
+    assert any(v.startswith("params.kernel: unknown kernel spec") for v in bad)
+
+
+@pytest.mark.parametrize("argv, label", [
+    (["bispectrum", "--n", "1000000"], "bispectrum.n"),
+    (["invert", "--n", "4194304"], "invert.n"),
+    (["spectrum", "--n", "10000000000"], "spectrum.n"),
+])
+def test_grids_beyond_the_budget_are_refused_before_any_work(argv, label):
+    with pytest.raises(ConfigError) as err:
+        parse_config([*argv, "--m", "0.5", "--kernel", "exp:1"])
+    assert err.value.violations == [
+        f"{label}: must be <= {2**22 if argv[0] == 'spectrum' else 2048}, "
+        "within the grid budget of 4194304 cells"]
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["contrast", "run", "--events", "events.csv", "--m", "0.5"], "params.kernel"),
+    (["contrast", "run", "--events", "events.csv", "--kernel", "exp:1"], "params.m"),
+    (["mc-validate", "--suite", "moments", "--kernel", "exp:1"], "params.m"),
+])
+def test_a_model_is_given_whole_or_not_at_all(argv, missing):
+    with pytest.raises(ConfigError) as err:
+        parse_config(argv)
+    assert err.value.violations == [f"{missing}: required"]
+
+
+def test_format_help_says_where_it_applies(capsys):
+    with pytest.raises(SystemExit):
+        parse_config(["--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "format of the spectrum and bispectrum grids" in text
 
 
 def test_global_flags_before_or_after_subcommand(tmp_path):

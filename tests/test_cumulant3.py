@@ -8,6 +8,7 @@ import pytest
 from clusterbispec.contrasts import antisymmetrize, sign_contrast_function, smooth_quadrant_bump
 from clusterbispec.cumulant3 import (
     AliasWarning,
+    GridBudgetExceeded,
     HOutOfRange,
     SupportExceedsGrid,
     contrast_mass_DH,
@@ -292,3 +293,19 @@ def test_cumulant_grid_csv_dump(tmp_path):
     tau1, tau2, c3, c3o = (float(v) for v in lines[1].split(","))
     assert tau1 == tau2 == -20.0
     assert c3 == grid.values[0, 0] and c3o == odd.values[0, 0]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: invert_bispectrum(EXP_PARAMS, half_width=40.0, n=128),
+    lambda: mu_g_freq(EXP_PARAMS, smooth_quadrant_bump(4.0), omega_max=20.0, n_omega=128),
+])
+def test_lattice_beyond_the_grid_budget_fails_before_sampling(call, monkeypatch):
+    import clusterbispec.cumulant3 as cumulant3
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a frequency was sampled")
+
+    monkeypatch.setattr(cumulant3, "GRID_BUDGET", 128 * 128 - 1)
+    monkeypatch.setattr(cumulant3, "b_factorial", no_sampling)
+    with pytest.raises(GridBudgetExceeded, match="above the grid budget of 16383"):
+        call()

@@ -418,6 +418,9 @@ def test_tabulated_csv_io(tmp_path):
     bad.write_text("x,density\n0.0,oops\n")
     with pytest.raises(InvalidKernel, match="bad.csv:2"):
         load_tabulated_csv(bad)
+    bad.write_text("x,density\n0.0,1.0\n0.5,0.5,0.1\n")    # a row of three fields
+    with pytest.raises(InvalidKernel, match="bad.csv:3: cannot parse"):
+        load_tabulated_csv(bad)
 
     nonuniform = tmp_path / "nonuniform.csv"
     nonuniform.write_text("x,density\n0.0,1.0\n0.5,0.5\n2.0,0.1\n")

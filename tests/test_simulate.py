@@ -20,10 +20,12 @@ from clusterbispec.simulate import (
     ingest_events,
     leakage_bound,
     padding_length,
+    read_columns,
     replicate_windows,
     sample_clusters_batch,
     simulate_window,
     simulate_window_batched,
+    write_columns,
     write_events,
 )
 
@@ -340,6 +342,22 @@ def test_ingest_errors(tmp_path):
     path.write_text("1.0\nnan\n")
     with pytest.raises(NonFiniteTime):
         ingest_events(path)
+
+
+def test_read_columns_reads_what_write_columns_writes(tmp_path):
+    path = tmp_path / "cols.csv"
+    a, b = np.array([0.1, 1e-300, -2.5]), np.array([1.0 / 3.0, 7.0, np.pi])
+    write_columns(path, ["a", "b"], a, b)
+    back = read_columns(path, ["a", "b"])
+    assert back.shape == (2, 3) and np.array_equal(back, [a, b])
+    path.write_text("\n0.5, 1\n\n2,3\n")          # no header, blank lines skipped
+    assert read_columns(path, ["a", "b"]).tolist() == [[0.5, 2.0], [1.0, 3.0]]
+    path.write_text("A, B\n1,2\n3\n")
+    with pytest.raises(ParseError, match="cols.csv:3: cannot parse '3'"):
+        read_columns(path, ["a", "b"])
+    path.write_text("a,b\n1,2\na,b\n")               # a header only on line 1
+    with pytest.raises(ParseError, match="cols.csv:3"):
+        read_columns(path, ["a", "b"])
 
 
 def test_write_then_ingest_round_trip(tmp_path):
