@@ -7,16 +7,17 @@ passes one normalization step: a missing option takes its flag's default; an
 unknown key or a wrongly typed value is a config error.  A run then checks the
 declarations (collecting all violations), executes one command, and writes a
 manifest beside the outputs (config echo listing every option's value, seed,
-version, wall time; for ``simulate`` also the window's pads, planned
-immigrants and leakage bound) so reruns reproduce the artifacts bit-identically.
+version, wall time; for ``simulate`` also the window's near immigrants, far
+proposals and far clusters kept) so reruns reproduce the artifacts
+bit-identically.
 
 Exit codes: 0 success, 1 numerical-validation failure (mc suites), 2
 configuration error, including an unreadable or malformed config file, a
 kernel the command does not support, a grid of more cells than the grid
-budget, a model whose padded window would plan more immigrants than the
-simulator's budget, a ``contrast scan`` support radius H beyond the
-half-width of the model's lag grid, and a ``contrast run`` window that would
-form more neighbor pairs than the statistic's budget.
+budget, a window that would plan more immigrants than the simulator's
+budget, a ``contrast scan`` support radius H beyond the half-width of the
+model's lag grid, and a ``contrast run`` window that would form more
+neighbor pairs than the statistic's budget.
 
 The angular-frequency convention everywhere is e^{-i omega t} for forward
 transforms (so transform(0) = 1 for probability densities).
@@ -42,7 +43,7 @@ from .contrasts import PairBudgetExceeded
 from .cumulant3 import GRID_BUDGET, SupportExceedsGrid
 from .kernels import InvalidKernel, Kernel, kernel_from_spec
 from .montecarlo import SUITES
-from .simulate import DEFAULT_PAD_TOL, ModelParams, PaddingBudgetExceeded
+from .simulate import ImmigrantBudgetExceeded, ModelParams
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main"]
 
@@ -83,10 +84,7 @@ COMMANDS = {   # command -> (help, options, required inputs, per action if a dic
     "simulate": ("simulate the sign-biased process on [0, T]", {
         **_MODEL, "theta": Opt(float, 0.0, rules=((
             lambda v: -1 <= v <= 1, "must lie in [-1, 1], got {}"),), label=_P),
-        "T": Opt(float, rules=_POSITIVE), "pad_tol": Opt(float, DEFAULT_PAD_TOL, (
-            "bound on the expected number of window events lost to clusters rooted "
-            "outside the padded window, hence on the chance of losing any; in (0, 1)"),
-            ((lambda v: 0 < v < 1, "must lie in (0, 1)"),))}, (*_NEEDS_MODEL, "T")),
+        "T": Opt(float, rules=_POSITIVE)}, (*_NEEDS_MODEL, "T")),
     "spectrum": ("Bartlett spectrum on a frequency grid", {
         **_MODEL, **_OMEGA_MAX, "n": Opt(int, 256, rules=(_AT_LEAST_2, _most(GRID_BUDGET)))},
         _NEEDS_MODEL),
@@ -104,7 +102,9 @@ COMMANDS = {   # command -> (help, options, required inputs, per action if a dic
         "out": Opt(str, help="output JSON path for the matched kernel")}, (*_NEEDS_MODEL, "out")),
     "contrast": ("odd orientation contrasts", {"action": Opt(("run", "scan")), **_MODEL,
         "events": Opt(str, help="event CSV (contrast run)"),
-        "g": Opt(("bump", "quadrant"), "bump"), "H": Opt(float, 4.0, rules=_POSITIVE),
+        "g": Opt(("bump",), "bump", "odd test function (the quadrant indicator's statistic "
+                 "is exactly 0 on a window without ties, so it is not offered)"),
+        "H": Opt(float, 4.0, rules=_POSITIVE),
         "T": Opt(float, rules=((lambda v: v > 0, "window end must be positive, got {}"),)),
         "reps": Opt(int, 200, rules=((lambda v: v >= 2, "need at least two replicates"),)),
         "theta": Opt(list, (-1.0, 0.0, 1.0), "comma-separated theta values (contrast scan)", (
@@ -192,7 +192,7 @@ def _fill(decl: dict, given: dict, where: str):
         try:
             values[name] = _checked(opt, given.get(name, opt.default))
         except (ValueError, OverflowError) as exc:
-            bad.append(f"{where}{name}: {exc}")
+            bad.append(f"{opt.label or where}{name}: {exc}")
     return values, bad
 
 
@@ -335,13 +335,12 @@ def run(cfg: RunConfig) -> int:
     if cfg.command == "simulate":
         from .simulate import simulate_window, write_events
 
-        series = simulate_window(_model(cfg, opt["theta"]), opt["T"], cfg.seed,
-                                 pad_tol=opt["pad_tol"])
+        series = simulate_window(_model(cfg, opt["theta"]), opt["T"], cfg.seed)
         path = out_dir / "events.csv"
         write_events(series, path)
         outputs.append(str(path))
         record["window"] = {key: series.provenance[key] for key in (
-            "pad_left", "pad_right", "immigrants_planned", "leakage_bound")}
+            "near_immigrants", "far_proposals", "far_clusters")}
 
     elif cfg.command == "spectrum":
         params = _model(cfg, theta=0.0)
@@ -386,8 +385,7 @@ def run(cfg: RunConfig) -> int:
         outputs.append(str(path))
 
     elif cfg.command == "contrast":
-        g = (contrasts.smooth_quadrant_bump if opt["g"] == "bump"
-             else contrasts.quadrant_indicator)(opt["H"])
+        g = contrasts.smooth_quadrant_bump(opt["H"])
         if opt["action"] == "run":
             from .simulate import ingest_events
 
@@ -457,7 +455,7 @@ def main(argv=None) -> int:
     try:
         return run(cfg)
     except (ConfigError, InvalidKernel, NonMonotoneKernel, PairBudgetExceeded,
-            PaddingBudgetExceeded, SupportExceedsGrid) as exc:  # faults found only while running
+            ImmigrantBudgetExceeded, SupportExceedsGrid) as exc:  # faults found only while running
         for v in getattr(exc, "violations", [exc]):
             print(f"config error: {v}", file=sys.stderr)
         return 2

@@ -195,7 +195,15 @@ def antisymmetrize(u, H, bound=None) -> OddTestFunction:
 
 
 def quadrant_indicator(H) -> OddTestFunction:
-    """+1 on the open (+,+) quadrant of the box, -1 on its reflection."""
+    """+1 on the open (+,+) quadrant of the box, -1 on its reflection.
+
+    On a window without ties its statistic is exactly 0.0, so mu_{T,g} = 0
+    for every stationary process: anchor i with f_i forward and b_i backward
+    lags within H adds 2 (C(f_i, 2) - C(b_i, 2)), and the sums over i of
+    C(f_i, 2) and of C(b_i, 2) both count the triples of span at most H, by
+    their first and by their last event.  Its integer terms make it the test
+    function of the exact-summation checks, not an orientation contrast.
+    """
 
     def u(t1, t2):
         return ((t1 > 0) & (t2 > 0)).astype(float)

@@ -22,7 +22,6 @@ built from its base keeps the exact transform phi_transform.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,9 +161,9 @@ class MatchedKernel(Kernel):
     (phi_transform) and takes its summand tail quantile from the base; a
     kernel reloaded from a file (``spec`` None) transforms by trapezoid sums
     over the table, in bounded frequency blocks, and inverts the table's tail.
-    Density and survival come from a lazily built lattice inversion table; the
-    build step is single-threaded, after which the object is immutable and
-    safe to share.
+    It has no density or survival function (Kernel's raise
+    NotImplementedError); nothing needs them, and the sampler defines the law.
+    The object is immutable and safe to share.
     """
 
     m: float
@@ -200,7 +199,6 @@ class MatchedKernel(Kernel):
         object.__setattr__(self, "_key", array_key(pn, xs, vals))
         object.__setattr__(self, "_pn_cum", np.cumsum(pn))
         object.__setattr__(self, "_cdf", cdf)
-        object.__setattr__(self, "_table", None)
 
     # -- transform ----------------------------------------------------------
     def transform(self, omega):
@@ -226,53 +224,19 @@ class MatchedKernel(Kernel):
         sums = csum[bounds[1:]] - csum[bounds[:-1]]
         return float(sums[0]) if size is None else sums
 
-    # -- density / survival via a lattice inversion table --------------------
-    def _density_table(self):
-        if self._table is None:
-            # table range from the single-big-jump tail estimate
-            # P(|Y| > q) ~ E[K] P(|Y_1| > q); aliasing mass ~ 1e-7
-            mean_k = (2.0 - self.m) / (2.0 * (1.0 - self.m))
-            x_max = self._summand_quantile(1e-7 * (2.0 - self.m) / (2.0 * mean_k))
-            n = 1 << max(16, math.ceil(math.log2(max(2.0 * x_max / 0.01, 2.0))))
-            n = min(n, 1 << 21)
-            dx = 2.0 * x_max / n
-            x = (np.arange(n) - n // 2) * dx
-            rho = np.interp(np.abs(x), self.rho_x, self.rho_vals, right=0.0)
-            rho_hat = np.fft.fft(np.fft.ifftshift(rho)).real * dx
-            dens = np.fft.fftshift(np.fft.ifft(_phi_hat(self.m, rho_hat)).real) / dx
-            dens = np.clip(dens, 0.0, None)
-            half = x >= 0.0
-            xs = x[half]
-            ds = dens[half]
-            seg = 0.5 * (ds[1:] + ds[:-1]) * dx
-            cdf_half = np.concatenate([[0.0], np.cumsum(seg)])
-            object.__setattr__(self, "_table", (xs, ds, cdf_half))
-        return self._table
-
-    def density(self, x):
-        xs, ds, _ = self._density_table()
-        return np.interp(np.abs(np.asarray(x, dtype=float)), xs, ds, right=0.0)
-
-    def survival(self, x):
-        xs, _, cdf_half = self._density_table()
-        x = np.asarray(x, dtype=float)
-        half = np.interp(np.abs(x), xs, cdf_half, right=cdf_half[-1])
-        half = np.minimum(half, 0.5)
-        return np.where(x >= 0, 0.5 - half, 0.5 + half)
-
     # -- tails ---------------------------------------------------------------
-    def _summand_quantile(self, per):
-        """u with P(|rho_h draw| > u) <~ per: the base's quantile, else the table's."""
+    def tail_quantile(self, eps):
+        """Conservative: P(K > K*) <= eps/2 plus a union bound over the K* summands.
+
+        A summand's quantile is its base's, or for a reloaded kernel its table's.
+        """
+        k_star = int(np.searchsorted(self._pn_cum, 1.0 - eps / 2.0) + 1)
+        per = eps * (2.0 - self.m) / (4.0 * k_star)
         if self.spec is not None:
-            return self.spec.base.tail_quantile(per)
+            return k_star * self.spec.base.tail_quantile(per)
         tail = 2.0 * (self._cdf[-1] - self._cdf)
         idx = int(np.searchsorted(-tail, -per))
-        return float(self.rho_x[min(idx, len(self.rho_x) - 1)])
-
-    def tail_quantile(self, eps):
-        """Conservative: P(K > K*) <= eps/2 plus a union bound over the K* summands."""
-        k_star = int(np.searchsorted(self._pn_cum, 1.0 - eps / 2.0) + 1)
-        return k_star * self._summand_quantile(eps * (2.0 - self.m) / (4.0 * k_star))
+        return k_star * float(self.rho_x[min(idx, len(self.rho_x) - 1)])
 
     def spec_string(self):
         return f"match:{self.base_label}:{self.m:g}"

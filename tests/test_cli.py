@@ -109,7 +109,7 @@ def test_json_config_takes_the_flag_defaults(case):
 # option for every command that declares it; the "seed" rule is a global option's
 JUST_INSIDE = {
     "seed": 0, "nu": 5e-324, "m": (5e-324, 1.0 - 2**-53), ("simulate", "theta"): (-1.0, 1.0),
-    "T": 5e-324, "pad_tol": (5e-324, 1.0 - 2**-53), "omega_max": 5e-324, "half_width": 5e-324,
+    "T": 5e-324, "omega_max": 5e-324, "half_width": 5e-324,
     "H": 5e-324, "tmin": 5e-324, "reps": 2, ("spectrum", "n"): (2, 2**22),
     ("bispectrum", "n"): (2, 2048), ("invert", "n"): (64, 2048),
     ("contrast", "theta"): ([-1.0, 1.0, 1.0], [1.0, -1.0, 0.0, 0.5]),
@@ -117,7 +117,7 @@ JUST_INSIDE = {
 JUST_OUTSIDE = {
     "seed": -1, "nu": (0.0, -5e-324), "m": (0.0, 1.0),
     ("simulate", "theta"): (-1.0 - 2**-52, 1.0 + 2**-52),
-    "T": (0.0, -5e-324), "pad_tol": (0.0, 1.0), "omega_max": 0.0, "half_width": 0.0,
+    "T": (0.0, -5e-324), "omega_max": 0.0, "half_width": 0.0,
     "H": 0.0, "tmin": 0.0, "reps": 1, ("spectrum", "n"): (1, 2**22 + 1),
     ("bispectrum", "n"): (1, 2049), ("invert", "n"): (32, 96, 4096),
     ("contrast", "theta"): ([0.0, 1.0], [0.5, 0.5, 0.5], [-1.0, 0.0, 1.0 + 2**-52]),
@@ -159,6 +159,15 @@ def test_each_declared_rule_refuses_just_outside_it(case):
                 parse_config(json_doc=doc(value))
             (violation,) = err.value.violations
             assert violation.startswith(f"{label}: ") and not violation.endswith(": required")
+
+
+def test_a_model_option_is_labelled_alike_for_type_and_range():
+    for m in ("0.5", 1.5):
+        doc = {"command": "spectrum", "options": {"m": m, "kernel": "exp:1"}}
+        with pytest.raises(ConfigError) as err:
+            parse_config(json_doc=json.dumps(doc))
+        (violation,) = err.value.violations
+        assert violation.startswith("params.m: "), violation
 
 
 def test_violations_of_each_kind_are_all_reported():
@@ -243,10 +252,12 @@ def test_cli_exit_code_2_on_unsupported_kernel(argv, tmp_path, capsys):
 
 
 def test_cli_exit_code_2_on_padding_budget(tmp_path, capsys):
-    assert run_cli(tmp_path, "simulate", "--m", "0.5", "--kernel", "lomax:0.5",
-                   "--T", "100") == 2
+    # the window's immigrants, nu T, exceed the simulator's budget of 1e7
+    assert run_cli(tmp_path, "simulate", "--nu", "2", "--m", "0.5", "--kernel", "lomax:0.5",
+                   "--T", "5.1e6") == 2
     err = capsys.readouterr().err
     assert "config error" in err and "immigrants" in err
+    assert not (tmp_path / "events.csv").exists()
 
 
 def test_contrast_scan_support_beyond_grid_fails_before_simulating(tmp_path, capsys, monkeypatch):
@@ -316,20 +327,15 @@ def test_simulate_writes_events_and_manifest(tmp_path):
     assert manifest["seed"] == 3
     assert manifest["config"]["options"]["kernel"] == "exp:1"
     assert str(tmp_path / "events.csv") in manifest["outputs"]
-    # the window record: a forward exp:1 window pads only its left side
+    # the window record: what the near and far parts drew, and no pad
     window = manifest["window"]
-    assert window["pad_left"] > 0.0 and window["pad_right"] == 0.0
-    assert window["immigrants_planned"] == 200.0 + window["pad_left"]
-    assert 0.0 < window["leakage_bound"] <= 1e-6
+    assert set(window) == {"near_immigrants", "far_proposals", "far_clusters"}
+    assert 0 <= window["far_clusters"] <= window["far_proposals"]
+    assert abs(window["near_immigrants"] - 200) < 5 * 200**0.5
+    assert abs(window["far_proposals"] - 200) < 5 * 200**0.5   # rate nu T m / (1 - m)
     # rerun reproduces the artifact byte for byte
     assert run_cli(tmp_path, *args) == 0
     assert (tmp_path / "events.csv").read_text() == events
-
-
-def test_pad_tol_help_states_its_meaning(capsys):
-    with pytest.raises(SystemExit):
-        parse_config(["simulate", "--help"])
-    assert "expected number of window events lost" in " ".join(capsys.readouterr().out.split())
 
 
 def test_bispectrum_uniform_kernel_metadata(tmp_path):

@@ -322,23 +322,11 @@ def test_matched_process_periodogram_theta_invariant():
         assert abs(z) < 4.0
 
 
-def test_matched_kernel_density_table():
-    matched = build_matched_kernel(MatchSpec(Exponential(1.0), m=0.5))
-    xs = np.linspace(-30.0, 30.0, 4001)
-    dens = matched.density(xs)
-    assert np.array_equal(dens, matched.density(-xs))
-    total = np.trapezoid(dens, xs)
-    assert abs(total - 1.0) < 5e-4
-    assert matched.survival(0.0) == pytest.approx(0.5, abs=1e-3)
-    assert matched.survival(-1e9) == pytest.approx(1.0, abs=1e-3)
-
-
 def test_matched_kernel_lomax_base_density_and_reload(tmp_path):
     matched = build_matched_kernel(MatchSpec(Lomax(2.0), m=0.5))
-    xs = np.linspace(-50.0, 50.0, 8001)
-    dens = matched.density(xs)
-    assert np.trapezoid(dens, xs) == pytest.approx(1.0, abs=5e-3)
-    assert np.array_equal(dens, matched.density(-xs))
+    for method in (matched.density, matched.survival):   # no lattice inversion
+        with pytest.raises(NotImplementedError):
+            method(1.0)
     # the rho table, interpolated between its knots, matches the exact route
     probe = np.array([0.0, 0.3, 1.0, 4.0])
     exact = rho_density(matched.spec, probe)

@@ -8,18 +8,15 @@ import pytest
 
 from clusterbispec import simulate
 from clusterbispec.kernels import Exponential, Lomax, UniformHalf
-from clusterbispec.match import MatchSpec, build_matched_kernel, rho_density
+from clusterbispec.montecarlo import periodogram
 from clusterbispec.simulate import (
     ClusterSizeCapExceeded,
-    IMMIGRANT_BUDGET,
     EventSeries,
+    ImmigrantBudgetExceeded,
     ModelParams,
     NonFiniteTime,
-    PaddingBudgetExceeded,
     ParseError,
     ingest_events,
-    leakage_bound,
-    padding_length,
     read_columns,
     replicate_windows,
     sample_clusters_batch,
@@ -75,6 +72,15 @@ def test_cluster_structure(rng):
     assert sizes.min() >= 1 and sizes.sum() == len(offs) and sizes.max() > 1
     # every descendant sits after its root for a one-sided kernel
     assert np.all(offs >= 0.0)
+    # asking for the parents draws the same clusters; each member after the
+    # roots sits one kernel step past its parent, itself a member of its cluster
+    again = sample_clusters_batch(n, 0.8, Exponential(1.0), np.random.default_rng(4), parents=True)
+    offs, cid = sample_clusters_batch(n, 0.8, Exponential(1.0), np.random.default_rng(4))
+    assert again[0].tobytes() == offs.tobytes() and again[1].tobytes() == cid.tobytes()
+    up = again[2]
+    assert len(up) == len(offs) - n and np.all(offs[n:] > up)
+    members = set(zip(cid.tolist(), offs.tolist()))
+    assert all((i, u) in members for i, u in zip(cid[n:].tolist(), up.tolist()))
 
 
 def test_cluster_size_cap(rng, monkeypatch):
@@ -156,133 +162,75 @@ def test_reproducibility_byte_identical():
     assert a.provenance == b.provenance
     c = simulate_window(p, 300.0, seed=43)
     assert not np.array_equal(a.times, c.times)
-
-
-def test_padding_length_rule():
-    # exp:1 at theta = 1: the left pad is the Chernoff bound's minimum over s,
-    # min_s log(m M(s) / (e s (1 - m M(s))) / pad_tol) / s with M(s) = 1 / (1 - s),
-    # and nothing can leak in from the right
-    p = ModelParams(1.0, 0.5, 1.0, Exponential(1.0))
-    s = np.linspace(1e-4, 0.5 - 1e-4, 100001)
-    best = np.min(np.log(0.5 / (math.e * s * (0.5 - s)) / 1e-6) / s)
-    prov = simulate_window(p, 100.0, seed=1).provenance
-    assert prov["pad_right"] == 0.0
-    assert best <= prov["pad_left"] <= best * (1.0 + 1e-3)
-    # padding_length gives a unit window's pads, which for exp:1 are any window's
-    assert padding_length(p, 1e-6) == pytest.approx(0.5 * prov["pad_left"], rel=1e-12)
-    assert prov["immigrants_planned"] == p.nu * (100.0 + prov["pad_left"])
-    # each pad meets pad_tol and is the shortest that does
-    for params, T in ((p, 100.0), (ModelParams(1.0, 0.5, 0.0, Lomax(2.0)), 2000.0),
-                      (ModelParams(1.0, 0.25, 0.3, UniformHalf(2.0)), 50.0)):
-        prov = simulate_window(params, T, seed=1).provenance
-        left, right = prov["pad_left"], prov["pad_right"]
-        assert prov["leakage_bound"] == leakage_bound(params, T, left, right) <= 1e-6
-        assert leakage_bound(params, T, 0.99 * left, right) > 1e-6
-        if right > 0.0:
-            assert leakage_bound(params, T, left, 0.99 * right) > 1e-6
-    # a tolerance outside (0, 1) is refused, not turned into a negative pad
-    # or a math domain error
-    for params in (p, ModelParams(1.0, 0.5, 1.0, Lomax(1.5))):
-        for pad_tol in (0.0, -1.0, 1.0, 2.0, math.nan):
-            with pytest.raises(ValueError, match="pad_tol"):
-                padding_length(params, pad_tol)
-    with pytest.raises(ValueError, match="pad_tol"):
-        simulate_window(p, 100.0, seed=1, pad_tol=2.0)
-
-
-def _matched(base, m=0.5):
-    return build_matched_kernel(MatchSpec(base, m))
-
-
-@pytest.mark.parametrize("name, pads", [
-    ("exp", (2.0, 5.0)), ("uhalf", (4.0, 6.0)), ("slap", (3.0, 6.0)), ("tab", (3.0, 6.0)),
-    ("match_exp", (3.0, 6.0)), ("match_uhalf", (2.0, 3.0)), ("lomax2", (100.0, 500.0)),
-])
-def test_leakage_bound_above_cluster_monte_carlo(kernels, name, pads):
-    # the expected number of window events from clusters rooted beyond a pad
-    # P is nu E sum over members of min((D - P)^+, T), D the signed offset of
-    # a member from its root: estimated from independent clusters
-    kernel = {"match_exp": lambda: _matched(Exponential(1.0)),
-              "match_uhalf": lambda: _matched(UniformHalf(1.0)),
-              "lomax2": lambda: Lomax(2.0)}.get(name, lambda: kernels[name])()
-    p = ModelParams(1.0, 0.5, 0.4, kernel)
-    T, n = 2000.0, 10**6 if name == "lomax2" else 10**5
-    rng = np.random.default_rng(1404)
-    offs, cid = sample_clusters_batch(n, p.m, kernel, rng)
-    signs = np.where(rng.random(n) < (1.0 + p.theta) / 2.0, 1.0, -1.0)
-    d = signs[cid] * offs
-    for pad in pads:
-        lost = np.minimum(np.clip(d - pad, 0.0, None) + np.clip(-d - pad, 0.0, None), T)
-        per = np.bincount(cid, weights=lost, minlength=n)
-        mc = per.mean()
-        bound = leakage_bound(p, T, pad, pad)
-        assert 0.0 < mc <= bound <= 20.0 * mc, (pad, mc, bound)
-    if name == "lomax2":
-        # a 1e7-cluster estimate at theta = 1 put 0.0175 and 0.0026 events
-        # past pads of 100 and 500
-        forward = ModelParams(1.0, 0.5, 1.0, kernel)
-        assert leakage_bound(forward, T, 100.0, 0.0) >= 0.0175
-        assert leakage_bound(forward, T, 500.0, 0.0) >= 0.0026
-
-
-def test_matched_lomax_bound_uses_the_base_tail():
-    # the rho table of a matched Lomax(2) ends at 1e5, yet its summands reach
-    # beyond: one generation-1 member of one summand alone loses
-    # nu m p_1 T P(Y > P + T) events past a pad P, Y ~ rho_h
-    from scipy.integrate import quad
-
-    matched = _matched(Lomax(2.0))
-    p, T = ModelParams(1.0, 0.5, 0.0, matched), 2000.0
-    pad = 2.0 * matched.rho_x[-1]
-    tail = quad(lambda x: rho_density(matched.spec, x), pad + T, np.inf)[0]
-    assert tail > 0.0
-    assert leakage_bound(p, T, pad, pad) >= 2.0 * p.nu * p.m * matched.pn[0] * T * tail
-    # the null window of the benchmark's matched Lomax(2) plans at most 4e5 immigrants
-    left, right, _ = simulate._window_pads(p, T, simulate.DEFAULT_PAD_TOL)
-    assert p.nu * (T + left + right) <= 4e5
-
-
-def test_matched_bound_covers_the_drawn_law():
-    # a matched kernel draws p_n-many summands from its rho table, each uniform
-    # within a table cell; near s = 0 that law's generating function lies above
-    # the ideal rho_h's, so the bound must be built from the table
-    matched = _matched(Exponential(1.0))
-    x, mass = matched.rho_x, np.diff(matched._cdf) / matched._cdf[-1]
-    s = np.array([0.05, 0.1, 0.2, 0.3])
-    cell = ((np.sinh(np.outer(s, x[1:])) - np.sinh(np.outer(s, x[:-1])))
-            / np.outer(s, np.diff(x))) @ mass
-    drawn = np.polynomial.polynomial.polyval(cell, np.concatenate([[0.0], matched.pn]))
-    mgf, _ = simulate._mgf(matched)
-    assert np.all(mgf(s) >= drawn)
-
-
-def test_one_sided_far_side_pad_is_zero(kernels):
-    for kernel in (kernels["exp"], kernels["uhalf"], Lomax(2.0)):
-        for theta, near, far in ((1.0, "pad_left", "pad_right"), (-1.0, "pad_right", "pad_left")):
-            prov = simulate_window(ModelParams(1.0, 0.5, theta, kernel), 100.0, seed=2).provenance
-            assert prov[far] == 0.0 and prov[near] > 0.0
-    # an even kernel's clusters reach the window from both sides whatever their sign
-    prov = simulate_window(ModelParams(1.0, 0.5, 1.0, kernels["slap"]), 100.0, seed=2).provenance
-    assert prov["pad_left"] == prov["pad_right"] > 0.0
+    # nothing is lost, so a loss tolerance changes nothing; no window is padded
+    assert simulate_window(p, 300.0, seed=42, pad_tol=0.5) == a
+    assert simulate.padding_length(p) == 0.0
 
 
 def test_padding_budget_fails_before_drawing():
-    # lomax:0.5 at m = 0.5 meets pad_tol at no pad the budget allows; lomax:1.5
-    # at theta = 0 and T = 2000 needs about 5e6 on each side, so the two sides
-    # fit the budget alone but not together
-    for p, T in ((ModelParams(1.0, 0.5, 1.0, Lomax(0.5)), 100.0),
-                 (ModelParams(1.0, 0.5, 0.0, Lomax(1.5)), 2000.0)):
+    # the one budget is on the near immigrants, nu T: a window above it is
+    # refused before anything is drawn, whatever the kernel's tail
+    for p, T in ((ModelParams(2.0, 0.5, 1.0, Lomax(0.5)), 5.1e6),
+                 (ModelParams(1.0, 0.9, 0.0, Exponential(1.0)), math.inf)):
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        with pytest.raises(PaddingBudgetExceeded, match=r"padding .* plans .* immigrants"):
+        with pytest.raises(ImmigrantBudgetExceeded, match=r"plans .* immigrants"):
             simulate_window_batched(p, T, rng)
         assert rng.bit_generator.state == state
-        with pytest.raises(PaddingBudgetExceeded):
+        with pytest.raises(ImmigrantBudgetExceeded):
             simulate_window(p, T, seed=1)
-    # the same Lomax(1.5) window moving forward only pads one side, and fits
-    forward = ModelParams(1.0, 0.5, 1.0, Lomax(1.5))
-    left, right, _ = simulate._window_pads(forward, 2000.0, simulate.DEFAULT_PAD_TOL)
-    assert right == 0.0 < left <= IMMIGRANT_BUDGET - 2000.0
+    for T in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="window length T must be positive"):
+            simulate_window(ModelParams(1.0, 0.5, 1.0, Exponential(1.0)), T, seed=1)
+
+
+def test_heavy_tailed_windows_are_accepted_and_exact():
+    # no pad, so a heavy tail costs nothing: Lomax(1.5) at theta = 0 and a
+    # Lomax(0.5) of infinite mean step keep the mean count nu T / (1 - m)
+    for kernel, T, reps in ((Lomax(1.5), 2000.0, 100), (Lomax(0.5), 100.0, 400)):
+        p = ModelParams(1.0, 0.5, 0.0, kernel)
+        rng = np.random.default_rng(16)
+        counts = np.array([len(simulate_window_batched(p, T, rng)) for _ in range(reps)])
+        se = counts.std(ddof=1) / math.sqrt(reps)
+        assert abs(counts.mean() - p.lam * T) < 4 * se, kernel
+
+
+def test_lomax_window_mean_count_and_periodogram():
+    # a plain Lomax(2) window at large T: mean count nu T / (1 - m), and mean
+    # periodogram the Bartlett spectrum (its window bias is O(1/T))
+    from clusterbispec.spectra import bartlett
+
+    p = ModelParams(1.0, 0.5, 1.0, Lomax(2.0))
+    T, reps = 2e4, 60
+    omegas = np.array([0.05, 0.3, 1.0, 3.0])
+    stats = replicate_windows(p, T, lambda s: np.concatenate([[len(s)], periodogram(s, omegas)]),
+                              reps, 2)
+    target = np.concatenate([[p.lam * T], bartlett(p, omegas).real])
+    z = (stats.mean(axis=0) - target) / (stats.std(axis=0, ddof=1) / math.sqrt(reps))
+    assert np.all(np.abs(z) < 4.0), z
+
+
+@pytest.mark.parametrize("name, theta, m, L", [("slap", 0.3, 0.5, 60.0),
+                                               ("uhalf", 0.5, 0.7, 80.0)])
+def test_far_clusters_match_an_independent_count(kernels, name, theta, m, L):
+    # the far clusters a window keeps are the clusters rooted outside it that
+    # reach it: in mean, nu times the length of the roots outside the window
+    # (L each side suffices) from which an independent cluster reaches it
+    p, T = ModelParams(1.0, m, theta, kernels[name]), 5.0
+    reps, n = 3000, 400_000
+    far = np.array([simulate_window(p, T, seed).provenance["far_clusters"]
+                    for seed in range(reps)])
+    rng = np.random.default_rng(7)
+    offs, cid = sample_clusters_batch(n, m, p.kernel, rng)
+    sign = np.where(rng.random(n) < (1.0 + theta) / 2.0, 1.0, -1.0)
+    u = rng.uniform(-L, L, size=n)
+    root = np.where(u < 0.0, u, u + T)
+    t = root[cid] + sign[cid] * offs
+    reach = np.bincount(cid, weights=(t >= 0.0) & (t <= T), minlength=n) > 0
+    want = p.nu * 2.0 * L * reach.mean()
+    se = math.hypot(far.std(ddof=1) / math.sqrt(reps),
+                    p.nu * 2.0 * L * reach.std(ddof=1) / math.sqrt(n))
+    assert abs(far.mean() - want) < 4 * se, (far.mean(), want, se)
 
 
 def test_batched_engine_matches_law():
