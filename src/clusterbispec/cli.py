@@ -14,8 +14,8 @@ bit-identically.
 Exit codes: 0 success, 1 numerical-validation failure (mc suites), 2
 configuration error, including an unreadable or malformed config file, a
 kernel the command does not support, a grid of more cells than the grid
-budget, a window that would plan more immigrants than the simulator's
-budget, a ``contrast scan`` support radius H beyond the half-width of the
+budget, a window that would plan more immigrants or far spine nodes than
+the simulator's budget, a ``contrast scan`` support radius H beyond the half-width of the
 model's lag grid, and a ``contrast run`` window that would form more
 neighbor pairs than the statistic's budget.
 

@@ -54,9 +54,10 @@ class McEstimate:
 def _cluster_means(params, n_clusters, seed, contributions, scale=1.0) -> list[McEstimate]:
     """scale times the mean over independent clusters of each per-cluster contribution.
 
-    ``contributions(offs, cid, batch)`` maps one chunk of clusters (as
-    ``sample_clusters_batch`` returns them) to a list of per-cluster arrays,
-    real or complex; only their sums and sums of squared parts are kept.
+    ``contributions(offs, cid, batch)`` maps one chunk of clusters (the
+    offsets and ids ``sample_clusters_batch`` returns) to a list of
+    per-cluster arrays, real or complex; only their sums and sums of squared
+    parts are kept.
     Chunk order is fixed, so the reduction is deterministic for a given seed.
     """
     n = int(n_clusters)
@@ -66,7 +67,7 @@ def _cluster_means(params, n_clusters, seed, contributions, scale=1.0) -> list[M
     sums = None
     for done in range(0, n, _CHUNK):
         batch = min(_CHUNK, n - done)
-        parts = contributions(*sample_clusters_batch(batch, params.m, params.kernel, rng), batch)
+        parts = contributions(*sample_clusters_batch(batch, params.m, params.kernel, rng)[:2], batch)
         sums = sums or [[0.0, 0.0, 0.0] for _ in parts]
         for s, v in zip(sums, parts):
             s[0] += v.sum()

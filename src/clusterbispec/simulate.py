@@ -46,7 +46,8 @@ __all__ = [
 
 DEFAULT_SIZE_CAP = 10**7
 DEFAULT_GEN_CAP = 10**4
-# most immigrants one window may plan (about 1 GB of draws at m = 0.5)
+# most cluster roots each part of one window may plan: near immigrants, and
+# far spine nodes (about 1 GB of draws a part at m = 0.5)
 IMMIGRANT_BUDGET = 10**7
 
 
@@ -59,7 +60,7 @@ class GenerationCapExceeded(RuntimeError):
 
 
 class ImmigrantBudgetExceeded(ValueError):
-    """The window plans more immigrants than IMMIGRANT_BUDGET."""
+    """A part of the window plans more cluster roots than IMMIGRANT_BUDGET."""
 
 
 class ParseError(ValueError):
@@ -136,16 +137,15 @@ class EventSeries:
 # ---------------------------------------------------------------------------
 
 
-def sample_clusters_batch(n_clusters, m, kernel, rng, parents=False):
+def sample_clusters_batch(n_clusters, m, kernel, rng):
     """Generate ``n_clusters`` independent clusters in generation waves.
 
-    Returns (offsets, cluster_ids): displacements from each cluster's root
-    and the owning cluster index, concatenated over generations, all drawn
-    from the one generator ``rng``; the roots come first, one per cluster in
-    order.  With ``parents`` a third array follows: the offset of the parent
-    of each member after the roots.  The draws do not depend on ``parents``.
-    A cluster larger than DEFAULT_SIZE_CAP or deeper than DEFAULT_GEN_CAP
-    generations raises.
+    Returns (offsets, cluster_ids, parent_offsets): displacements from each
+    cluster's root and the owning cluster index, concatenated over
+    generations, all drawn from the one generator ``rng``; the roots come
+    first, one per cluster in order.  parent_offsets holds the offset of the
+    parent of each member after the roots.  A cluster larger than
+    DEFAULT_SIZE_CAP or deeper than DEFAULT_GEN_CAP generations raises.
     """
     cur = np.zeros(n_clusters)
     cur_id = np.arange(n_clusters, dtype=np.int64)
@@ -157,8 +157,10 @@ def sample_clusters_batch(n_clusters, m, kernel, rng, parents=False):
         counts = rng.poisson(m, size=len(cur))
         n_children = int(counts.sum())
         if n_children == 0:
-            out = np.concatenate(offs), np.concatenate(ids)
-            return (*out, np.concatenate(ups)) if parents else out
+            # one list at a time, each freed as its array is made
+            offs = np.concatenate(offs)
+            ids = np.concatenate(ids)
+            return offs, ids, np.concatenate(ups)
         cur_id = np.repeat(cur_id, counts)
         up = np.repeat(cur, counts)
         cur = up + kernel.sample(rng, n_children)
@@ -167,8 +169,7 @@ def sample_clusters_batch(n_clusters, m, kernel, rng, parents=False):
             raise ClusterSizeCapExceeded(f"cluster size exceeded cap {DEFAULT_SIZE_CAP}")
         offs.append(cur)
         ids.append(cur_id)
-        if parents:
-            ups.append(up)
+        ups.append(up)
     raise GenerationCapExceeded(f"cluster genealogy exceeded {DEFAULT_GEN_CAP} generations")
 
 
@@ -215,8 +216,12 @@ def _simulate(params: ModelParams, T, rng):
     step, so every kernel family is simulated exactly.
 
     The record holds the near immigrants, the far proposals and the far
-    clusters kept.  A window whose near part plans more than IMMIGRANT_BUDGET
-    immigrants raises :class:`ImmigrantBudgetExceeded` before anything is drawn.
+    clusters kept.  Each spine node roots a cluster, as an immigrant does,
+    so IMMIGRANT_BUDGET bounds both parts: a window whose near part plans
+    more immigrants raises :class:`ImmigrantBudgetExceeded` before anything
+    is drawn, and one whose kept proposals need more spine nodes raises it
+    before any spine grows.  The proposals drawn by then, m / (1 - m) per
+    near immigrant in mean, are fewer than the near part's members.
     """
     if not T > 0:
         raise ValueError(f"window length T must be positive, got {T}")
@@ -242,6 +247,10 @@ def _simulate(params: ModelParams, T, rng):
     c, sign, step = c[entering], sign[entering], step[entering]
     # proposal i's spine c, p, ..., root (k + 1 nodes) fills spine[first[i]:first[i] + size[i]]
     size = rng.geometric(1.0 - m, size=len(c)) + 1
+    if not size.sum() <= IMMIGRANT_BUDGET:
+        raise ImmigrantBudgetExceeded(
+            f"a window of length {T:g} plans {size.sum():.4g} far spine nodes, above the "
+            f"budget of {IMMIGRANT_BUDGET:.0e}")
     first = np.cumsum(size) - size
     spine = np.repeat(c, size)
     for depth in range(1, int(size.max(initial=0))):
@@ -252,7 +261,7 @@ def _simulate(params: ModelParams, T, rng):
     rooted_out = ~inside(spine[first + size - 1])
     seg = np.repeat(np.arange(len(c)), size)
     spine, seg = spine[rooted_out[seg]], seg[rooted_out[seg]]
-    offs, cid, parent_offs = sample_clusters_batch(len(spine), m, kernel, rng, parents=True)
+    offs, cid, parent_offs = sample_clusters_batch(len(spine), m, kernel, rng)
     owner = seg[cid]
     s = sign[owner]
     far = spine[cid] + s * offs
@@ -267,7 +276,7 @@ def _simulate(params: ModelParams, T, rng):
     n_near = int(rng.poisson(nu * T))
     roots = rng.uniform(0.0, T, size=n_near)
     sign = signs(n_near)
-    offs, cid = sample_clusters_batch(n_near, m, kernel, rng)
+    offs, cid = sample_clusters_batch(n_near, m, kernel, rng)[:2]
     t = np.concatenate([far, roots[cid] + sign[cid] * offs])
     t = t[inside(t)]
     t.sort(kind="stable")
@@ -279,10 +288,17 @@ def _simulate(params: ModelParams, T, rng):
 def padding_length(params: ModelParams, pad_tol=None) -> float:
     """The pad of every window: 0.0, since no window is padded.
 
-    Kept, with the ignored ``pad_tol`` of the window functions, for the
-    benchmark's tracer, which counts nu (T + 2 padding_length) immigrants.
+    ``pad_tol`` must be None.  This and the window functions' ``pad_tol``
+    stay only for ``perfbench/tracing.py``, which counts nu (T + 2 pad)
+    immigrants a window; they go once it reads the window record instead.
     """
+    _no_pad_tol(pad_tol)
     return 0.0
+
+
+def _no_pad_tol(pad_tol):
+    if pad_tol is not None:
+        raise ValueError(f"windows are exact and take no loss tolerance, got pad_tol={pad_tol!r}")
 
 
 def simulate_window(params: ModelParams, T, seed, pad_tol=None) -> EventSeries:
@@ -291,9 +307,10 @@ def simulate_window(params: ModelParams, T, seed, pad_tol=None) -> EventSeries:
     Deterministic given (seed, params, T): the whole window is drawn from
     one generator seeded by ``seed``, so reruns are byte-identical.  The
     provenance records the near immigrants, the far proposals and the far
-    clusters kept (see the engine, ``_simulate``).  ``pad_tol`` is ignored:
-    no event is lost, so any tolerance is met.
+    clusters kept (see the engine, ``_simulate``).  ``pad_tol`` must be
+    None (see :func:`padding_length`).
     """
+    _no_pad_tol(pad_tol)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     record, times = _simulate(params, T, rng)
     provenance = {
@@ -313,10 +330,12 @@ def simulate_window_batched(params: ModelParams, T, rng, pad_tol=None) -> np.nda
     """Sorted event times on [0, T] drawn from the caller's generator.
 
     Same engine as :func:`simulate_window`, without provenance; used by
-    Monte-Carlo replicate loops that own their generators.  ``pad_tol`` is
-    ignored, as there.
+    Monte-Carlo replicate loops that own their generators.  ``pad_tol``
+    must be None, as there.
     """
+    _no_pad_tol(pad_tol)
     return _simulate(params, T, rng)[1]
+
 
 def replicate_windows(params: ModelParams, T, statistic, replicates, seed) -> np.ndarray:
     """``statistic(series)`` on ``replicates`` >= 2 independent windows, in replicate order.

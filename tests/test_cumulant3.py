@@ -81,7 +81,7 @@ def test_quadrant_masses_match_cluster_histogram(exp_grid, rng):
     # sum_r r(r-1) = sum_r (M-1-r)(M-2-r) = (M)_3 / 3 its total equals the
     # (+,+) mass exactly, about one third each.
     n_clusters = 2 * 10**4
-    offs, cid = sample_clusters_batch(n_clusters, EXP_PARAMS.m, EXP_PARAMS.kernel, rng)
+    offs, cid, _ = sample_clusters_batch(n_clusters, EXP_PARAMS.m, EXP_PARAMS.kernel, rng)
     order = np.argsort(cid, kind="stable")
     offs, cid = offs[order], cid[order]
     bounds = np.searchsorted(cid, np.arange(n_clusters + 1))

@@ -45,7 +45,7 @@ def test_model_params_validation():
 
 def test_tiny_branching_ratio_gives_singletons(rng):
     n = 10**4
-    offs, cid = sample_clusters_batch(n, 1e-9, Exponential(1.0), rng)
+    offs, cid, _ = sample_clusters_batch(n, 1e-9, Exponential(1.0), rng)
     assert np.array_equal(np.bincount(cid, minlength=n), np.ones(n))
     assert np.array_equal(offs, np.zeros(n))
 
@@ -54,7 +54,7 @@ def test_cluster_mean_size_and_factorial_moment(rng):
     # batch engine at 1e6 clusters: mean size 1/(1-m), mean (M)_3 from the
     # total-progeny factorial-moment formula
     n = 10**6
-    _, cid = sample_clusters_batch(n, 0.5, Exponential(1.0), rng)
+    _, cid, _ = sample_clusters_batch(n, 0.5, Exponential(1.0), rng)
     sizes = np.bincount(cid, minlength=n).astype(float)
     se = sizes.std(ddof=1) / math.sqrt(n)
     assert abs(sizes.mean() - 2.0) < 3 * se
@@ -65,19 +65,15 @@ def test_cluster_mean_size_and_factorial_moment(rng):
 
 def test_cluster_structure(rng):
     n = 1000
-    offs, cid = sample_clusters_batch(n, 0.8, Exponential(1.0), rng)
+    offs, cid, up = sample_clusters_batch(n, 0.8, Exponential(1.0), rng)
     # the first wave is the roots, at offset 0, one per cluster in order
     assert np.array_equal(offs[:n], np.zeros(n)) and np.array_equal(cid[:n], np.arange(n))
     sizes = np.bincount(cid, minlength=n)
     assert sizes.min() >= 1 and sizes.sum() == len(offs) and sizes.max() > 1
     # every descendant sits after its root for a one-sided kernel
     assert np.all(offs >= 0.0)
-    # asking for the parents draws the same clusters; each member after the
-    # roots sits one kernel step past its parent, itself a member of its cluster
-    again = sample_clusters_batch(n, 0.8, Exponential(1.0), np.random.default_rng(4), parents=True)
-    offs, cid = sample_clusters_batch(n, 0.8, Exponential(1.0), np.random.default_rng(4))
-    assert again[0].tobytes() == offs.tobytes() and again[1].tobytes() == cid.tobytes()
-    up = again[2]
+    # each member after the roots sits one kernel step past its parent,
+    # itself a member of its cluster
     assert len(up) == len(offs) - n and np.all(offs[n:] > up)
     members = set(zip(cid.tolist(), offs.tolist()))
     assert all((i, u) in members for i, u in zip(cid[n:].tolist(), up.tolist()))
@@ -162,9 +158,17 @@ def test_reproducibility_byte_identical():
     assert a.provenance == b.provenance
     c = simulate_window(p, 300.0, seed=43)
     assert not np.array_equal(a.times, c.times)
-    # nothing is lost, so a loss tolerance changes nothing; no window is padded
-    assert simulate_window(p, 300.0, seed=42, pad_tol=0.5) == a
-    assert simulate.padding_length(p) == 0.0
+
+
+def test_a_loss_tolerance_is_refused():
+    # windows are exact, so a pad_tol would do nothing: it raises, not ignored
+    p = ModelParams(1.0, 0.5, 0.5, Exponential(1.0))
+    rng = np.random.default_rng(0)
+    for call in (lambda: simulate_window(p, 10.0, seed=1, pad_tol=1e-6),
+                 lambda: simulate_window_batched(p, 10.0, rng, pad_tol=1e-6),
+                 lambda: simulate.padding_length(p, 1e-6)):
+        with pytest.raises(ValueError, match="no loss tolerance"):
+            call()
 
 
 def test_padding_budget_fails_before_drawing():
@@ -182,6 +186,24 @@ def test_padding_budget_fails_before_drawing():
     for T in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="window length T must be positive"):
             simulate_window(ModelParams(1.0, 0.5, 1.0, Exponential(1.0)), T, seed=1)
+
+
+def test_far_spine_budget_fails_before_any_spine_grows(monkeypatch):
+    # each far spine node roots a cluster, as an immigrant does, so the budget
+    # bounds them too: a short window at high nu and m plans about 60 of them
+    # an immigrant and is refused before any cluster grows, while a long
+    # window with the same nu T plans about 100 in all and is drawn
+    monkeypatch.setattr(simulate, "IMMIGRANT_BUDGET", 10**4)
+    short = ModelParams(5000.0, 0.9, 0.0, Exponential(1.0))
+
+    def grown(*args):
+        raise AssertionError("a cluster grew in a window above the budget")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(simulate, "sample_clusters_batch", grown)
+        with pytest.raises(ImmigrantBudgetExceeded, match=r"plans .* far spine nodes"):
+            simulate_window(short, 1.0, seed=1)
+    assert len(simulate_window(replace(short, nu=1.0), 5000.0, seed=1)) > 0
 
 
 def test_heavy_tailed_windows_are_accepted_and_exact():
@@ -221,7 +243,7 @@ def test_far_clusters_match_an_independent_count(kernels, name, theta, m, L):
     far = np.array([simulate_window(p, T, seed).provenance["far_clusters"]
                     for seed in range(reps)])
     rng = np.random.default_rng(7)
-    offs, cid = sample_clusters_batch(n, m, p.kernel, rng)
+    offs, cid, _ = sample_clusters_batch(n, m, p.kernel, rng)
     sign = np.where(rng.random(n) < (1.0 + theta) / 2.0, 1.0, -1.0)
     u = rng.uniform(-L, L, size=n)
     root = np.where(u < 0.0, u, u + T)

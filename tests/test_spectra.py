@@ -176,7 +176,7 @@ def test_borel_factorial3_values():
 def test_borel_factorial3_monte_carlo():
     m = 0.3
     rng = np.random.default_rng(7)
-    _, cid = sample_clusters_batch(10**6, m, Exponential(1.0), rng)
+    _, cid, _ = sample_clusters_batch(10**6, m, Exponential(1.0), rng)
     sizes = np.bincount(cid).astype(float)
     f3 = sizes * (sizes - 1) * (sizes - 2)
     se = f3.std(ddof=1) / np.sqrt(len(f3))
