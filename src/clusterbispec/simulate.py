@@ -216,20 +216,22 @@ def _simulate(params: ModelParams, T, rng):
     step, so every kernel family is simulated exactly.
 
     The record holds the near immigrants, the far proposals and the far
-    clusters kept.  Each spine node roots a cluster, as an immigrant does,
-    so IMMIGRANT_BUDGET bounds both parts: a window whose near part plans
-    more immigrants raises :class:`ImmigrantBudgetExceeded` before anything
-    is drawn, and one whose kept proposals need more spine nodes raises it
-    before any spine grows.  The proposals drawn by then, m / (1 - m) per
-    near immigrant in mean, are fewer than the near part's members.
+    clusters kept.  A spine node roots a cluster, as an immigrant does, so
+    past IMMIGRANT_BUDGET of either :class:`ImmigrantBudgetExceeded` is
+    raised: before any draw for nu T, before any spine grows for the far
+    part (its proposals, m / (1 - m) a near immigrant, are fewer than the
+    near part's members).
     """
     if not T > 0:
         raise ValueError(f"window length T must be positive, got {T}")
     nu, m, kernel = params.nu, params.m, params.kernel
-    if not nu * T <= IMMIGRANT_BUDGET:
-        raise ImmigrantBudgetExceeded(
-            f"a window of length {T:g} plans {nu * T:.4g} immigrants, above the budget "
-            f"of {IMMIGRANT_BUDGET:.0e}")
+
+    def budget(planned, what):
+        if not planned <= IMMIGRANT_BUDGET:
+            raise ImmigrantBudgetExceeded(f"a window of length {T:g} plans {planned:.4g} "
+                                          f"{what}, above the budget of {IMMIGRANT_BUDGET:.0e}")
+
+    budget(nu * T, "immigrants")
 
     def inside(x):
         return (x >= 0.0) & (x <= T)
@@ -247,10 +249,7 @@ def _simulate(params: ModelParams, T, rng):
     c, sign, step = c[entering], sign[entering], step[entering]
     # proposal i's spine c, p, ..., root (k + 1 nodes) fills spine[first[i]:first[i] + size[i]]
     size = rng.geometric(1.0 - m, size=len(c)) + 1
-    if not size.sum() <= IMMIGRANT_BUDGET:
-        raise ImmigrantBudgetExceeded(
-            f"a window of length {T:g} plans {size.sum():.4g} far spine nodes, above the "
-            f"budget of {IMMIGRANT_BUDGET:.0e}")
+    budget(size.sum(), "far spine nodes")
     first = np.cumsum(size) - size
     spine = np.repeat(c, size)
     for depth in range(1, int(size.max(initial=0))):
@@ -288,9 +287,8 @@ def _simulate(params: ModelParams, T, rng):
 def padding_length(params: ModelParams, pad_tol=None) -> float:
     """The pad of every window: 0.0, since no window is padded.
 
-    ``pad_tol`` must be None.  This and the window functions' ``pad_tol``
-    stay only for ``perfbench/tracing.py``, which counts nu (T + 2 pad)
-    immigrants a window; they go once it reads the window record instead.
+    It and the window functions' ``pad_tol``, which must be None, stay only
+    for ``perfbench/tracing.py``, until it reads the window record instead.
     """
     _no_pad_tol(pad_tol)
     return 0.0
@@ -329,9 +327,8 @@ def simulate_window(params: ModelParams, T, seed, pad_tol=None) -> EventSeries:
 def simulate_window_batched(params: ModelParams, T, rng, pad_tol=None) -> np.ndarray:
     """Sorted event times on [0, T] drawn from the caller's generator.
 
-    Same engine as :func:`simulate_window`, without provenance; used by
-    Monte-Carlo replicate loops that own their generators.  ``pad_tol``
-    must be None, as there.
+    Same engine and ``pad_tol`` as :func:`simulate_window`, without
+    provenance; used by Monte-Carlo replicate loops that own their generators.
     """
     _no_pad_tol(pad_tol)
     return _simulate(params, T, rng)[1]
