@@ -8,13 +8,14 @@ The kernel family sets how |Im B_fac(t, t)| behaves as t -> 0:
     4 log 2 at alpha = 1 and 2 pi at alpha = 2;
   * Lomax with 2 < alpha <= 3 (finite second, infinite third moment):
     |Im B(t,t)| / t^3 diverges;
-  * every other exp, lomax or uhalf kernel (monotone, finite third moment):
+  * every other monotone kernel (exp, lomax or uhalf; finite third moment):
     |Im B(t,t)| / t^3 -> lam m^2 Delta_m(Z) / (2 (1-m)^6), where X = Y Z is
     the scale-mixture representation (Y uniform on (0,1)) and
     Delta_m(Z) = (1-m){E Z^3 - E Z E Z^2} + m E Z Var(Z), zero for uhalf.
 
-Any other kernel (symmetric, tabulated or matched) has no limit here and is
-refused with NonMonotoneKernel.
+The regime comes from the kernel's declared ``tail_index``, Z from its
+``mixing_moments``.  A kernel not declared ``monotone`` (symmetric, tabulated
+or matched) has no limit here and is refused with NonMonotoneKernel.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Exponential, Kernel, Lomax, UniformHalf
+from .kernels import Kernel
 from .simulate import ModelParams
 from .spectra import im_b_diagonal
 
@@ -45,8 +46,6 @@ __all__ = [
 _UNDERFLOW = 1e-14
 DIAG_REL_TOL = 0.05    # smallest-t ratio within this of 1 counts as converged
 MOMENT_K_SIGMA = 4.0   # z-score band of mixture_moment_check
-# the monotone one-sided families, the bases the spectral match accepts too
-_MONOTONE_FAMILIES = (Exponential, Lomax, UniformHalf)
 
 
 class AlphaOutOfRange(ValueError):
@@ -115,25 +114,11 @@ def delta_m(z: MixtureZ, m: float) -> float:
 
 
 def z_from_kernel(kernel: Kernel) -> MixtureZ:
-    """Mixing law of the uniform scale mixture for a monotone one-sided kernel.
-
-    Uses E Z^p = (p+1) E X^p; exponential kernels map to Gamma(2, beta), the
-    one-sided uniform to the deterministic scale, and Lomax to its closed-form
-    moments.  Any kernel outside these families raises NonMonotoneKernel.
-    """
-    if not isinstance(kernel, _MONOTONE_FAMILIES):
+    """Mixing law of X = Y Z from a monotone kernel's declared ``mixing_moments``."""
+    if not kernel.monotone:
         raise NonMonotoneKernel(
-            f"scale mixture needs an exp, lomax or uhalf kernel, got {type(kernel).__name__}")
-    if isinstance(kernel, UniformHalf):
-        a = kernel.a   # products, not powers: E Z^3 - E Z E Z^2 cancels to exactly 0
-        return MixtureZ(a, a * a, a * a * a)
-    if isinstance(kernel, Exponential):
-        b = kernel.beta
-        return MixtureZ(2.0 / b, 6.0 / b**2, 24.0 / b**3)
-    ex = [kernel.moment(p) for p in (1, 2, 3)]
-    if not all(math.isfinite(v) for v in ex[:2]):
-        raise ValueError("mixture moments need a finite second kernel moment")
-    return MixtureZ(2.0 * ex[0], 3.0 * ex[1], 4.0 * ex[2] if math.isfinite(ex[2]) else math.inf)
+            f"scale mixture needs a monotone one-sided kernel, got {type(kernel).__name__}")
+    return MixtureZ(*kernel.mixing_moments())
 
 
 @dataclass(frozen=True)
@@ -161,16 +146,16 @@ class DiagLimitReport:
 def diag_limit_check(params: ModelParams, t_list=None) -> DiagLimitReport:
     """Check |Im B_fac(t, t)| against its predicted small-t behavior.
 
-    The kernel family sets the regime and its power (module docstring); a
-    kernel outside exp, lomax and uhalf raises NonMonotoneKernel.  In the
+    The kernel's tail index sets the regime and its power (module docstring);
+    a kernel that is not monotone raises NonMonotoneKernel.  In the
     divergent band only the growth of |Im B| / t^3 is checked; otherwise
     ``converged`` requires a monotone approach with the smallest-t ratio
     within DIAG_REL_TOL of 1.
     """
     kernel = params.kernel
-    if not isinstance(kernel, _MONOTONE_FAMILIES):
+    if not kernel.monotone:
         raise NonMonotoneKernel(f"no diagonal limit for kernel {kernel.spec_string()}: "
-                                "it needs an exp, lomax or uhalf kernel")
+                                "it needs a monotone one-sided kernel")
     t = np.asarray([1e-1, 1e-2, 1e-3, 1e-4] if t_list is None else t_list, dtype=float)
     if np.any(np.diff(t) >= 0) or np.any(t <= 0):
         raise ValueError("t_list must be positive and strictly decreasing")
@@ -178,7 +163,7 @@ def diag_limit_check(params: ModelParams, t_list=None) -> DiagLimitReport:
     under = np.abs(imb) < _UNDERFLOW
     lam, m = params.lam, params.m
 
-    alpha = kernel.alpha if isinstance(kernel, Lomax) else math.inf
+    alpha = kernel.tail_index
     if alpha <= 2.0:
         power, regime = alpha, "regularly_varying"
         limit = lam * m**2 * chi_alpha(alpha) / (1.0 - m) ** 5

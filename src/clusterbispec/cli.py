@@ -14,10 +14,11 @@ bit-identically.
 Exit codes: 0 success, 1 numerical-validation failure (mc suites), 2
 configuration error, including an unreadable or malformed config file, a
 kernel the command does not support, a grid of more cells than the grid
-budget, a window that would plan more immigrants or far spine nodes than
-the simulator's budget, a ``contrast scan`` support radius H beyond the half-width of the
-model's lag grid, and a ``contrast run`` window that would form more
-neighbor pairs than the statistic's budget.
+budget, a lag half-width whose cell area under- or overflows or lets c3
+overflow, a window that would plan more immigrants or far spine nodes than
+the simulator's budget, a ``contrast scan`` support radius H beyond the
+half-width of the model's lag grid, and a ``contrast run`` window that would
+form more neighbor pairs than the statistic's budget.
 
 The angular-frequency convention everywhere is e^{-i omega t} for forward
 transforms (so transform(0) = 1 for probability densities).
@@ -40,7 +41,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import NonMonotoneKernel
 from .contrasts import PairBudgetExceeded
-from .cumulant3 import GRID_BUDGET, SupportExceedsGrid
+from .cumulant3 import GRID_BUDGET, LatticeOutOfRange, SupportExceedsGrid
 from .kernels import InvalidKernel, Kernel, kernel_from_spec
 from .montecarlo import SUITES
 from .simulate import ImmigrantBudgetExceeded, ModelParams
@@ -454,7 +455,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return run(cfg)
-    except (ConfigError, InvalidKernel, NonMonotoneKernel, PairBudgetExceeded,
+    except (ConfigError, InvalidKernel, NonMonotoneKernel, PairBudgetExceeded, LatticeOutOfRange,
             ImmigrantBudgetExceeded, SupportExceedsGrid) as exc:  # faults found only while running
         for v in getattr(exc, "violations", [exc]):
             print(f"config error: {v}", file=sys.stderr)

@@ -70,7 +70,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cumulant3 import CumulantGrid, SupportExceedsGrid, odd_part
+from .cumulant3 import CumulantGrid, SupportExceedsGrid, mu_g_time, odd_part
 from .simulate import EventSeries, ModelParams, replicate_windows
 
 __all__ = [
@@ -548,9 +548,7 @@ def exact_mean(params: ModelParams, f: OddTestFunction, T, c3odd: CumulantGrid) 
     T = float(T)
     if not (T > 0 and math.isfinite(T)):
         raise ValueError(f"window length T must be positive and finite, got {T}")
-    if f.support_radius > c3odd.half_width:
-        raise SupportExceedsGrid(
-            f"support radius {f.support_radius:g} exceeds grid half-width {c3odd.half_width:g}")
+    mu = mu_g_time(c3odd, f)   # SupportExceedsGrid for a g wider than the grid
     odd = odd_part(c3odd)
     lags = odd.lags
     T1, T2 = np.meshgrid(lags, lags, indexing="ij")
@@ -558,9 +556,7 @@ def exact_mean(params: ModelParams, f: OddTestFunction, T, c3odd: CumulantGrid) 
         0.0,
         np.minimum(np.minimum(T, T - T1), T - T2) - np.maximum(np.maximum(0.0, -T1), -T2),
     )
-    gvals = f.evaluate(T1, T2)
-    mu_T = float((gvals * (overlap / T) * odd.values).sum() * odd.spacing**2)
-    mu = float((gvals * odd.values).sum() * odd.spacing**2)
+    mu_T = float((f.evaluate(T1, T2) * (overlap / T) * odd.values).sum() * odd.spacing**2)
     l1 = float(np.abs(odd.values).sum() * odd.spacing**2)
     gap = 2.0 * f.support_radius * f.bound * l1 / T if T > f.support_radius else math.inf
     return ExactMeanResult(params.theta * mu_T, mu_T, mu, gap)

@@ -29,6 +29,7 @@ __all__ = [
     "HOutOfRange",
     "SupportExceedsGrid",
     "GridBudgetExceeded",
+    "LatticeOutOfRange",
     "TransformNotIntegrable",
     "MuFreqResult",
     "default_half_width",
@@ -61,6 +62,10 @@ class SupportExceedsGrid(ValueError):
 
 class GridBudgetExceeded(ValueError):
     """The lattice would hold more cells than GRID_BUDGET."""
+
+
+class LatticeOutOfRange(ValueError):
+    """The lag cell area spacing^2 is subnormal or overflows, or c3 could overflow by it."""
 
 
 class TransformNotIntegrable(UserWarning):
@@ -125,7 +130,9 @@ def invert_bispectrum(params: ModelParams, half_width=None, n=512) -> CumulantGr
     discarded imaginary residue is recorded, and an AliasWarning fires when
     the outermost 5% boundary band holds more than ALIAS_FRAC of the
     total absolute mass.  An n^2 above GRID_BUDGET raises
-    :class:`GridBudgetExceeded` before any frequency is sampled.
+    :class:`GridBudgetExceeded`, and a lag cell area spacing^2 that under- or
+    overflows, or that lets c3 overflow, :class:`LatticeOutOfRange`, before
+    any frequency is sampled.
     """
     lam_w = default_half_width(params) if half_width is None else float(half_width)
     if not (lam_w > 0 and math.isfinite(lam_w)):
@@ -137,6 +144,10 @@ def invert_bispectrum(params: ModelParams, half_width=None, n=512) -> CumulantGr
         raise GridBudgetExceeded(f"n = {n} needs {n * n} cells, above the grid budget "
                                  f"of {GRID_BUDGET}")
     dtau = 2.0 * lam_w / n
+    area = dtau * dtau   # |c3| <= envelope / area: nu E[(M)_3] bounds |B_fac| as well
+    if not (np.finfo(float).tiny <= area < math.inf and envelope(params) / area < math.inf):
+        raise LatticeOutOfRange(f"half_width {lam_w:g} gives lag cells of area {area:g}, "
+                                "too small or too large for a finite c3")
     dw = math.pi / lam_w
     k = np.arange(-n // 2, n // 2)
     W1, W2 = np.meshgrid(k * dw, k * dw, indexing="ij")

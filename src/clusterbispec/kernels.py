@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -80,13 +80,19 @@ class TransformOutOfRange(ValueError):
 class Kernel:
     """Common surface for offspring displacement laws.
 
-    Subclasses provide density/transform/survival/sample plus tail quantiles.
-    ``one_sided`` kernels put zero mass on (-inf, 0); ``symmetric`` kernels
-    satisfy density(x) == density(-x) exactly.
+    Subclasses provide density/transform/survival/sample plus tail quantiles,
+    and each family declares its facts on its class: ``symmetric`` (density
+    exactly even); ``prefix`` (a one-parameter family's spec name);
+    ``monotone`` (nonincreasing on (0, inf), none below 0), with closed forms
+    of ``autocorrelation(x)`` = (h * hcheck)(x) = int_0^inf h(|x|+u) h(u) du,
+    ``mixing_moments()`` = E Z^p, p = 1, 2, 3, of X = Y Z (Y uniform on
+    (0, 1)), and ``tail_index`` (of a regularly varying tail; inf if lighter).
     """
 
-    one_sided = False
     symmetric = False
+    monotone = False
+    prefix = None
+    tail_index = math.inf
 
     def density(self, x):
         raise NotImplementedError
@@ -106,7 +112,10 @@ class Kernel:
         raise NotImplementedError
 
     def spec_string(self) -> str:
-        raise NotImplementedError
+        if self.prefix is None:   # not a one-parameter family
+            raise NotImplementedError
+        (param,) = astuple(self)
+        return f"{self.prefix}:{param:g}"
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +128,8 @@ class Exponential(Kernel):
     """One-sided exponential kernel h(t) = beta e^{-beta t} on (0, inf)."""
 
     beta: float
-    one_sided = True
+    monotone = True
+    prefix = "exp"
 
     def __post_init__(self):
         if not (self.beta > 0 and math.isfinite(self.beta)):
@@ -145,8 +155,11 @@ class Exponential(Kernel):
     def tail_quantile(self, eps):
         return -math.log(eps) / self.beta
 
-    def spec_string(self):
-        return f"exp:{self.beta:g}"
+    def autocorrelation(self, x):
+        return 0.5 * self.beta * np.exp(-self.beta * np.abs(np.asarray(x, dtype=float)))
+
+    def mixing_moments(self):   # Z ~ Gamma(2, beta)
+        return 2.0 / self.beta, 6.0 / self.beta**2, 24.0 / self.beta**3
 
 
 @dataclass(frozen=True)
@@ -154,7 +167,8 @@ class Lomax(Kernel):
     """Lomax kernel h(t) = alpha (1+t)^{-1-alpha} on (0, inf); contour-rule transform to 1e-11."""
 
     alpha: float
-    one_sided = True
+    monotone = True
+    prefix = "lomax"
 
     def __post_init__(self):
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
@@ -188,8 +202,17 @@ class Lomax(Kernel):
             out /= self.alpha - k
         return out
 
-    def spec_string(self):
-        return f"lomax:{self.alpha:g}"
+    tail_index = property(lambda self: self.alpha)
+
+    def autocorrelation(self, x):   # by Euler's integral, DLMF 15.6.1
+        from scipy.special import hyp2f1  # the package's one scipy use: Lomax match bases only
+        a, ax = self.alpha, np.abs(np.asarray(x, dtype=float))
+        return a * a * hyp2f1(1.0 + a, 1.0 + 2.0 * a, 2.0 + 2.0 * a, -ax) / (1.0 + 2.0 * a)
+
+    def mixing_moments(self):
+        if self.alpha <= 2.0:
+            raise ValueError("mixture moments need a finite second kernel moment")
+        return tuple((p + 1) * self.moment(p) for p in (1, 2, 3))
 
 
 @dataclass(frozen=True)
@@ -197,7 +220,8 @@ class UniformHalf(Kernel):
     """One-sided uniform kernel h(t) = 1/a on (0, a)."""
 
     a: float
-    one_sided = True
+    monotone = True
+    prefix = "uhalf"
 
     def __post_init__(self):
         if not (self.a > 0 and math.isfinite(self.a)):
@@ -223,8 +247,12 @@ class UniformHalf(Kernel):
     def tail_quantile(self, eps):
         return self.a
 
-    def spec_string(self):
-        return f"uhalf:{self.a:g}"
+    def autocorrelation(self, x):
+        return np.clip(self.a - np.abs(np.asarray(x, dtype=float)), 0.0, None) / self.a**2
+
+    def mixing_moments(self):
+        a = self.a   # products, not powers: E Z^3 - E Z E Z^2 cancels to exactly 0
+        return a, a * a, a * a * a
 
 
 @dataclass(frozen=True)
@@ -233,6 +261,7 @@ class SymmetricLaplace(Kernel):
 
     beta: float
     symmetric = True
+    prefix = "slap"
 
     def __post_init__(self):
         if not (self.beta > 0 and math.isfinite(self.beta)):
@@ -257,9 +286,6 @@ class SymmetricLaplace(Kernel):
 
     def tail_quantile(self, eps):
         return -math.log(eps) / self.beta
-
-    def spec_string(self):
-        return f"slap:{self.beta:g}"
 
 
 @dataclass(frozen=True)
@@ -397,7 +423,11 @@ def _lomax_rows(alpha, w, nodes):
 # kernel spec mini-grammar and tabulated CSV I/O
 # ---------------------------------------------------------------------------
 
-_FAMILIES = "exp:beta, lomax:alpha, uhalf:a, slap:beta, match:<base>:<m>, tab:<path>"
+# the one-parameter families by spec prefix, each parsed as prefix:param
+_BY_PREFIX = {cls.prefix: cls for cls in (Exponential, Lomax, UniformHalf, SymmetricLaplace)}
+_ALIASES = {"uniform": "uhalf"}
+_FAMILIES = ", ".join([f"{p}:{fields(cls)[0].name}" for p, cls in _BY_PREFIX.items()]
+                      + ["match:<base>:<m>", "tab:<path>"])
 
 
 def kernel_from_spec(spec: str) -> Kernel:
@@ -408,15 +438,10 @@ def kernel_from_spec(spec: str) -> Kernel:
     """
     parts = spec.strip().split(":")
     name = parts[0].lower()
+    family = _BY_PREFIX.get(_ALIASES.get(name, name))
     try:
-        if name == "exp" and len(parts) == 2:
-            return Exponential(float(parts[1]))
-        if name == "lomax" and len(parts) == 2:
-            return Lomax(float(parts[1]))
-        if name in ("uhalf", "uniform") and len(parts) == 2:
-            return UniformHalf(float(parts[1]))
-        if name == "slap" and len(parts) == 2:
-            return SymmetricLaplace(float(parts[1]))
+        if family is not None and len(parts) == 2:
+            return family(float(parts[1]))
         if name == "tab" and len(parts) >= 2:
             return load_tabulated_csv(":".join(parts[1:]))
         if name == "match" and len(parts) >= 2:

@@ -12,8 +12,8 @@ with rhohat(w) = (2 Re hhat(w) - m |hhat(w)|^2) / (2 - m) and the positive
 real square root; the radicand equals |1 - m hhat(w)|^2 >= (1-m)^2.  A draw
 from phi_h is a p_n-sized random sum of rho_h draws.
 
-The bases are the one-sided exponential, Lomax and uniform families; each
-has a closed-form autocorrelation h * hcheck, so rho_h is exact and cheap.
+The bases are the ``monotone`` families (one-sided exponential, Lomax and
+uniform); each declares h * hcheck in closed form, so rho_h is exact and cheap.
 A matched kernel holds rho_h on one table and draws each summand from it by
 inverse CDF, whether it was just built or reloaded from a file.  A kernel
 built from its base keeps the exact transform phi_transform.
@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import (Exponential, InvalidKernel, Kernel, Lomax, UniformHalf, array_key,
-                      in_row_chunks, readonly)
+from .kernels import InvalidKernel, Kernel, UniformHalf, array_key, in_row_chunks, readonly
 
 __all__ = [
     "MatchSpec",
@@ -56,7 +55,7 @@ class BranchViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class MatchSpec:
-    """Inputs of the spectral match: one-sided exp, lomax or uhalf base and m."""
+    """Inputs of the spectral match: a monotone base (exp, lomax or uhalf) and m."""
 
     base: Kernel
     m: float
@@ -64,7 +63,9 @@ class MatchSpec:
     def __post_init__(self):
         if not (0.0 < self.m < 1.0):
             raise ValueError(f"branching ratio m must lie in (0, 1), got {self.m}")
-        _autocorrelation(self.base, 0.0)  # InvalidKernel for any other base
+        if not self.base.monotone:
+            raise InvalidKernel("spectral match needs a monotone one-sided base, "
+                                f"got {type(self.base).__name__}")
         object.__setattr__(self, "_pn", pn_weights(self.m, PN_TRUNCATION_EPS))
 
     _pn: np.ndarray = field(init=False, repr=False, compare=False)
@@ -93,31 +94,11 @@ def pn_weights(m: float, eps: float = PN_TRUNCATION_EPS) -> np.ndarray:
     return out
 
 
-def _autocorrelation(base: Kernel, x):
-    """(h * hcheck)(x) = int_0^inf h(|x|+u) h(u) du, in closed form.
-
-    Lomax by Euler's integral (DLMF 15.6.1):
-    alpha^2 2F1(1+alpha, 1+2alpha; 2+2alpha; -|x|) / (1+2alpha).
-    """
-    ax = np.abs(np.asarray(x, dtype=float))
-    if isinstance(base, Exponential):
-        return 0.5 * base.beta * np.exp(-base.beta * ax)
-    if isinstance(base, Lomax):
-        from scipy.special import hyp2f1  # the package's one scipy use: Lomax bases only
-        a = base.alpha
-        return a * a * hyp2f1(1.0 + a, 1.0 + 2.0 * a, 2.0 + 2.0 * a, -ax) / (1.0 + 2.0 * a)
-    if isinstance(base, UniformHalf):
-        return np.clip(base.a - ax, 0.0, None) / base.a**2
-    raise InvalidKernel(
-        f"spectral match needs an exp, lomax or uhalf base, got {type(base).__name__}"
-    )
-
-
 def rho_density(spec: MatchSpec, x):
     """Even symmetric building block rho_h."""
     x = np.asarray(x, dtype=float)
     base, m = spec.base, spec.m
-    out = (base.density(np.abs(x)) - m * _autocorrelation(base, x)) / (2.0 - m)
+    out = (base.density(np.abs(x)) - m * base.autocorrelation(x)) / (2.0 - m)
     if np.any(out < -1e-12):
         raise NegativeDensity(
             f"rho_h < 0 at |x|={float(np.abs(x).flat[int(np.argmin(out))]):g}"

@@ -105,8 +105,8 @@ def test_z_from_kernel():
 
 
 def test_z_from_kernel_rejects_other_one_sided_families():
-    class HalfNormal(Kernel):          # one-sided and monotone, but no family of ours
-        one_sided = True
+    class HalfNormal(Kernel):
+        """One-sided and monotone, but it declares no monotone family's facts."""
 
     with pytest.raises(NonMonotoneKernel):
         z_from_kernel(HalfNormal())

@@ -260,6 +260,15 @@ def test_cli_exit_code_2_on_padding_budget(tmp_path, capsys):
     assert not (tmp_path / "events.csv").exists()
 
 
+@pytest.mark.parametrize("half_width", ["1e-200", "1e200"])
+def test_cli_exit_code_2_on_lattice_out_of_range(tmp_path, capsys, half_width):
+    assert run_cli(tmp_path, "invert", "--m", "0.5", "--kernel", "exp:1", "--n", "64",
+                   "--half-width", half_width) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "lag cells" in err
+    assert not (tmp_path / "c3.csv").exists()
+
+
 def test_contrast_scan_support_beyond_grid_fails_before_simulating(tmp_path, capsys, monkeypatch):
     import clusterbispec.simulate as simulate
 

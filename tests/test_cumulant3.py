@@ -9,6 +9,7 @@ from clusterbispec.contrasts import antisymmetrize, sign_contrast_function, smoo
 from clusterbispec.cumulant3 import (
     AliasWarning,
     GridBudgetExceeded,
+    LatticeOutOfRange,
     HOutOfRange,
     SupportExceedsGrid,
     contrast_mass_DH,
@@ -64,6 +65,23 @@ def test_matched_kernel_grid_has_no_odd_part(matched_grid):
 def test_undersized_half_width_warns():
     with pytest.warns(AliasWarning):
         invert_bispectrum(EXP_PARAMS, half_width=3.0, n=64)
+
+
+@pytest.mark.parametrize("params, half_width", [
+    (EXP_PARAMS, 1e-200), (EXP_PARAMS, 1e200),
+    (ModelParams(1e6, 0.99, 0.0, Exponential(1.0)), 1e-152)])
+def test_lattice_that_under_or_overflows_fails_before_sampling(params, half_width, monkeypatch):
+    # 1e-200 gave a c3 of inf (spacing^2 is 0) and an odd part of NaN; 1e200 raised
+    # a bare OverflowError from spacing**2; at 1e-152 spacing^2 is a normal double,
+    # but c3 overflowed to inf, since |c3| reaches nu E[(M)_3] / spacing^2
+    import clusterbispec.cumulant3 as cumulant3
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a frequency was sampled")
+
+    monkeypatch.setattr(cumulant3, "b_factorial", no_sampling)
+    with pytest.raises(LatticeOutOfRange, match="lag cells of area"):
+        invert_bispectrum(params, half_width=half_width, n=64)
 
 
 @pytest.mark.parametrize("half_width", [0.0, -1.0, math.nan, math.inf])

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from clusterbispec.kernels import (
     TRANSFORM_TOL,
     Exponential,
     InvalidKernel,
+    Kernel,
     Lomax,
     SymmetricLaplace,
     TabulatedSymmetric,
@@ -197,23 +199,16 @@ def test_uniform_transform_closed_form():
 
 
 def test_lomax_transform_against_bruteforce_riemann():
-    # independent oracle: composite Simpson on [0, 1e6] with 1e8 panels;
-    # truncation beyond 1e6 is (1+1e6)^-1.5 ~ 1e-9
+    # independent oracle: composite Simpson on [0, U] with 1e5 panels; for the
+    # decreasing density h, |int_U^inf e^{-iwt} h(t) dt| <= 2 h(U) / |w|
     alpha, w = 1.5, 2.0
-    n_panels, upper = 10**8, 1e6
+    n_panels, upper = 10**5, 1e3
     h = upper / n_panels
     k = Lomax(alpha)
-    total = 0.0 + 0.0j
-    chunk = 2 * 10**6
-    for start in range(0, n_panels, chunk):
-        stop = min(start + chunk, n_panels)
-        left = np.arange(start, stop, dtype=np.float64) * h
-        mid = left + 0.5 * h
-        right = left + h
-        fl = np.exp(-1j * w * left) * k.density(left)
-        fm = np.exp(-1j * w * mid) * k.density(mid)
-        fr = np.exp(-1j * w * right) * k.density(right)
-        total += (h / 6.0) * (np.sum(fl) + 4.0 * np.sum(fm) + np.sum(fr))
+    assert 2.0 * float(k.density(upper)) / w < 5e-8
+    left = np.arange(n_panels, dtype=np.float64) * h
+    fl, fm, fr = (np.exp(-1j * w * t) * k.density(t) for t in (left, left + 0.5 * h, left + h))
+    total = (h / 6.0) * (np.sum(fl) + 4.0 * np.sum(fm) + np.sum(fr))
     val, bound = transform_with_bound(k, w)
     assert bound <= 1e-9
     assert abs(val - total) < 1e-6
@@ -390,13 +385,63 @@ def test_scale_kernel():
 
 
 def test_kernel_spec_round_trip():
-    for spec in ("exp:1", "lomax:1.5", "uhalf:2", "slap:1"):
+    for spec in ("exp:1", "lomax:1.5", "uhalf:2", "slap:1", "uniform:2"):
         k = kernel_from_spec(spec)
         assert kernel_from_spec(k.spec_string()) == k
-    with pytest.raises(InvalidKernel):
+    assert kernel_from_spec("uniform:2").spec_string() == "uhalf:2"
+    with pytest.raises(InvalidKernel) as unknown:
         kernel_from_spec("weibull:1")
+    for family in ("exp:beta", "lomax:alpha", "uhalf:a", "slap:beta", "match:<base>:<m>",
+                   "tab:<path>"):
+        assert family in str(unknown.value), family
     with pytest.raises(InvalidKernel):
         kernel_from_spec("exp:-1")
+
+
+@dataclass(frozen=True)
+class _Triangle(Kernel):
+    """A monotone family declared here alone: h(t) = 2 (1 - t/a) / a on (0, a)."""
+
+    a: float
+    monotone = True
+    prefix = "tri"
+
+    def density(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where((x >= 0) & (x <= self.a), 2.0 * (1.0 - x / self.a) / self.a, 0.0)
+
+    def sample(self, rng, size=None):
+        return self.a * (1.0 - np.sqrt(1.0 - rng.random(size)))
+
+    def tail_quantile(self, eps):
+        return self.a
+
+    def autocorrelation(self, x):
+        b = np.clip(1.0 - np.abs(np.asarray(x, dtype=float)) / self.a, 0.0, None)
+        return 2.0 * b * b * (3.0 - b) / (3.0 * self.a)
+
+    def mixing_moments(self):   # Z = a Beta(2, 1): E Z^p = 2 a^p / (p + 2)
+        return 2.0 * self.a / 3.0, self.a**2 / 2.0, 2.0 * self.a**3 / 5.0
+
+
+def test_one_declaration_admits_a_new_monotone_family():
+    # the match and the scale mixture read the family's declared facts, no family list
+    from clusterbispec.asymptotics import MixtureZ, delta_m, mixture_moment_check, z_from_kernel
+    from clusterbispec.match import rho_density
+
+    k, m = _Triangle(2.0), 0.5
+    xs = np.linspace(0.0, 2.5, 11)
+    conv = [quad(lambda u: float(k.density(x + u) * k.density(u)), 0.0, max(k.a - x, 0.0),
+                 epsabs=0.0, epsrel=1e-12)[0] for x in xs]
+    np.testing.assert_allclose(rho_density(MatchSpec(k, m), xs),
+                               (k.density(xs) - m * np.array(conv)) / (2.0 - m),
+                               rtol=1e-12, atol=1e-15)
+    matched = build_matched_kernel(MatchSpec(k, m))
+    assert (k.spec_string(), matched.spec_string()) == ("tri:2", "match:tri:2:0.5")
+    assert z_from_kernel(k) == MixtureZ(4.0 / 3.0, 2.0, 3.2)
+    assert delta_m(z_from_kernel(k), m) > 0.0
+    for p in (1, 2, 3):   # the declared moments against the family's own sampler
+        assert mixture_moment_check(k, p, 200_000, seed=p)["pass"], p
 
 
 def test_uniform_alias_in_the_grammar():

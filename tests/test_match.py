@@ -158,8 +158,8 @@ def test_rho_normalization():
 
 
 def test_match_spec_rejects_bad_bases():
-    class HalfNormal(Kernel):          # one-sided and monotone, but no closed form
-        one_sided = True
+    class HalfNormal(Kernel):
+        """One-sided and monotone, but it declares no monotone family's facts."""
 
     with pytest.raises(InvalidKernel):
         MatchSpec(SymmetricLaplace(1.0), m=0.5)  # not one-sided
