@@ -65,7 +65,8 @@ class GridBudgetExceeded(ValueError):
 
 
 class LatticeOutOfRange(ValueError):
-    """The lag cell area spacing^2 is subnormal or overflows, or c3 could overflow by it."""
+    """A lag or frequency cell area spacing^2 is subnormal or overflows, or c3
+    could overflow by it."""
 
 
 class TransformNotIntegrable(UserWarning):
@@ -144,10 +145,8 @@ def invert_bispectrum(params: ModelParams, half_width=None, n=512) -> CumulantGr
         raise GridBudgetExceeded(f"n = {n} needs {n * n} cells, above the grid budget "
                                  f"of {GRID_BUDGET}")
     dtau = 2.0 * lam_w / n
-    area = dtau * dtau   # |c3| <= envelope / area: nu E[(M)_3] bounds |B_fac| as well
-    if not (np.finfo(float).tiny <= area < math.inf and envelope(params) / area < math.inf):
-        raise LatticeOutOfRange(f"half_width {lam_w:g} gives lag cells of area {area:g}, "
-                                "too small or too large for a finite c3")
+    # |c3| <= envelope / area: nu E[(M)_3] bounds |B_fac| as well
+    _check_cells(dtau, f"half_width {lam_w:g} gives lag cells", envelope(params))
     dw = math.pi / lam_w
     k = np.arange(-n // 2, n // 2)
     W1, W2 = np.meshgrid(k * dw, k * dw, indexing="ij")
@@ -174,6 +173,15 @@ def invert_bispectrum(params: ModelParams, half_width=None, n=512) -> CumulantGr
                         meta={"nu": params.nu, "m": params.m,
                               "kernel": params.kernel.spec_string(),
                               "envelope": envelope(params)})
+
+
+def _check_cells(spacing, cells, bound=1.0):
+    """LatticeOutOfRange unless the cell area spacing^2 is a normal double and
+    bound / area is finite."""
+    area = spacing * spacing
+    if not (np.finfo(float).tiny <= area < math.inf and bound / area < math.inf):
+        raise LatticeOutOfRange(f"{cells} of area {area:g}, too small or too large "
+                                "for a finite sum")
 
 
 def _reflect_index(n: int) -> np.ndarray:
@@ -223,7 +231,9 @@ def mu_g_freq(params: ModelParams, f, omega_max=40.0, n_omega=1600) -> MuFreqRes
     makes ghat = i H_g with H_g real), and the integral is a lattice sum
     truncated at ``omega_max``.  The reported bound combines the outer-ring
     contribution with the global envelope on |Im B|.  An n_omega^2 above
-    GRID_BUDGET raises :class:`GridBudgetExceeded` before any sampling.
+    GRID_BUDGET raises :class:`GridBudgetExceeded`, and a lag or frequency
+    cell area that under- or overflows :class:`LatticeOutOfRange`, before g
+    or any frequency is sampled.
     """
     if not (omega_max > 0 and math.isfinite(omega_max)):
         raise ValueError(f"omega_max must be positive and finite, got {omega_max}")
@@ -234,8 +244,10 @@ def mu_g_freq(params: ModelParams, f, omega_max=40.0, n_omega=1600) -> MuFreqRes
         raise GridBudgetExceeded(f"n_omega = {n_omega} needs {n_omega**2} cells, "
                                  f"above the grid budget of {GRID_BUDGET}")
     dw = 2.0 * omega_max / n_omega
+    _check_cells(dw, f"omega_max {omega_max:g} and n_omega {n_omega} give frequency cells")
     A = math.pi / dw                       # conjugate lag half-width
     delta = 2.0 * A / n_omega              # lag spacing; pi / omega_max
+    _check_cells(delta, f"omega_max {omega_max:g} gives lag cells")
     if f.support_radius > A:
         raise SupportExceedsGrid("omega grid too coarse for the test-function support")
     k = np.arange(-n_omega // 2, n_omega // 2)

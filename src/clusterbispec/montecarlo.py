@@ -4,6 +4,13 @@ Every estimator averages i.i.d. per-cluster or per-replicate contributions,
 reports a component-wise standard error, and is reproducible bit-for-bit
 from its seed: chunks and replicates are consumed in a fixed order and
 reduced deterministically.
+
+The phasors e^{-i w x} of a set of frequencies come from one walk over |w|
+upward (``_phasors``): each is the previous one times the phasor of the step
+between them, so a frequency set costs one complex exponential per distinct
+step, not one per frequency.  The periodogram and the cluster transforms W(w)
+both sum those phasors; a non-finite frequency is refused before any window
+or cluster is drawn.
 """
 
 from __future__ import annotations
@@ -84,15 +91,54 @@ def _cluster_means(params, n_clusters, seed, contributions, scale=1.0) -> list[M
     return out
 
 
+def _finite(omega, name) -> np.ndarray:
+    """omega as a float array; ValueError naming it unless every entry is finite."""
+    w = np.asarray(omega, dtype=float)
+    bad = w[~np.isfinite(w)]
+    if bad.size:
+        raise ValueError(f"{name} must be finite, got {bad.flat[0]}")
+    return w
+
+
+def _phasors(x, omega):
+    """Yield (k, e^{-i omega[k] x}) for every flat index k of omega, by |omega| upward.
+
+    Each new |omega[k]| = v is the previous one, p, times the phasor of the
+    step v - p when that step is exact ((v - p) + p == v, so the product's
+    frequency is exactly v), else its own exponential.  Every phasor formed,
+    of a frequency or of a step, is kept by value, so a step equal to an
+    earlier frequency, or a repeated step, costs no exponential.  A negative
+    frequency yields the conjugate, and 0 yields ones.
+    """
+    x = np.asarray(x, dtype=float)
+    w = np.asarray(omega, dtype=float).ravel()
+    formed = {0.0: np.ones(len(x), dtype=complex)}
+
+    def phasor(v):
+        if v not in formed:
+            formed[v] = np.exp(-1j * v * x)
+        return formed[v]
+
+    prev = 0.0
+    for k in np.argsort(np.abs(w), kind="stable"):
+        v = abs(float(w[k]))
+        if v not in formed:
+            step = v - prev
+            formed[v] = formed[prev] * phasor(step) if prev and step + prev == v else phasor(v)
+        prev = v
+        yield k, formed[v] if w[k] >= 0.0 else formed[v].conj()
+
+
 def _w_product(freqs, offs, cid, batch):
-    """[prod_j W(freq_j)] per cluster, W(w) = sum of e^{-i w x} over its points."""
-    order = np.argsort(cid, kind="stable")
-    offs, cid = offs[order], cid[order]
-    bounds = np.searchsorted(cid, np.arange(batch + 1))
+    """[prod_j W(freq_j)] per cluster, W(w) = sum of e^{-i w x} over its points.
+
+    sample_clusters_batch puts the roots first, at offset exactly 0, so each
+    cluster's W is 1 plus the sum over its other members, by owner.
+    """
+    owner, x = cid[batch:], offs[batch:]
     prod = np.ones(batch, dtype=complex)
-    for w in freqs:
-        cs = np.concatenate([[0.0 + 0.0j], np.cumsum(np.exp(-1j * float(w) * offs))])
-        prod *= cs[bounds[1:]] - cs[bounds[:-1]]
+    for _, e in _phasors(x, freqs):
+        prod *= (1.0 + np.bincount(owner, e.real, batch)) + 1j * np.bincount(owner, e.imag, batch)
     return [prod]
 
 
@@ -102,13 +148,14 @@ def mc_b_complete(params: ModelParams, w1, w2, n_clusters, seed) -> McEstimate:
     This is the direct cluster-transform estimator of B_comp(w1, w2); no
     closed-form input enters, so it is a genuine oracle for the R/Q forms.
     """
-    product = partial(_w_product, (w1, w2, -w1 - w2))
-    return _cluster_means(params, n_clusters, seed, product, params.nu)[0]
+    freqs = _finite((w1, w2, -w1 - w2), "w1, w2 and -w1-w2")
+    return _cluster_means(params, n_clusters, seed, partial(_w_product, freqs), params.nu)[0]
 
 
 def mc_cluster_m2(params: ModelParams, a, b, n_clusters, seed) -> McEstimate:
     """E{W(a) W(b)} over independent clusters; closed form is R(a)R(b)R(a+b)."""
-    return _cluster_means(params, n_clusters, seed, partial(_w_product, (a, b)))[0]
+    freqs = _finite((a, b), "a and b")
+    return _cluster_means(params, n_clusters, seed, partial(_w_product, freqs))[0]
 
 
 def _size_powers(offs, cid, batch):
@@ -129,12 +176,19 @@ def cluster_size_moments(params: ModelParams, n_clusters, seed) -> dict:
 
 
 def periodogram(series: EventSeries, omega):
-    """Bartlett periodogram |sum_x e^{-i w x}|^2 / T at one or many frequencies."""
-    w = np.asarray(omega, dtype=float)
+    """Bartlett periodogram |sum_x e^{-i w x}|^2 / T at one or many frequencies.
+
+    The result has omega's shape (a numpy scalar for a scalar omega).  Each
+    phasor row comes from the walk over |omega| (``_phasors``) and is summed
+    as it is formed.
+    """
+    w = _finite(omega, "omega")
     if series.window_end <= 0:
         raise ValueError("window_end must be positive")
-    ph = np.exp(-1j * np.multiply.outer(w, series.times))
-    return np.abs(ph.sum(axis=-1)) ** 2 / series.window_end
+    sums = np.empty(w.shape, dtype=complex)
+    for k, ph in _phasors(series.times, w):
+        sums.flat[k] = ph.sum()
+    return np.abs(sums) ** 2 / series.window_end
 
 
 def mean_periodogram(params: ModelParams, T, omega_list, replicates, seed) -> list[McEstimate]:
@@ -143,7 +197,7 @@ def mean_periodogram(params: ModelParams, T, omega_list, replicates, seed) -> li
     The finite-window bias is documented, not corrected: comparisons should
     use the stated k-sigma bands at moderate T.
     """
-    omegas = np.asarray(omega_list, dtype=float)
+    omegas = _finite(omega_list, "omega_list")
     if np.any(omegas == 0):
         raise ValueError("omega = 0 is intensity-dominated; use nonzero frequencies")
     replicates = int(replicates)

@@ -278,7 +278,11 @@ def _simulate(params: ModelParams, T, rng):
     offs, cid = sample_clusters_batch(n_near, m, kernel, rng)[:2]
     t = np.concatenate([far, roots[cid] + sign[cid] * offs])
     t = t[inside(t)]
-    t.sort(kind="stable")
+    # equal doubles are indistinguishable unless they are 0.0 and -0.0, and no
+    # time here is -0.0: each is a non-negative uniform (a root or a proposal)
+    # plus or minus offsets, and x + y or x - y is -0.0 only when x is -0.0,
+    # so an unstable sort gives the same bits as a stable one
+    t.sort()
     record = {"near_immigrants": n_near, "far_proposals": n_prop,
               "far_clusters": int(np.count_nonzero(kept))}
     return record, t

@@ -6,7 +6,12 @@
 - ``scale_kernel``: the time-scale map h(t) -> beta * h(beta * t) for the
   families closed under it;
 - ``scale_check``: B_fac under a scaled kernel against B_fac at scaled
-  frequencies.
+  frequencies;
+- ``periodogram_direct``: the periodogram from one complex exponential per
+  (frequency, point), the K x N array exp(-i outer(w, x)) summed by row;
+- ``w_product_prefix``: the per-cluster product of cluster transforms W(w)
+  from one exponential per (frequency, member), members sorted by cluster
+  and each W a difference of cumulative sums.
 """
 
 import math
@@ -66,3 +71,26 @@ def scale_check(params: ModelParams, beta: float, w1, w2, rtol: float = 1e-10) -
     rhs = b_factorial(params, np.asarray(w1) / beta, np.asarray(w2) / beta)
     scale = np.maximum(np.abs(rhs), params.lam)
     return bool(np.all(np.abs(lhs - rhs) <= rtol * scale))
+
+
+def periodogram_direct(series: EventSeries, omega):
+    """|sum_x e^{-i w x}|^2 / T from one exponential per (frequency, point)."""
+    w = np.asarray(omega, dtype=float)
+    ph = np.exp(-1j * np.multiply.outer(w, series.times))
+    return np.abs(ph.sum(axis=-1)) ** 2 / series.window_end
+
+
+def w_product_prefix(freqs, offs, cid, batch):
+    """[prod_j W(freq_j)] per cluster, each W a difference of prefix sums.
+
+    Takes the arguments of ``montecarlo._w_product``: members are sorted by
+    cluster, and every member, the root included, gets its own exponential.
+    """
+    order = np.argsort(cid, kind="stable")
+    offs, cid = offs[order], cid[order]
+    bounds = np.searchsorted(cid, np.arange(batch + 1))
+    prod = np.ones(batch, dtype=complex)
+    for w in freqs:
+        cs = np.concatenate([[0.0 + 0.0j], np.cumsum(np.exp(-1j * float(w) * offs))])
+        prod *= cs[bounds[1:]] - cs[bounds[:-1]]
+    return [prod]

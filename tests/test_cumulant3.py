@@ -1,6 +1,7 @@
 """Bispectrum inversion, odd decomposition, D_H, and the two mu_g routes."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -251,6 +252,24 @@ def test_mu_g_freq_checks_its_lattice(kwargs, name):
     with pytest.raises(ValueError, match=name) as info:
         mu_g_freq(EXP_PARAMS, smooth_quadrant_bump(4.0), **kwargs)
     assert not isinstance(info.value, SupportExceedsGrid)
+
+
+@pytest.mark.parametrize("omega_max, n_omega, cells", [
+    (1e-200, 64, "frequency cells"), (1e200, 64, "frequency cells"),
+    (3e154, 2048, "lag cells")])
+def test_mu_g_freq_lattice_that_under_or_overflows_fails_before_sampling(
+        omega_max, n_omega, cells, monkeypatch):
+    # omega_max 1e-200 evaluated g, warned of overflow and raised a bare
+    # OverflowError from delta**2 (lag spacing pi / omega_max = 3.1e200)
+    import clusterbispec.cumulant3 as cumulant3
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("g or a frequency was sampled")
+
+    monkeypatch.setattr(cumulant3, "b_factorial", no_sampling)
+    f = SimpleNamespace(support_radius=1e-190, evaluate=no_sampling)
+    with pytest.raises(LatticeOutOfRange, match=f"{cells} of area"):
+        mu_g_freq(EXP_PARAMS, f, omega_max=omega_max, n_omega=n_omega)
 
 
 def test_mu_g_freq_zero_for_matched():

@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from clusterbispec.kernels import Exponential, UniformHalf
+from oracles import periodogram_direct, w_product_prefix
+
+from clusterbispec import montecarlo
+from clusterbispec.kernels import Exponential, Lomax, UniformHalf
 from clusterbispec.montecarlo import (
     cluster_size_moments,
     mc_b_complete,
@@ -83,6 +86,39 @@ def test_mc_seed_determinism():
     assert (e1.stderr_re, e1.stderr_im) == (e2.stderr_re, e2.stderr_im)
 
 
+@pytest.mark.parametrize("params", [EXP_PARAMS, ModelParams(1.0, 0.5, 1.0, Lomax(1.5))])
+def test_cluster_estimators_match_prefix_oracle(params, monkeypatch):
+    # same clusters, W from the phasor walk and bincount against one
+    # exponential per member and prefix-sum differences
+    def both(estimator, *args):
+        walk = estimator(params, *args, 2 * 10**4, 21)
+        with monkeypatch.context() as mp:
+            mp.setattr(montecarlo, "_w_product", w_product_prefix)
+            return walk, estimator(params, *args, 2 * 10**4, 21)
+
+    for walk, prefix in (both(mc_b_complete, 0.3, 0.7), both(mc_b_complete, 2.0, -0.25),
+                         both(mc_cluster_m2, 0.5, 1.0), both(mc_cluster_m2, -1.7, 0.8)):
+        assert walk.value == pytest.approx(prefix.value, rel=1e-12, abs=0)
+        assert walk.stderr_re == pytest.approx(prefix.stderr_re, rel=1e-12, abs=0)
+        assert walk.stderr_im == pytest.approx(prefix.stderr_im, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mc_b_complete(EXP_PARAMS, math.inf, 1.0, 1000, 0),
+    lambda: mc_b_complete(EXP_PARAMS, math.nan, 1.0, 1000, 0),
+    lambda: mc_b_complete(EXP_PARAMS, 1e308, 1e308, 1000, 0),   # -w1-w2 overflows
+    lambda: mc_cluster_m2(EXP_PARAMS, 1.0, math.nan, 1000, 0),
+])
+def test_cluster_estimators_refuse_non_finite_frequencies(call, monkeypatch):
+    # mc_b_complete(inf, 1) returned nan+nanj with two RuntimeWarnings
+    def no_clusters(*args):
+        raise AssertionError("a cluster was drawn")
+
+    monkeypatch.setattr(montecarlo, "sample_clusters_batch", no_clusters)
+    with pytest.raises(ValueError, match="must be finite"):
+        call()
+
+
 def test_mc_requires_enough_clusters():
     with pytest.raises(ValueError):
         mc_b_complete(EXP_PARAMS, 1.0, 1.0, 100, seed=0)
@@ -98,6 +134,88 @@ def test_periodogram_point_value():
     w = 1.3
     direct = abs(np.sum(np.exp(-1j * w * series.times))) ** 2 / 4.0
     assert periodogram(series, w) == pytest.approx(direct)
+
+
+def _walk_sums(x, omega):
+    sums = np.empty(np.shape(omega), dtype=complex)
+    for k, ph in montecarlo._phasors(x, omega):
+        sums.flat[k] = ph.sum()
+    return sums
+
+
+@pytest.mark.parametrize("omega", [
+    np.linspace(0.4, 6.4, 16),                               # C05's grid
+    [0.5, 1.0, 2.0, 4.0],                                    # the bartlett suite's
+    np.sort(np.random.default_rng(7).uniform(0.5, 8.0, 32)),
+    [1.5, -0.25, 0.0, 3.0, -1.5, 0.25, 1.5, -0.0, 0.75],     # mixed signs, 0, duplicates
+    np.linspace(0.01, 8.0, 512),
+    [[0.5, -1.0, 2.0], [4.0, 0.5, -3.75]],                  # 2-D
+])
+def test_phasor_walk_matches_direct_sums(omega):
+    x = np.sort(np.random.default_rng(3).uniform(0.0, 1e3, 3000))
+    direct = np.exp(-1j * np.multiply.outer(np.asarray(omega, dtype=float), x)).sum(axis=-1)
+    assert np.max(np.abs(_walk_sums(x, omega) - direct)) <= 1e-12 * len(x)
+
+
+def test_periodogram_walk_against_direct_and_mpmath():
+    # T = 1e4 phases reach 6.4e4, where one rounding of w x moves a phasor by
+    # up to 7e-12; the walk rounds smaller phases and adds a rounding a step
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(11)
+    series = EventSeries(np.sort(rng.uniform(0.0, 1e4, 3000)), 1e4)
+    omegas = np.linspace(0.4, 6.4, 16)
+    walk, direct = periodogram(series, omegas), periodogram_direct(series, omegas)
+    with mp.workdps(40):
+        xs = [mp.mpf(float(t)) for t in series.times]
+        for w, a, b in zip(omegas, walk, direct):
+            s = mp.fsum(mp.expj(-mp.mpf(float(w)) * t) for t in xs)
+            exact = float(abs(s) ** 2 / 1e4)
+            assert abs(a - exact) <= 3e-12 and abs(b - exact) <= 3e-12, w
+
+
+def test_periodogram_shapes_signs_and_empty_series():
+    series = EventSeries(np.array([0.5, 1.25, 2.0]), 4.0)
+    value = periodogram(series, 1.3)
+    assert isinstance(value, np.float64) and np.ndim(value) == 0
+    grid = np.array([[0.5, -1.0, 2.0], [4.0, 0.5, -3.75]])
+    assert periodogram(series, grid).shape == grid.shape
+    w = np.linspace(0.4, 6.4, 16)
+    assert periodogram(series, -w).tobytes() == periodogram(series, w).tobytes()
+    assert np.all(periodogram(EventSeries(np.array([]), 4.0), w) == 0.0)
+    assert periodogram(EventSeries(np.array([]), 4.0), 1.0) == 0.0
+
+
+@pytest.mark.parametrize("omega, most", [(np.linspace(0.4, 6.4, 16), 5),
+                                         ([0.5, 1.0, 2.0, 4.0], 1)])
+def test_periodogram_exponentials_per_point(omega, most, monkeypatch):
+    # the walk takes one complex exponential per distinct step, not one per
+    # frequency: 16 -> 5 on C05's grid and 4 -> 1 on the doubling set
+    series = EventSeries(np.sort(np.random.default_rng(5).uniform(0.0, 100.0, 250)), 100.0)
+    counted = []
+    exp = np.exp
+
+    def counting(z, *args, **kwargs):
+        counted.append(np.size(z))
+        return exp(z, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting)
+    periodogram(series, omega)
+    assert 1 <= sum(counted) / len(series.times) <= most
+
+
+def test_periodogram_refuses_non_finite_frequencies(monkeypatch):
+    series = EventSeries(np.array([0.5, 1.25, 2.0]), 4.0)
+    for omega in ([1.0, math.nan], math.inf, [[1.0], [-math.inf]]):
+        with pytest.raises(ValueError, match="omega must be finite"):
+            periodogram(series, omega)
+
+    # mean_periodogram simulated every window and returned McEstimate(nan, nan, 0)
+    def no_windows(*args):
+        raise AssertionError("a window was drawn")
+
+    monkeypatch.setattr(montecarlo, "replicate_windows", no_windows)
+    with pytest.raises(ValueError, match="omega_list must be finite"):
+        mean_periodogram(EXP_PARAMS, 100.0, [math.nan], 3, 0)
 
 
 def test_periodogram_poisson_limit_is_flat():
