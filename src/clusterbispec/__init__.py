@@ -13,6 +13,7 @@ from .kernels import (
     Exponential,
     Kernel,
     Lomax,
+    Refused,
     SymmetricLaplace,
     TabulatedSymmetric,
     kernel_from_spec,
@@ -46,6 +47,7 @@ from .asymptotics import MixtureZ, chi_alpha, delta_m, diag_limit_check, z_from_
 
 __all__ = [
     "__version__",
+    "Refused",
     "Kernel", "Exponential", "Lomax", "SymmetricLaplace", "TabulatedSymmetric",
     "kernel_from_spec",
     "ModelParams", "EventSeries", "simulate_window", "ingest_events",

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Kernel
+from .kernels import Kernel, Refused
 from .simulate import ModelParams
 from .spectra import im_b_diagonal
 
@@ -48,11 +48,11 @@ DIAG_REL_TOL = 0.05    # smallest-t ratio within this of 1 counts as converged
 MOMENT_K_SIGMA = 4.0   # z-score band of mixture_moment_check
 
 
-class AlphaOutOfRange(ValueError):
+class AlphaOutOfRange(Refused):
     """Tail index outside the domain of a small-frequency constant."""
 
 
-class NonMonotoneKernel(ValueError):
+class NonMonotoneKernel(Refused):
     """Scale-mixture representation needs a nonincreasing one-sided density."""
 
 

@@ -11,14 +11,11 @@ version, wall time; for ``simulate`` also the window's near immigrants, far
 proposals and far clusters kept) so reruns reproduce the artifacts
 bit-identically.
 
-Exit codes: 0 success, 1 numerical-validation failure (mc suites), 2
-configuration error, including an unreadable or malformed config file, a
-kernel the command does not support, a grid of more cells than the grid
-budget, a lag half-width whose cell area under- or overflows or lets c3
-overflow, a window that would plan more immigrants or far spine nodes than
-the simulator's budget, a ``contrast scan`` support radius H beyond the
-half-width of the model's lag grid, and a ``contrast run`` window that would
-form more neighbor pairs than the statistic's budget.
+Exit codes: 0 success; 1 an ``mc-validate`` suite that fails, or an
+unexpected error; 2 any input the package refuses, that is any
+:class:`~clusterbispec.kernels.Refused` (a config error, an unreadable event
+file, a window above the simulator's member budget, ...), found while
+parsing or while running, one ``config error:`` line per violation.
 
 The angular-frequency convention everywhere is e^{-i omega t} for forward
 transforms (so transform(0) = 1 for probability densities).
@@ -39,12 +36,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .asymptotics import NonMonotoneKernel
-from .contrasts import PairBudgetExceeded
-from .cumulant3 import GRID_BUDGET, LatticeOutOfRange, SupportExceedsGrid
-from .kernels import InvalidKernel, Kernel, kernel_from_spec
+from .cumulant3 import GRID_BUDGET
+from .kernels import Kernel, Refused, kernel_from_spec
 from .montecarlo import SUITES
-from .simulate import ImmigrantBudgetExceeded, ModelParams
+from .simulate import ModelParams
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main"]
 
@@ -121,7 +116,7 @@ COMMANDS = {   # command -> (help, options, required inputs, per action if a dic
 _TOP = {"command": Opt(tuple(COMMANDS)), **GLOBAL_OPTIONS, "options": Opt(dict, {})}
 
 
-class ConfigError(ValueError):
+class ConfigError(Refused):
     """Invalid run configuration; ``violations`` lists every failed field."""
 
     def __init__(self, violations):
@@ -235,7 +230,7 @@ def _validate(cfg: RunConfig) -> None:
     if opt["kernel"] is not None:
         try:
             cfg.kernel = kernel_from_spec(opt["kernel"])
-        except (InvalidKernel, OSError) as exc:   # OSError: kernel file unreadable
+        except Refused as exc:
             bad.append(f"params.kernel: {exc}")
     if bad:
         raise ConfigError(bad)
@@ -447,21 +442,17 @@ def run(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
+    cfg = None
     try:
         cfg = parse_config(argv)
-    except ConfigError as exc:
-        for v in exc.violations:
-            print(f"config error: {v}", file=sys.stderr)
-        return 2
-    try:
         return run(cfg)
-    except (ConfigError, InvalidKernel, NonMonotoneKernel, PairBudgetExceeded, LatticeOutOfRange,
-            ImmigrantBudgetExceeded, SupportExceedsGrid) as exc:  # faults found only while running
+    except Refused as exc:   # an input refused by name, while parsing or running
         for v in getattr(exc, "violations", [exc]):
             print(f"config error: {v}", file=sys.stderr)
         return 2
-    except Exception as exc:  # surface module + operation, fail loudly
-        print(f"error [{cfg.command}]: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except Exception as exc:  # a fault: surface the command and the error, fail loudly
+        print(f"error [{cfg.command if cfg else 'config'}]: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 1
 
 

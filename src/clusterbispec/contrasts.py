@@ -71,6 +71,7 @@ from typing import Callable
 import numpy as np
 
 from .cumulant3 import CumulantGrid, SupportExceedsGrid, mu_g_time, odd_part
+from .kernels import Refused
 from .simulate import EventSeries, ModelParams, replicate_windows
 
 __all__ = [
@@ -93,7 +94,7 @@ class EmptyWindowWarning(UserWarning):
     """Statistic evaluated on a window with no usable triples."""
 
 
-class PairBudgetExceeded(ValueError):
+class PairBudgetExceeded(Refused):
     """The window would form more neighbor pairs than PAIR_BUDGET."""
 
 
@@ -177,10 +178,9 @@ def antisymmetrize(u, H, bound=None) -> OddTestFunction:
     H = float(H)
 
     def evaluate(t1, t2):
-        t1 = np.asarray(t1, dtype=float)
-        t2 = np.asarray(t2, dtype=float)
+        t1, t2 = np.broadcast_arrays(np.asarray(t1, dtype=float), np.asarray(t2, dtype=float))
         inside = (np.abs(t1) <= H) & (np.abs(t2) <= H)
-        out = np.zeros(np.broadcast(t1, t2).shape)
+        out = np.zeros(t1.shape)
         if np.any(inside):
             a = np.asarray(u(t1[inside], t2[inside]), dtype=float)
             b = np.asarray(u(-t1[inside], -t2[inside]), dtype=float)
@@ -222,11 +222,16 @@ def smooth_quadrant_bump(H) -> OddTestFunction:
     the same floating-point values as u(tau) - u(-tau) (a zero stays +0.0)
     from one bump evaluation per point.  On the support sign(t1) = sign(t2),
     so swapping the lags swaps the two squares of s2: g is quadrant
-    symmetric bit for bit.
+    symmetric bit for bit.  ``evaluate`` divides by r^2 and squares
+    distances of up to about 2.5 H^2 inside the box, so an H for which
+    either is not a finite normal double is :class:`Refused`.
     """
     H = float(H)
     c = H / 2.0
     r = H / 2.0
+    if not (r * r >= np.finfo(float).tiny and 2.5 * H * H < math.inf):
+        raise Refused(f"bump support radius H = {H:g} is out of range: (H/2)^2 and 2.5 H^2 "
+                      "must be finite normal doubles (about 3e-154 <= H <= 8.4e153)")
 
     def evaluate(t1, t2):
         t1, t2 = np.broadcast_arrays(np.asarray(t1, dtype=float), np.asarray(t2, dtype=float))
@@ -267,9 +272,8 @@ def sign_contrast_function(grid: CumulantGrid, H) -> OddTestFunction:
     signs = np.sign(odd.values)
 
     def evaluate(t1, t2):
-        t1 = np.asarray(t1, dtype=float)
-        t2 = np.asarray(t2, dtype=float)
-        out = np.zeros(np.broadcast(t1, t2).shape)
+        t1, t2 = np.broadcast_arrays(np.asarray(t1, dtype=float), np.asarray(t2, dtype=float))
+        out = np.zeros(t1.shape)
         inside = (np.abs(t1) <= H) & (np.abs(t2) <= H)
         if np.any(inside):
             i = np.trunc(t1[inside] / dx + np.copysign(0.5, t1[inside])).astype(np.int64)

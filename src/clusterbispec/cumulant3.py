@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .kernels import Refused
 from .simulate import ModelParams, write_columns
 from .spectra import b_factorial, envelope
 
@@ -52,19 +53,19 @@ class AliasWarning(UserWarning):
     """Boundary band of the lag grid carries non-negligible mass (Lambda too small)."""
 
 
-class HOutOfRange(ValueError):
+class HOutOfRange(Refused):
     """Requested box radius exceeds the grid half-width."""
 
 
-class SupportExceedsGrid(ValueError):
+class SupportExceedsGrid(Refused):
     """Test-function support does not fit inside the lag grid."""
 
 
-class GridBudgetExceeded(ValueError):
+class GridBudgetExceeded(Refused):
     """The lattice would hold more cells than GRID_BUDGET."""
 
 
-class LatticeOutOfRange(ValueError):
+class LatticeOutOfRange(Refused):
     """A lag or frequency cell area spacing^2 is subnormal or overflows, or c3
     could overflow by it."""
 

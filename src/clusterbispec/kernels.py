@@ -26,6 +26,7 @@ __all__ = [
     "UniformHalf",
     "SymmetricLaplace",
     "TabulatedSymmetric",
+    "Refused",
     "InvalidKernel",
     "TransformOutOfRange",
     "transform_with_bound",
@@ -69,11 +70,16 @@ def in_row_chunks(rows, omega, width):
     return np.concatenate(parts).reshape(np.shape(omega))
 
 
-class InvalidKernel(ValueError):
+class Refused(ValueError):
+    """An input the package declines, by name: every named refusal derives from
+    it, so a caller (the command line's exit 2) catches them all as one type."""
+
+
+class InvalidKernel(Refused):
     """Kernel parameters or tabulated data violate a construction invariant."""
 
 
-class TransformOutOfRange(ValueError):
+class TransformOutOfRange(Refused):
     """The Lomax contour runs past the double range: alpha < 0.085 at a subnormal |w|."""
 
 

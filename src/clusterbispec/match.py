@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import InvalidKernel, Kernel, UniformHalf, array_key, in_row_chunks, readonly
+from .kernels import (InvalidKernel, Kernel, Refused, UniformHalf, array_key, in_row_chunks,
+                      readonly)
 
 __all__ = [
     "MatchSpec",
@@ -76,7 +77,8 @@ def pn_weights(m: float, eps: float = PN_TRUNCATION_EPS) -> np.ndarray:
 
     Computed by the stable ratio recurrence
     p_{n+1} = p_n (2n-1) m(2-m) / (2(n+1)) from p_1 = (2-m)/2; the final
-    entry absorbs the truncated residual so the vector sums to one.
+    entry absorbs the truncated residual so the vector sums to one.  An m so
+    near 1 that more than 1e6 terms are needed is :class:`Refused`.
     """
     if not (0.0 < m < 1.0 and 0.0 < eps < 1.0):
         raise ValueError("need 0 < m < 1 and 0 < eps < 1")
@@ -88,7 +90,8 @@ def pn_weights(m: float, eps: float = PN_TRUNCATION_EPS) -> np.ndarray:
         p.append(p[-1] * (2 * n - 1) * factor / (2 * (n + 1)))
         total += p[-1]
         if len(p) > 10**6:
-            raise RuntimeError("p_n truncation did not converge")
+            raise Refused(f"p_n at m = {m:g} needs more than its limit of 1e6 terms "
+                          f"to reach tail mass {eps:g}")
     out = np.asarray(p)
     out[-1] += 1.0 - out.sum()
     return out
@@ -259,9 +262,13 @@ def save_matched_kernel(kernel: MatchedKernel, path) -> None:
 
 
 def load_matched_kernel(path) -> MatchedKernel:
-    """Reload a saved match; InvalidKernel for a missing or malformed field."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    """Reload a saved match; InvalidKernel for an unreadable file or a missing or
+    malformed field."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:   # ValueError: not JSON, or not text
+        raise InvalidKernel(f"{path}: cannot read a matched-kernel file: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("kind") != "matched-kernel":
         raise InvalidKernel(f"{path}: not a matched-kernel file")
     try:

@@ -64,7 +64,9 @@ def _cluster_means(params, n_clusters, seed, contributions, scale=1.0) -> list[M
     ``contributions(offs, cid, batch)`` maps one chunk of clusters (the
     offsets and ids ``sample_clusters_batch`` returns) to a list of
     per-cluster arrays, real or complex; only their sums and sums of squared
-    parts are kept.
+    parts are kept.  A chunk of k clusters grows k / (1 - m) members in
+    mean, so it takes at most 2 _CHUNK (1 - m) clusters: _CHUNK for every
+    m <= 0.5, fewer nearer m = 1.
     Chunk order is fixed, so the reduction is deterministic for a given seed.
     """
     n = int(n_clusters)
@@ -72,8 +74,9 @@ def _cluster_means(params, n_clusters, seed, contributions, scale=1.0) -> list[M
         raise ValueError("need at least 1e3 clusters for a usable stderr")
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     sums = None
-    for done in range(0, n, _CHUNK):
-        batch = min(_CHUNK, n - done)
+    chunk = min(_CHUNK, max(1, int(2 * _CHUNK * (1.0 - params.m))))
+    for done in range(0, n, chunk):
+        batch = min(chunk, n - done)
         parts = contributions(*sample_clusters_batch(batch, params.m, params.kernel, rng)[:2], batch)
         sums = sums or [[0.0, 0.0, 0.0] for _ in parts]
         for s, v in zip(sums, parts):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import Kernel, array_key, readonly
+from .kernels import Kernel, Refused, array_key, readonly
 
 __all__ = [
     "ModelParams",
@@ -46,28 +46,29 @@ __all__ = [
 
 DEFAULT_SIZE_CAP = 10**7
 DEFAULT_GEN_CAP = 10**4
-# most cluster roots each part of one window may plan: near immigrants, and
-# far spine nodes (about 1 GB of draws a part at m = 0.5)
-IMMIGRANT_BUDGET = 10**7
+# most cluster members each part of one window may plan, in mean: a cluster
+# root, a near immigrant or a far spine node, grows 1 / (1 - m) of them, so at
+# m = 0.5 this is 1e7 roots (about 1 GB of draws a part)
+MEMBER_BUDGET = 2 * 10**7
 
 
-class ClusterSizeCapExceeded(RuntimeError):
+class ClusterSizeCapExceeded(Refused):
     """A single cluster grew past the size cap (pathological parameters)."""
 
 
-class GenerationCapExceeded(RuntimeError):
+class GenerationCapExceeded(Refused):
     """Cluster genealogy exceeded the generation cap."""
 
 
-class ImmigrantBudgetExceeded(ValueError):
-    """A part of the window plans more cluster roots than IMMIGRANT_BUDGET."""
+class ImmigrantBudgetExceeded(Refused):
+    """A part of the window plans more cluster members than MEMBER_BUDGET."""
 
 
-class ParseError(ValueError):
-    """Event file could not be parsed; message carries the line number."""
+class ParseError(Refused):
+    """A CSV could not be read or parsed; the message names the path (and line)."""
 
 
-class NonFiniteTime(ValueError):
+class NonFiniteTime(Refused):
     """Event file contains NaN or infinite timestamps."""
 
 
@@ -216,9 +217,10 @@ def _simulate(params: ModelParams, T, rng):
     step, so every kernel family is simulated exactly.
 
     The record holds the near immigrants, the far proposals and the far
-    clusters kept.  A spine node roots a cluster, as an immigrant does, so
-    past IMMIGRANT_BUDGET of either :class:`ImmigrantBudgetExceeded` is
-    raised: before any draw for nu T, before any spine grows for the far
+    clusters kept.  A spine node roots a cluster, as an immigrant does, and
+    each root grows 1 / (1 - m) members in mean, so past MEMBER_BUDGET
+    members of either part :class:`ImmigrantBudgetExceeded` is raised:
+    before any draw for nu T / (1 - m), before any spine grows for the far
     part (its proposals, m / (1 - m) a near immigrant, are fewer than the
     near part's members).
     """
@@ -226,10 +228,12 @@ def _simulate(params: ModelParams, T, rng):
         raise ValueError(f"window length T must be positive, got {T}")
     nu, m, kernel = params.nu, params.m, params.kernel
 
-    def budget(planned, what):
-        if not planned <= IMMIGRANT_BUDGET:
-            raise ImmigrantBudgetExceeded(f"a window of length {T:g} plans {planned:.4g} "
-                                          f"{what}, above the budget of {IMMIGRANT_BUDGET:.0e}")
+    def budget(roots, what):
+        members = roots / (1.0 - m)
+        if not members <= MEMBER_BUDGET:
+            raise ImmigrantBudgetExceeded(
+                f"a window of length {T:g} plans {roots:.4g} {what}, {members:.4g} cluster "
+                f"members at m = {m:g}, above the budget of {MEMBER_BUDGET:.0e}")
 
     budget(nu * T, "immigrants")
 
@@ -389,20 +393,24 @@ def read_columns(path, header) -> np.ndarray:
     """Read a CSV as write_columns writes it: one float array per header name.
 
     Blank lines are skipped and the header is optional (line 1, any case); a row
-    that is not len(header) floats raises :class:`ParseError` naming path:line."""
+    that is not len(header) floats raises :class:`ParseError` naming path:line,
+    and a file that cannot be opened or decoded one naming the path."""
     rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or (lineno == 1 and line.lower().replace(" ", "") == ",".join(header)):
-                continue
-            try:
-                cells = line.split(",")
-                if len(cells) != len(header):
-                    raise ValueError(f"{len(cells)} fields")
-                rows.append([float(c) for c in cells])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: cannot parse {line!r}") from exc
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or (lineno == 1 and line.lower().replace(" ", "") == ",".join(header)):
+                    continue
+                try:
+                    cells = line.split(",")
+                    if len(cells) != len(header):
+                        raise ValueError(f"{len(cells)} fields")
+                    rows.append([float(c) for c in cells])
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{lineno}: cannot parse {line!r}") from exc
+    except (OSError, UnicodeError) as exc:   # a path that is no readable text file
+        raise ParseError(f"{path}: cannot read: {exc}") from exc
     return np.array(rows, dtype=float).reshape(-1, len(header)).T.copy()
 
 

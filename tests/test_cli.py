@@ -1,11 +1,18 @@
 """Command-line surface: validation, dispatch, manifests, reproducibility."""
 
+import ast
+import importlib
 import json
+import pkgutil
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import clusterbispec
 from clusterbispec.cli import COMMANDS, GLOBAL_OPTIONS, ConfigError, RunConfig, main, parse_config
+from clusterbispec.kernels import Refused
 
 
 def run_cli(tmp_path, *args):
@@ -252,12 +259,129 @@ def test_cli_exit_code_2_on_unsupported_kernel(argv, tmp_path, capsys):
 
 
 def test_cli_exit_code_2_on_padding_budget(tmp_path, capsys):
-    # the window's immigrants, nu T, exceed the simulator's budget of 1e7
+    # the window's members, nu T / (1 - m) = 2.04e7, exceed the simulator's budget of 2e7
     assert run_cli(tmp_path, "simulate", "--nu", "2", "--m", "0.5", "--kernel", "lomax:0.5",
                    "--T", "5.1e6") == 2
     err = capsys.readouterr().err
     assert "config error" in err and "immigrants" in err
     assert not (tmp_path / "events.csv").exists()
+
+
+REFUSED_WHILE_RUNNING = {   # argv ({tmp}: the run's folder) -> the refusal's text
+    "missing-events": (["contrast", "run", "--events", "{tmp}/missing.csv"],
+                       "missing.csv: cannot read"),
+    "unparsable-event": (["contrast", "run", "--events", "{tmp}/bad.csv"],
+                         "bad.csv:3: cannot parse 'abc'"),
+    "nan-event": (["contrast", "run", "--events", "{tmp}/nan.csv"],
+                  "nan.csv: non-finite timestamp at entry 2"),
+    "lomax-subnormal-omega": (["spectrum", "--m", "0.5", "--kernel", "lomax:0.05",
+                               "--omega-max", "1e-307", "--n", "3"], "Lomax(0.05) transform"),
+    "match-spec-near-1": (["spectrum", "--m", "0.5", "--kernel", "match:exp:1:0.9999"],
+                          "params.kernel: bad kernel spec"),
+    "match-build-near-1": (["match", "build", "--m", "0.9999", "--kernel", "exp:1",
+                            "--out", "m.json"], "limit of 1e6 terms"),
+    "bump-H-underflows": (["contrast", "run", "--events", "{tmp}/events.csv", "--H", "1e-200"],
+                          "bump support radius H = 1e-200"),
+    "bump-H-overflows": (["contrast", "run", "--events", "{tmp}/events.csv", "--H", "3e154"],
+                         "bump support radius H = 3e+154"),
+    "high-m-window": (["simulate", "--m", "0.999", "--kernel", "exp:1", "--T", "10"],
+                      "cluster members at m = 0.999, above the budget"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_WHILE_RUNNING)
+def test_named_refusals_exit_2(case, tmp_path, capsys, monkeypatch):
+    # a refusal raised anywhere, while parsing or running, is one config error
+    # line and exit 2, with no traceback and no manifest; the window is refused
+    # before any cluster grows
+    import clusterbispec.simulate as simulate
+
+    def grown(*args):
+        raise AssertionError("a cluster grew in a refused window")
+
+    monkeypatch.setattr(simulate, "sample_clusters_batch", grown)
+    for name, text in (("bad.csv", "t\n1\nabc\n"), ("nan.csv", "t\n1\nnan\n"),
+                       ("events.csv", "t\n1\n2\n3\n")):
+        (tmp_path / name).write_text(text)
+    argv, expected = REFUSED_WHILE_RUNNING[case]
+    assert run_cli(tmp_path, *(a.format(tmp=tmp_path) for a in argv)) == 2
+    err = capsys.readouterr().err
+    (line,) = err.splitlines()
+    assert line.startswith("config error: ") and expected in line
+    assert not (tmp_path / "manifest.json").exists()
+
+
+class UnseenRefusal(Refused):
+    """A refusal the command line names nowhere."""
+
+
+@pytest.mark.parametrize("error, code, text", [
+    (UnseenRefusal, 2, "config error: from inside run"),
+    (ValueError, 1, "error [spectrum]: ValueError: from inside run"),
+    (RuntimeError, 1, "error [spectrum]: RuntimeError: from inside run"),
+])
+def test_exit_code_follows_the_refused_type(error, code, text, tmp_path, capsys, monkeypatch):
+    from clusterbispec import spectra
+
+    def fails(*args):
+        raise error("from inside run")
+
+    monkeypatch.setattr(spectra, "bartlett", fails)
+    assert run_cli(tmp_path, "spectrum", "--m", "0.5", "--kernel", "exp:1", "--n", "8") == code
+    assert capsys.readouterr().err == text + "\n"
+
+
+def test_a_fault_while_parsing_exits_1(tmp_path, capsys, monkeypatch):
+    import clusterbispec.cli as cli
+
+    def fails(spec):
+        raise RuntimeError("not a refusal")
+
+    monkeypatch.setattr(cli, "kernel_from_spec", fails)
+    assert run_cli(tmp_path, "spectrum", "--m", "0.5", "--kernel", "exp:1") == 1
+    assert capsys.readouterr().err == "error [config]: RuntimeError: not a refusal\n"
+
+
+def test_every_named_exception_is_a_refusal():
+    # NegativeDensity and BranchViolation are internal numerical faults, not
+    # refused inputs, and stay RuntimeError (exit 1)
+    faults = {"NegativeDensity", "BranchViolation"}
+    seen = set()
+    for info in pkgutil.iter_modules(clusterbispec.__path__):
+        module = importlib.import_module(f"clusterbispec.{info.name}")
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if isinstance(obj, type) and issubclass(obj, Exception) and not issubclass(
+                    obj, Warning):
+                seen.add(name)
+                kinds = (RuntimeError,) if name in faults else (Refused, ValueError)
+                assert all(issubclass(obj, kind) for kind in kinds), name
+    assert faults < seen and len(seen) >= 18
+    assert clusterbispec.Refused is Refused and "Refused" in clusterbispec.__all__
+
+
+def test_cli_imports_one_exception_type():
+    import clusterbispec.cli as cli
+
+    imported = []
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = importlib.import_module(".".join(filter(None, ("clusterbispec",
+                                                                    node.module))))
+            imported += [getattr(module, alias.name) for alias in node.names]
+    assert [obj for obj in imported
+            if isinstance(obj, type) and issubclass(obj, BaseException)] == [Refused]
+
+
+def test_readme_command_lines_parse():
+    # every documented command line parses (nothing runs): a line that stops
+    # parsing fails here, not only in the benchmark that runs them
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [shlex.split(line)[1:] for line in readme.read_text().splitlines()
+             if line.startswith("clusterbispec ")]
+    assert {argv[0] for argv in lines} == set(COMMANDS)
+    for argv in lines:
+        parse_config(argv)
 
 
 @pytest.mark.parametrize("half_width", ["1e-200", "1e200"])

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,10 +20,11 @@ from clusterbispec.contrasts import (
     exact_mean,
     linearity_scan,
     quadrant_indicator,
+    sign_contrast_function,
     smooth_quadrant_bump,
 )
 from clusterbispec.cumulant3 import invert_bispectrum, odd_part
-from clusterbispec.kernels import Exponential
+from clusterbispec.kernels import Exponential, Refused
 from clusterbispec.match import MatchSpec, build_matched_kernel
 from clusterbispec.simulate import EventSeries, ModelParams, simulate_window_batched
 from oracles import contrast_statistic_bruteforce
@@ -104,6 +106,39 @@ def test_quadrant_symmetric_declaration_is_checked():
         assert not g.quadrant_symmetric
         with pytest.raises(ValueError, match="quadrant_symmetric"):
             replace(g, quadrant_symmetric=True)
+
+
+@pytest.mark.parametrize("H", [1e-200, 2.9e-154, 8.5e153, 3e154, math.inf, math.nan])
+def test_bump_refuses_an_H_it_cannot_evaluate(H):
+    # below about 3e-154 (H/2)^2 underflows, so every value would be 0; above
+    # about 8.48e153 the box's squares, up to 2.5 H^2, overflow
+    with pytest.raises(Refused, match="bump support radius H"):
+        smooth_quadrant_bump(H)
+
+
+@pytest.mark.parametrize("H", [3e-154, 1e-100, 1.0, 1e100, 8.4e153])
+def test_bump_evaluates_every_accepted_H(H):
+    # the same relative point has the same value at every accepted scale, with
+    # no warning from the probe lattice or the evaluation
+    a, b = np.array([0.4, -0.4, 0.9]), np.array([0.6, -0.6, 0.2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = smooth_quadrant_bump(H).evaluate(a * H, b * H)
+    assert v == pytest.approx(smooth_quadrant_bump(1.0).evaluate(a, b), rel=1e-12, abs=0)
+    assert v[0] > 0.0 and v[1] == -v[0] and v[2] == 0.0
+
+
+def test_test_functions_broadcast_before_masking(exp_odd_grid):
+    # a column of lags against a row: the inputs broadcast before the box mask
+    # is applied, with the bits of the same call on full arrays
+    t1, t2 = np.array([[0.5], [1.0], [-1.5]]), np.array([0.5, 1.0, -0.25, 9.0])
+    T1, T2 = np.broadcast_arrays(t1, t2)
+    for g in (antisymmetrize(lambda a, b: a * b**2, 2.0), quadrant_indicator(2.0),
+              sign_contrast_function(exp_odd_grid, 2.0), smooth_quadrant_bump(2.0)):
+        v = g.evaluate(t1, t2)
+        assert v.shape == (3, 4) and np.any(v != 0.0)
+        assert np.array_equal(v, g.evaluate(T1.ravel(), T2.ravel()).reshape(3, 4))
+        assert np.array_equal(g.evaluate(0.5, t2), g.evaluate(np.full(4, 0.5), t2))
 
 
 # ---------------------------------------------------------------------------

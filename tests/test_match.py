@@ -11,8 +11,8 @@ from scipy.integrate import IntegrationWarning, quad
 
 from clusterbispec import kernels
 from clusterbispec.cli import main
-from clusterbispec.kernels import (Exponential, Kernel, Lomax, SymmetricLaplace, UniformHalf,
-                                   kernel_from_spec)
+from clusterbispec.kernels import (Exponential, Kernel, Lomax, Refused, SymmetricLaplace,
+                                   UniformHalf, kernel_from_spec)
 from clusterbispec.match import (
     InvalidKernel,
     MatchSpec,
@@ -184,6 +184,24 @@ def test_pn_recurrence_matches_direct_formula():
     p = pn_weights(0.9, eps=1e-12)
     for n in range(1, 51):
         assert p[n - 1] == pytest.approx(pn_direct(n, 0.9), rel=1e-12)
+
+
+def test_pn_past_its_term_limit_is_refused():
+    # at m = 0.9999 the tail mass 1e-12 needs far more than 1e6 terms: a named
+    # refusal, also where a matched spec is parsed
+    with pytest.raises(Refused, match=r"m = 0.9999 needs more than its limit of 1e6 terms"):
+        pn_weights(0.9999)
+    with pytest.raises(InvalidKernel, match="1e6 terms"):
+        kernel_from_spec("match:exp:1:0.9999")
+
+
+def test_unreadable_matched_kernel_file_is_invalid(tmp_path):
+    (tmp_path / "text.json").write_text("not json")
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe\x00")
+    for path in (tmp_path / "missing.json", tmp_path, tmp_path / "text.json",
+                 tmp_path / "binary.json"):
+        with pytest.raises(InvalidKernel, match="cannot read a matched-kernel file"):
+            load_matched_kernel(path)
 
 
 # ---------------------------------------------------------------------------

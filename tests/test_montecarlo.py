@@ -119,6 +119,27 @@ def test_cluster_estimators_refuse_non_finite_frequencies(call, monkeypatch):
         call()
 
 
+@pytest.mark.parametrize("m, n, chunks", [
+    (0.3, 2 * montecarlo._CHUNK + 5, [montecarlo._CHUNK] * 2 + [5]),
+    (0.5, 2 * montecarlo._CHUNK + 5, [montecarlo._CHUNK] * 2 + [5]),
+    (0.999, 1000, [400, 400, 200]),
+])
+def test_cluster_chunks_bound_their_members(m, n, chunks, monkeypatch):
+    # a chunk of k clusters grows k / (1 - m) members in mean: _CHUNK clusters
+    # up to m = 0.5, as before, and 2 _CHUNK (1 - m) nearer criticality, so
+    # the members of one chunk stay near 2 _CHUNK (the stub grows roots only)
+    batches = []
+
+    def roots_only(batch, m, kernel, rng):
+        batches.append(batch)
+        return np.zeros(batch), np.arange(batch), np.zeros(0)
+
+    monkeypatch.setattr(montecarlo, "sample_clusters_batch", roots_only)
+    moments = cluster_size_moments(ModelParams(1.0, m, 1.0, Exponential(1.0)), n, 0)
+    assert batches == chunks
+    assert moments["mean_size"].value == 1.0
+
+
 def test_mc_requires_enough_clusters():
     with pytest.raises(ValueError):
         mc_b_complete(EXP_PARAMS, 1.0, 1.0, 100, seed=0)

@@ -1,6 +1,7 @@
 """Cluster generation, window simulation, and event ingestion."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -172,8 +173,8 @@ def test_a_loss_tolerance_is_refused():
 
 
 def test_padding_budget_fails_before_drawing():
-    # the one budget is on the near immigrants, nu T: a window above it is
-    # refused before anything is drawn, whatever the kernel's tail
+    # the near part's budget is on its members, nu T / (1 - m): a window above
+    # it is refused before anything is drawn, whatever the kernel's tail
     for p, T in ((ModelParams(2.0, 0.5, 1.0, Lomax(0.5)), 5.1e6),
                  (ModelParams(1.0, 0.9, 0.0, Exponential(1.0)), math.inf)):
         rng = np.random.default_rng(0)
@@ -190,10 +191,11 @@ def test_padding_budget_fails_before_drawing():
 
 def test_far_spine_budget_fails_before_any_spine_grows(monkeypatch):
     # each far spine node roots a cluster, as an immigrant does, so the budget
-    # bounds them too: a short window at high nu and m plans about 60 of them
-    # an immigrant and is refused before any cluster grows, while a long
-    # window with the same nu T plans about 100 in all and is drawn
-    monkeypatch.setattr(simulate, "IMMIGRANT_BUDGET", 10**4)
+    # bounds their members too: a short window at high nu and m plans about 60
+    # of them an immigrant and is refused before any cluster grows, while a
+    # long window with the same nu T plans about 100 in all and is drawn (1e5
+    # members are 1e4 roots at m = 0.9)
+    monkeypatch.setattr(simulate, "MEMBER_BUDGET", 10**5)
     short = ModelParams(5000.0, 0.9, 0.0, Exponential(1.0))
 
     def grown(*args):
@@ -204,6 +206,50 @@ def test_far_spine_budget_fails_before_any_spine_grows(monkeypatch):
         with pytest.raises(ImmigrantBudgetExceeded, match=r"plans .* far spine nodes"):
             simulate_window(short, 1.0, seed=1)
     assert len(simulate_window(replace(short, nu=1.0), 5000.0, seed=1)) > 0
+
+
+class _Drawn(Exception):
+    """A window passed its near budget check and began to draw."""
+
+
+class _NoDraws:
+    """A generator stand-in that stops a window at its first draw."""
+
+    def __getattr__(self, name):
+        raise _Drawn(name)
+
+
+@pytest.mark.parametrize("nu, m, T, accepted", [
+    (1.0, 0.5, 1e7, True), (1.0, 0.5, 1e7 * (1 + 2**-52), False),   # the m = 0.5 edge stays
+    (2.0, 0.5, 5e6, True), (2.0, 0.5, 5.1e6, False),
+    (1.0, 0.9, 1.9e6, True), (1.0, 0.9, 2.1e6, False),   # 2.1e7 members from 2.1e6 roots
+    (1.0, 0.1, 1.7e7, True),                            # 1.89e7 members from 1.7e7 roots
+])
+def test_near_budget_counts_members(nu, m, T, accepted):
+    p = ModelParams(nu, m, 0.0, Exponential(1.0))
+    if accepted:
+        with pytest.raises(_Drawn):
+            simulate_window_batched(p, T, _NoDraws())
+    else:
+        with pytest.raises(ImmigrantBudgetExceeded, match=r"plans .* immigrants, .* members"):
+            simulate_window_batched(p, T, _NoDraws())
+
+
+def test_member_budget_refuses_a_high_m_window_before_any_cluster_grows(monkeypatch):
+    # at m = 0.999 a T = 10 window plans about 1e6 far spine nodes, under 1e7,
+    # but 1e9 members, far more than memory holds
+    def grown(*args):
+        raise AssertionError("a cluster grew in a window above the budget")
+
+    monkeypatch.setattr(simulate, "sample_clusters_batch", grown)
+    with pytest.raises(ImmigrantBudgetExceeded, match=r"far spine nodes, .* cluster members"):
+        simulate_window(ModelParams(1.0, 0.999, 0.0, Exponential(1.0)), 10.0, seed=1)
+    # a small budget: 5000 near members pass, the far spines' 1e6 do not
+    monkeypatch.setattr(simulate, "MEMBER_BUDGET", 10**4)
+    with pytest.raises(ImmigrantBudgetExceeded, match="far spine nodes"):
+        simulate_window(ModelParams(1.0, 0.99, 0.0, Exponential(1.0)), 50.0, seed=1)
+    with pytest.raises(ImmigrantBudgetExceeded, match="immigrants"):
+        simulate_window(ModelParams(1.0, 0.99, 0.0, Exponential(1.0)), 200.0, seed=1)
 
 
 def test_heavy_tailed_windows_are_accepted_and_exact():
@@ -328,6 +374,12 @@ def test_read_columns_reads_what_write_columns_writes(tmp_path):
     path.write_text("a,b\n1,2\na,b\n")               # a header only on line 1
     with pytest.raises(ParseError, match="cols.csv:3"):
         read_columns(path, ["a", "b"])
+    path.write_bytes(b"a,b\n\xff,1\n")                # not text
+    with pytest.raises(ParseError, match="cols.csv: cannot read"):
+        read_columns(path, ["a", "b"])
+    for where in (tmp_path / "missing.csv", tmp_path):   # no file, a directory
+        with pytest.raises(ParseError, match=re.escape(f"{where}: cannot read")):
+            read_columns(where, ["a", "b"])
 
 
 def test_write_then_ingest_round_trip(tmp_path):
