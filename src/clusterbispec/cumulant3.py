@@ -17,11 +17,12 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
 from .kernels import Refused
-from .simulate import ModelParams, write_columns
+from .simulate import ModelParams
 from .spectra import b_factorial, envelope
 
 __all__ = [
@@ -103,9 +104,14 @@ class CumulantGrid:
         return float(self.values.sum() * self.spacing**2)
 
     def write_csv(self, path):
-        lags = self.lags
-        write_columns(path, ["tau1", "tau2", "c3", "c3_odd"], np.repeat(lags, self.n),
-                      np.tile(lags, self.n), self.values, odd_part(self).values)
+        """Rows tau1, tau2, c3, c3_odd by ``repr``, as ``write_columns`` writes them, with
+        each of the n distinct lags formatted once rather than at each of its 2n cells."""
+        lag = list(map(repr, self.lags.tolist()))
+        c3, odd = (map(repr, np.asarray(g.values, dtype=float).ravel().tolist())
+                   for g in (self, odd_part(self)))
+        with open(path, "w") as fh:
+            fh.write("tau1,tau2,c3,c3_odd\n")
+            fh.writelines("%s,%s,%s,%s\n" % (*t, c, o) for t, c, o in zip(product(lag, lag), c3, odd))
 
     def write_meta_json(self, path):
         with open(path, "w") as fh:

@@ -7,8 +7,9 @@ All Fourier transforms use the convention
 so hhat(0) = 1 and hhat(-w) = conj(hhat(w)) for real densities.  Kernels are
 immutable after construction; every method is pure and safe to call
 concurrently.  RNG state is caller-owned (numpy Generator) and never shared.
-Lomax transforms by a fixed contour rule (within 1e-11, ``_lomax_rows``) and
-tabulated densities by trapezoid sums, both in bounded frequency blocks.
+Lomax transforms by doubling contour rules that stop at rounding level (within
+1e-11, ``_lomax_rule``) and tabulated densities by trapezoid sums, both in
+bounded frequency blocks.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ __all__ = [
 
 TRANSFORM_TOL = 1e-9  # absolute error the Lomax rule's reported bound stays within
 CHUNK_CELLS = 1 << 16  # cells of one (frequencies x nodes or table cells) block
-_LOMAX_NODES = 400     # Gauss-Legendre nodes of the Lomax contour rule
+_LOMAX_FIRST_RUNG = 16   # Gauss-Legendre nodes of the Lomax contour rule's first rung
+_LOMAX_LAST_RUNG = 512   # and of its last; each rung doubles the one before
 _LOMAX_CUTOFF = 60.0   # the contour ends where e^{-w u} or u^{-alpha} reaches e^{-60}
 
 
@@ -185,8 +187,7 @@ class Lomax(Kernel):
         return np.where(x >= 0, self.alpha * (1.0 + np.clip(x, 0, None)) ** (-1.0 - self.alpha), 0.0)
 
     def transform(self, omega):
-        out = in_row_chunks(lambda w: _lomax_rows(self.alpha, w, _LOMAX_NODES), omega, _LOMAX_NODES)
-        return out if np.ndim(omega) else complex(out)
+        return _lomax_rule(self.alpha, omega)[0]
 
     def survival(self, x):
         x = np.asarray(x, dtype=float)
@@ -370,18 +371,17 @@ class TabulatedSymmetric(Kernel):
 def transform_with_bound(kernel: Kernel, omega):
     """Transform plus an absolute error bound over all of omega (0.0 if exact).
 
-    For Lomax: the change from halving the contour rule's nodes, plus 64 ulps of
-    alpha int_0^inf |1 - iu|^{-1-alpha} du for rounding, plus the (alpha/60 + 1) e^{-60}
-    the two cuts drop; at most TRANSFORM_TOL for alpha in [0.05, 10] and |w| >= 1e-8.
+    For Lomax, from the same pass as the value: the largest change between a
+    frequency's last two rungs (``_lomax_rule``), plus the rounding floor 64 ulps of
+    alpha int_0^inf |1 - iu|^{-1-alpha} du, plus the (alpha/60 + 1) e^{-60} the two
+    cuts drop; at most TRANSFORM_TOL for alpha in [0.05, 10] and |w| >= 1e-8.
     """
     if not isinstance(kernel, Lomax):
         return kernel.transform(omega), 0.0
-    a, fine = kernel.alpha, kernel.transform(omega)
-    coarse = in_row_chunks(lambda w: _lomax_rows(a, w, _LOMAX_NODES // 2), omega, _LOMAX_NODES)
-    modulus = a * math.exp(math.lgamma(a / 2) - math.lgamma((1 + a) / 2)) * math.sqrt(math.pi) / 2
-    rounding = 64.0 * np.finfo(float).eps * modulus
+    a = kernel.alpha
+    value, change = _lomax_rule(a, omega)
     truncation = (a / _LOMAX_CUTOFF + 1.0) * math.exp(-_LOMAX_CUTOFF)
-    return fine, float(np.max(np.abs(fine - coarse), initial=0.0)) + rounding + truncation
+    return value, change + _lomax_floor(a) + truncation
 
 
 @functools.cache
@@ -391,7 +391,7 @@ def _gauss_legendre(n):
     numpy's leggauss(400) is off by up to 6e-10 in its end weights; this is not.
     """
     x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
-    for _ in range(6):  # four steps reach the roots from this start at n = 400
+    for _ in range(6):  # four steps reach the roots from this start at n = 512
         p_prev, p = np.ones_like(x), x
         for j in range(2, n + 1):
             p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
@@ -400,28 +400,75 @@ def _gauss_legendre(n):
     return readonly(x), readonly(2.0 / ((1.0 - x * x) * dp * dp))
 
 
+def _lomax_floor(alpha):
+    """The contour rule's rounding: 64 ulps of alpha int_0^inf |1 - iu|^{-1-alpha} du."""
+    modulus = alpha * math.exp(math.lgamma(alpha / 2) - math.lgamma((1 + alpha) / 2))
+    modulus *= math.sqrt(math.pi) / 2
+    return 64.0 * np.finfo(float).eps * modulus
+
+
+def _lomax_contour_end(alpha, aw):
+    """v_max = log(1 + u_max) of the contour at |w| = aw > 0; refuses an end past the double range."""
+    with np.errstate(over="ignore"):  # 60/|w| and u(v_max) overflow only at subnormal |w|
+        v_max = np.minimum(np.log1p(_LOMAX_CUTOFF / aw), np.logaddexp(_LOMAX_CUTOFF / alpha, 0.0))
+        if np.any(np.isinf(np.expm1(v_max))):
+            raise TransformOutOfRange(f"Lomax({alpha:g}) transform at |w| = "
+                                      f"{float(np.min(aw)):g}: alpha < 0.085 needs |w| >= 3.4e-307")
+    return v_max
+
+
+def _lomax_rule(alpha, omega):
+    """Lomax hhat over omega by doubling contour rules, and the largest last change.
+
+    Each frequency takes Q_16, then Q_32, Q_64, ... and keeps the first Q_n with
+    |Q_n - Q_{n/2}| <= ``_lomax_floor`` (Gauss-Legendre converges geometrically on
+    the analytic contour integrand), or Q_512 if none does; only frequencies still
+    open run the next rung.  That last change is the rule's own error estimate.  A
+    frequency's rows and its stop depend on it alone, so no value depends on the
+    batch.  Values come in omega's shape (a complex for a scalar).
+    """
+    w = np.asarray(omega, dtype=float).ravel()
+    _lomax_contour_end(alpha, np.abs(w[w != 0.0]))   # refuse before any rule runs
+    floor, n = _lomax_floor(alpha), _LOMAX_FIRST_RUNG
+    value = in_row_chunks(lambda x: _lomax_rows(alpha, x, n), w, n)
+    change = np.zeros(w.shape)
+    open_ = np.arange(w.size)
+    while open_.size and n < _LOMAX_LAST_RUNG:
+        n *= 2
+        fine = in_row_chunks(lambda x: _lomax_rows(alpha, x, n), w[open_], n)
+        change[open_] = np.abs(fine - value[open_])
+        value[open_] = fine
+        open_ = open_[change[open_] > floor]
+    value = value.reshape(np.shape(omega))
+    return (value if np.ndim(omega) else complex(value)), float(np.max(change, initial=0.0))
+
+
 def _lomax_rows(alpha, w, nodes):
     """Lomax hhat at a 1-D block of frequencies by a ``nodes``-point contour rule.
 
     For w > 0, t = -iu gives hhat(w) = -i alpha int_0^inf e^{-w u} (1 - iu)^{-1-alpha} du,
     which does not oscillate (numerical steepest descent: Huybrechs & Vandewalle, SIAM
-    J. Numer. Anal. 44(3), 2006); u = e^v - 1 up to u = min(60/w, e^{60/alpha}).
-    Exactly 1 at w = 0 and the conjugate for w < 0; each row is summed alone.
+    J. Numer. Anal. 44(3), 2006); u = e^v - 1 up to u = min(60/w, e^{60/alpha}).  In real
+    arithmetic, (1 - iu)^{-1-alpha} has modulus e^{-(1+alpha) log|1 - iu|}, with
+    log|1 - iu| = v + log1p(-2u e^{-2v}) / 2 (finite wherever u is), and phase
+    phi = (1+alpha) arctan u, so hhat = alpha (sum mod sin phi - i sum mod cos phi);
+    sin and cos come from tan(phi/2).  Exactly 1 at w = 0 and the conjugate for w < 0;
+    each row is summed alone.
     """
     out = np.ones(w.shape, dtype=complex)
     aw = np.abs(w[w != 0.0])[:, None]
     x, q = _gauss_legendre(nodes)
-    with np.errstate(over="ignore"):  # 60/|w| and u(v_max) overflow only at subnormal |w|
-        v_max = np.minimum(np.log1p(_LOMAX_CUTOFF / aw), np.logaddexp(_LOMAX_CUTOFF / alpha, 0.0))
-        if np.any(np.isinf(np.expm1(v_max))):
-            raise TransformOutOfRange(f"Lomax({alpha:g}) transform at |w| = {float(aw.min()):g}: "
-                                      "alpha < 0.085 needs |w| >= 3.4e-307")
-    half = 0.5 * v_max
+    half = 0.5 * _lomax_contour_end(alpha, aw)
     v = half * (x + 1.0)
     u = np.expm1(v)
-    # (1 - iu)^{-1-alpha} = e^{-(1+alpha)(log|1 - iu| - i arctan u)}; hypot keeps |1 - iu| finite
-    expo = v - aw * u - (1.0 + alpha) * (np.log(np.hypot(1.0, u)) - 1j * np.arctan(u))
-    out[w != 0.0] = -1j * alpha * np.sum(half * q * np.exp(expo), axis=1)
+    t = 1.0 / (1.0 + u)  # e^{-v}
+    # e^v (du = e^v dv) over |1 - iu|^{1+alpha}, the v terms summed first: -alpha v
+    log_mod = -alpha * v - aw * u - 0.5 * (1.0 + alpha) * np.log1p(-2.0 * (u * t) * t)
+    mod = np.exp(log_mod) * (half * q)
+    tan_half = np.tan(0.5 * (1.0 + alpha) * np.arctan(u))
+    mod /= 1.0 + tan_half * tan_half   # sin phi, cos phi: 2 tan_half, 1 - tan_half^2 over this
+    out[w != 0.0] = alpha * (np.sum(2.0 * tan_half * mod, axis=1)
+                             - 1j * np.sum((1.0 - tan_half * tan_half) * mod, axis=1))
     return np.where(w < 0, np.conj(out), out)
 
 
@@ -440,7 +487,7 @@ def kernel_from_spec(spec: str) -> Kernel:
     """Parse a kernel spec string.
 
     Grammar: exp:beta, lomax:alpha, uhalf:a (alias uniform:a), slap:beta,
-    match:<base>:<m>, match:<path.json>, tab:<path>.
+    match:<base>:<m>, match:<path> (a saved kernel), tab:<path>.
     """
     parts = spec.strip().split(":")
     name = parts[0].lower()
@@ -454,7 +501,7 @@ def kernel_from_spec(spec: str) -> Kernel:
             from .match import MatchSpec, build_matched_kernel, load_matched_kernel
 
             rest = ":".join(parts[1:])
-            if rest.endswith(".json"):
+            if len(parts) == 2 or rest.endswith(".json"):   # a saved kernel, whatever its suffix
                 return load_matched_kernel(rest)
             base = kernel_from_spec(":".join(parts[1:-1]))
             return build_matched_kernel(MatchSpec(base=base, m=float(parts[-1])))

@@ -22,6 +22,7 @@ built from its base keeps the exact transform phi_transform.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,13 +86,24 @@ def pn_weights(m: float, eps: float = PN_TRUNCATION_EPS) -> np.ndarray:
     p = [(2.0 - m) / 2.0]
     total = p[0]
     factor = m * (2.0 - m)
+    limit = f"p_n at m = {m:g} needs more than its limit of 1e6 terms to reach tail mass {eps:g}"
+    # p_{N+1} = p_1 q^N Gamma(N + 1/2) / (sqrt(pi) Gamma(N + 2)), q = m(2-m); the ratios
+    # p_{n+1}/p_n rise with n, so p_{N+1} / (1 - r_{N+1}) bounds the tail past N terms
+    # from below.  Refuse up front when it beats eps by 4N ulps of 1, more than the
+    # running sum's rounding, so no m the loop accepts is refused; the loop's check
+    # stays the backstop.
+    n_max = 10**6
+    log_next = (math.log(p[0]) + n_max * math.log(factor) + math.lgamma(n_max + 0.5)
+                - math.lgamma(n_max + 2.0) - 0.5 * math.log(math.pi))
+    ratio = (2 * n_max + 1) * factor / (2 * (n_max + 2))
+    if math.exp(log_next) / (1.0 - ratio) > eps + 4 * n_max * np.finfo(float).eps:
+        raise Refused(limit)
     while total < 1.0 - eps:
         n = len(p)
         p.append(p[-1] * (2 * n - 1) * factor / (2 * (n + 1)))
         total += p[-1]
-        if len(p) > 10**6:
-            raise Refused(f"p_n at m = {m:g} needs more than its limit of 1e6 terms "
-                          f"to reach tail mass {eps:g}")
+        if len(p) > n_max:
+            raise Refused(limit)
     out = np.asarray(p)
     out[-1] += 1.0 - out.sum()
     return out

@@ -246,6 +246,19 @@ def test_cli_exit_code_2_on_unreadable_kernel_file(tmp_path, capsys):
         assert "params.kernel" in capsys.readouterr().err
 
 
+def test_cli_match_path_of_any_suffix_names_the_file(tmp_path, capsys):
+    # a single field after match: is a saved kernel's path, whatever its suffix,
+    # so a directory or a text file is refused by its name, not as spec ''
+    folder = tmp_path / "kernels"
+    folder.mkdir()
+    text = tmp_path / "kernel.txt"
+    text.write_text("not a kernel\n")
+    for path in (folder, text):
+        assert run_cli(tmp_path, "spectrum", "--m", "0.5", "--kernel", f"match:{path}") == 2
+        err = capsys.readouterr().err
+        assert f"{path}: cannot read a matched-kernel file" in err, err
+
+
 @pytest.mark.parametrize("argv", [
     ["match", "build", "--m", "0.5", "--kernel", "slap:1", "--out", "m.json"],
     ["asym-check", "--m", "0.5", "--kernel", "slap:1"],

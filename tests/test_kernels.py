@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,10 @@ from clusterbispec.kernels import (
     TabulatedSymmetric,
     TransformOutOfRange,
     UniformHalf,
+    _gauss_legendre,
+    _LOMAX_FIRST_RUNG,
+    _lomax_floor,
+    _lomax_rows,
     kernel_from_spec,
     load_tabulated_csv,
     transform_with_bound,
@@ -262,14 +267,106 @@ def test_lomax_transform_zero_and_conjugate_exact():
 
 def test_lomax_transform_batch_independent():
     # each frequency alone is bit-identical to the same frequency in a call
-    # that spans several row blocks
-    w = np.random.default_rng(3).uniform(-60.0, 60.0, 1200)
+    # that spans several row blocks of its first rung (the widest)
+    w = np.random.default_rng(3).uniform(-60.0, 60.0, 13000)
     w[::97] = 0.0
-    assert len(w) > 3 * (CHUNK_CELLS // 400)
+    w[1::7] *= 1e-4   # these climb to the 128- and 256-node rungs
+    assert len(w) > 3 * (CHUNK_CELLS // _LOMAX_FIRST_RUNG)
     k = Lomax(0.8)
     batch = k.transform(w)
     assert all(k.transform(np.array([x]))[0] == v for x, v in zip(w, batch))
     assert all(k.transform(float(x)) == v for x, v in zip(w[:50], batch[:50]))
+
+
+def _lomax_cells(monkeypatch):
+    """Count the cells (frequencies x nodes) and calls of every Lomax contour rule."""
+    count = {"cells": 0, "calls": 0}
+
+    def counted(alpha, w, nodes):
+        count["cells"] += w.size * nodes
+        count["calls"] += 1
+        return _lomax_rows(alpha, w, nodes)
+
+    monkeypatch.setattr("clusterbispec.kernels._lomax_rows", counted)
+    return count
+
+
+def test_lomax_rule_agrees_with_the_fixed_512_node_rule():
+    # each frequency stops where doubling moves it by at most the rounding floor, so it
+    # stays within two floors of the last rung's rule run at every frequency
+    for alpha in LOMAX_ALPHAS + LOMAX_WIDE_ALPHAS:
+        floor = _lomax_floor(alpha)
+        for w in (*LOMAX_TINY_OMEGAS, *LOMAX_OMEGAS):
+            try:
+                val = Lomax(alpha).transform(w)
+            except TransformOutOfRange:
+                continue
+            fixed = complex(_lomax_rows(alpha, np.array([w]), 512)[0])
+            assert abs(val - fixed) <= 2.0 * floor, (alpha, w, abs(val - fixed) / floor)
+
+
+def test_lomax_rule_work_on_the_spectra_grid(monkeypatch):
+    # the lomax-spectra benchmark's frequencies: the distinct |w| of a 64-point axis
+    # and of its pairwise sums.  A rung is certified only by the next, so a frequency
+    # stopping at 32 nodes costs 16 + 32 and at 64 costs 112; below |w| of about 25
+    # Q_16 is not yet at rounding level, so most of this grid costs 112 (the fixed
+    # rule cost 400 a frequency, 600 with its bound); none passes 16 + ... + 512
+    axis = np.linspace(-20.0, 20.0, 64)
+    w = np.unique(np.abs(np.concatenate([axis, np.add.outer(axis, axis).ravel()])))
+    count = _lomax_cells(monkeypatch)
+    k = Lomax(1.5)
+    per_frequency = []
+    for x in w:
+        count["cells"] = 0
+        k.transform(x)
+        per_frequency.append(count["cells"])
+    assert np.mean(per_frequency) <= 120 and max(per_frequency) <= 1008
+    count["cells"] = 0
+    k.transform(w)
+    assert count["cells"] == sum(per_frequency)
+    count["cells"] = 0
+    k.transform(np.array([1e-300]))   # a frequency that climbs to the cap
+    assert count["cells"] <= 1008
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128, 256, 512])
+def test_gauss_legendre_rungs(n):
+    x, q = _gauss_legendre(n)
+    assert np.max(np.abs(x + x[::-1])) <= 1e-15 and np.all(np.diff(x) < 0)
+    assert abs(q.sum() - 2.0) <= 1e-14
+    assert abs(np.sum(q * x ** (2 * n - 2)) - 2.0 / (2 * n - 1)) <= 1e-13
+    # six Newton steps have converged: a seventh moves no node by more than rounding
+    p_prev, p = np.ones_like(x), x
+    for j in range(2, n + 1):
+        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+    dp = n * (x * p - p_prev) / (x * x - 1.0)
+    assert np.max(np.abs(p / dp)) <= 4 * np.finfo(float).eps
+
+
+def test_transform_with_bound_is_one_pass(monkeypatch):
+    # the value is the transform's, bit for bit, and the bound comes from the same rungs
+    count = _lomax_cells(monkeypatch)
+    k = Lomax(1.5)
+    for w in (0.37, np.array([-3.0, 0.0, 1e-3, 0.027, 7.5, 1e4])):
+        count.update(cells=0, calls=0)
+        val = k.transform(w)
+        alone = dict(count)
+        count.update(cells=0, calls=0)
+        val_b, bound = transform_with_bound(k, w)
+        assert np.array_equal(val_b, val) and type(val_b) is type(val)
+        assert count == alone and 0.0 < bound <= TRANSFORM_TOL
+
+
+def test_lomax_transform_memory_bounded():
+    # blocks stay within CHUNK_CELLS cells at every rung
+    w = np.geomspace(1e-6, 1e4, 20000)
+    tracemalloc.start()
+    try:
+        Lomax(1.5).transform(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
 
 
 def test_tabulated_transform_blocks_bit_identical(kernels):

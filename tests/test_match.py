@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -193,6 +194,19 @@ def test_pn_past_its_term_limit_is_refused():
         pn_weights(0.9999)
     with pytest.raises(InvalidKernel, match="1e6 terms"):
         kernel_from_spec("match:exp:1:0.9999")
+
+
+def test_pn_refused_before_its_recurrence():
+    # p_{N+1} / (1 - r_{N+1}) bounds the tail past 1e6 terms from below, so an m whose
+    # tail is certainly above eps is refused without the recurrence (about 0.4 s to run
+    # to its limit); m = 0.9935, inside the limit, still runs it and is accepted
+    for m in (0.999, 0.9999):
+        start = time.perf_counter()
+        with pytest.raises(Refused, match="limit of 1e6 terms"):
+            pn_weights(m)
+        assert time.perf_counter() - start < 0.05, m
+    p = pn_weights(0.9935)
+    assert len(p) > 3 * 10**5 and abs(p.sum() - 1.0) < 1e-12
 
 
 def test_unreadable_matched_kernel_file_is_invalid(tmp_path):
