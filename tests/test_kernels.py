@@ -324,9 +324,10 @@ def test_lomax_rule_work_on_the_spectra_grid(monkeypatch):
     count["cells"] = 0
     k.transform(w)
     assert count["cells"] == sum(per_frequency)
-    count["cells"] = 0
-    k.transform(np.array([1e-300]))   # a frequency that climbs to the cap
-    assert count["cells"] <= 1008
+    for alpha, x in ((0.05, 1e-300), (1000.0, 0.1)):   # frequencies that climb to the cap
+        count["cells"] = 0
+        Lomax(alpha).transform(x)
+        assert count["cells"] == 1008
 
 
 @pytest.mark.parametrize("n", [16, 32, 64, 128, 256, 512])
