@@ -84,7 +84,7 @@ def pn_weights(m: float, eps: float = PN_TRUNCATION_EPS) -> np.ndarray:
     if not (0.0 < m < 1.0 and 0.0 < eps < 1.0):
         raise ValueError("need 0 < m < 1 and 0 < eps < 1")
     p = [(2.0 - m) / 2.0]
-    total = p[0]
+    total, carry = p[0], 0.0  # compensated (Neumaier) sum: total + carry
     factor = m * (2.0 - m)
     limit = f"p_n at m = {m:g} needs more than its limit of 1e6 terms to reach tail mass {eps:g}"
     # p_{N+1} = p_1 q^N Gamma(N + 1/2) / (sqrt(pi) Gamma(N + 2)), q = m(2-m); the ratios
@@ -98,10 +98,13 @@ def pn_weights(m: float, eps: float = PN_TRUNCATION_EPS) -> np.ndarray:
     ratio = (2 * n_max + 1) * factor / (2 * (n_max + 2))
     if math.exp(log_next) / (1.0 - ratio) > eps + 4 * n_max * np.finfo(float).eps:
         raise Refused(limit)
-    while total < 1.0 - eps:
+    while total + carry < 1.0 - eps:
         n = len(p)
         p.append(p[-1] * (2 * n - 1) * factor / (2 * (n + 1)))
-        total += p[-1]
+        # p_n falls with n, so total >= p_n and Neumaier's other branch never runs
+        t = total + p[-1]
+        carry += (total - t) + p[-1]
+        total = t
         if len(p) > n_max:
             raise Refused(limit)
     out = np.asarray(p)

@@ -8,13 +8,17 @@ reduced deterministically.
 The phasors e^{-i w x} of a set of frequencies come from one walk over |w|
 upward (``_phasors``): each is the previous one times the phasor of the step
 between them, so a frequency set costs one complex exponential per distinct
-step, not one per frequency.  The periodogram and the cluster transforms W(w)
-both sum those phasors; a non-finite frequency is refused before any window
-or cluster is drawn.
+step, not one per frequency.  A step or frequency within |d| max|x| < 2^-27
+of one already formed is that phasor times 1 - i d x, with no exponential:
+at that size the factor is the exponential's own rounded value, so a grid
+whose steps differ by an ulp costs one exponential for all of them.  The
+periodogram and the cluster transforms W(w) both sum those phasors; a
+non-finite frequency is refused before any window or cluster is drawn.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -106,30 +110,67 @@ def _finite(omega, name) -> np.ndarray:
 def _phasors(x, omega):
     """Yield (k, e^{-i omega[k] x}) for every flat index k of omega, by |omega| upward.
 
-    Each new |omega[k]| = v is the previous one, p, times the phasor of the
-    step v - p when that step is exact ((v - p) + p == v, so the product's
-    frequency is exactly v), else its own exponential.  Every phasor formed,
-    of a frequency or of a step, is kept by value, so a step equal to an
-    earlier frequency, or a repeated step, costs no exponential.  A negative
-    frequency yields the conjugate, and 0 yields ones.
+    Every phasor formed, of a frequency or of a step, is kept by value, and a
+    value v not yet formed (a frequency, or a step between two) is made the
+    cheapest of three ways:
+
+    - near step: an already formed u > 0 with d = v - u exact (d + u == v)
+      and |d| max|x| < 2^-27 gives e^{-ivx} = e^{-iux} (1 - i d x).  For an
+      argument t below 2^-27 in size, cos t rounds to 1 and sin t to t, so
+      the factor, real part 1 and imaginary part -d x, is bit for bit the
+      exponential's own; it costs a real and a complex multiply.  A
+      frequency grid built in floating point has steps that differ by an
+      ulp, and each such step is a near step of the first;
+    - walk step: for a frequency, the previous one, p, times the phasor of
+      the step v - p when that step is exact, so the product's frequency is
+      exactly v;
+    - otherwise its own complex exponential.
+
+    A negative frequency yields the conjugate, and 0 yields ones.
     """
     x = np.asarray(x, dtype=float)
     w = np.asarray(omega, dtype=float).ravel()
-    formed = {0.0: np.ones(len(x), dtype=complex)}
+    x_max = float(np.abs(x).max(initial=0.0))
+    formed = {}
+    keys = []  # the formed values > 0, sorted
 
-    def phasor(v):
-        if v not in formed:
-            formed[v] = np.exp(-1j * v * x)
-        return formed[v]
+    def near(v):
+        i = bisect.bisect(keys, v)
+        u = min(keys[max(i - 1, 0):i + 1], key=lambda u: abs(v - u), default=0.0)
+        d = v - u
+        return (u, d) if u and d + u == v and abs(d) * x_max < 2.0**-27 else None
 
+    def keep(v, ph):
+        formed[v] = ph
+        bisect.insort(keys, v)
+        return ph
+
+    def near_or_own(v):
+        """e^{-ivx}: kept, ones for 0, a near step, or its own exponential."""
+        if v in formed:
+            return formed[v]
+        if v == 0.0:
+            formed[v] = np.ones(len(x), dtype=complex)
+            return formed[v]
+        if found := near(v):
+            u, d = found
+            factor = np.empty(len(x), dtype=complex)
+            factor.real = 1.0
+            np.multiply(-d, x, out=factor.imag)
+            return keep(v, formed[u] * factor)
+        return keep(v, np.exp(-1j * v * x))
+
+    # no nested function calls itself: a closure that refers to itself is a
+    # cycle, and would keep every phasor until the cyclic collector ran
     prev = 0.0
     for k in np.argsort(np.abs(w), kind="stable"):
         v = abs(float(w[k]))
-        if v not in formed:
-            step = v - prev
-            formed[v] = formed[prev] * phasor(step) if prev and step + prev == v else phasor(v)
+        if prev and v not in formed and (v - prev) + prev == v and not near(v):
+            ph = keep(v, formed[prev] * near_or_own(v - prev))
+        else:
+            ph = near_or_own(v)
         prev = v
-        yield k, formed[v] if w[k] >= 0.0 else formed[v].conj()
+        yield k, ph if w[k] >= 0.0 else ph.conj()
 
 
 def _w_product(freqs, offs, cid, batch):
@@ -140,8 +181,12 @@ def _w_product(freqs, offs, cid, batch):
     """
     owner, x = cid[batch:], offs[batch:]
     prod = np.ones(batch, dtype=complex)
+    w = np.empty(batch, dtype=complex)
     for _, e in _phasors(x, freqs):
-        prod *= (1.0 + np.bincount(owner, e.real, batch)) + 1j * np.bincount(owner, e.imag, batch)
+        w.real = np.bincount(owner, e.real, batch)
+        w.real += 1.0
+        w.imag = np.bincount(owner, e.imag, batch)
+        prod *= w
     return [prod]
 
 

@@ -147,13 +147,19 @@ def sample_clusters_batch(n_clusters, m, kernel, rng):
     first, one per cluster in order.  parent_offsets holds the offset of the
     parent of each member after the roots.  A cluster larger than
     DEFAULT_SIZE_CAP or deeper than DEFAULT_GEN_CAP generations raises.
+    Cluster sizes are counted only from the first generation in which the
+    batch's total member count passes DEFAULT_SIZE_CAP, since no cluster
+    can pass the cap before the whole batch does; the cap is then checked
+    at every generation, so it raises at the generation it always did.
     """
     cur = np.zeros(n_clusters)
     cur_id = np.arange(n_clusters, dtype=np.int64)
     offs = [cur]
     ids = [cur_id]
     ups = [np.zeros(0)]
-    sizes = np.ones(n_clusters, dtype=np.int64)
+    total = n_clusters
+    sizes = np.zeros(n_clusters, dtype=np.int64)  # members of generations ids[:counted]
+    counted = 0
     for _ in range(DEFAULT_GEN_CAP):
         counts = rng.poisson(m, size=len(cur))
         n_children = int(counts.sum())
@@ -165,12 +171,16 @@ def sample_clusters_batch(n_clusters, m, kernel, rng):
         cur_id = np.repeat(cur_id, counts)
         up = np.repeat(cur, counts)
         cur = up + kernel.sample(rng, n_children)
-        np.add.at(sizes, cur_id, 1)
-        if sizes.max() > DEFAULT_SIZE_CAP:
-            raise ClusterSizeCapExceeded(f"cluster size exceeded cap {DEFAULT_SIZE_CAP}")
         offs.append(cur)
         ids.append(cur_id)
         ups.append(up)
+        total += n_children
+        if total > DEFAULT_SIZE_CAP:
+            for generation in ids[counted:]:
+                sizes += np.bincount(generation, minlength=n_clusters)
+            counted = len(ids)
+            if sizes.max() > DEFAULT_SIZE_CAP:
+                raise ClusterSizeCapExceeded(f"cluster size exceeded cap {DEFAULT_SIZE_CAP}")
     raise GenerationCapExceeded(f"cluster genealogy exceeded {DEFAULT_GEN_CAP} generations")
 
 

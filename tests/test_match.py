@@ -1,5 +1,6 @@
 """The reversible spectral match: rho_h, p_n, phi transform, and the sampler."""
 
+import hashlib
 import json
 import math
 import time
@@ -207,6 +208,34 @@ def test_pn_refused_before_its_recurrence():
         assert time.perf_counter() - start < 0.05, m
     p = pn_weights(0.9935)
     assert len(p) > 3 * 10**5 and abs(p.sum() - 1.0) < 1e-12
+
+
+def test_pn_sum_is_compensated():
+    # with a compensated total the recurrence stops at the first term whose exact
+    # partial sum reaches 1 - eps, to an ulp of 1, and accepts every m up to the
+    # 1e6-term edge near 0.9960; a plain total drifts by hundreds of ulps over
+    # 1e5 terms, enough to move the stop or never reach 1 - eps
+    eps = 1e-12
+    for m in (0.9, 0.99, 0.994, 0.9959):
+        p = pn_weights(m, eps)
+        n = len(p) - 1
+        last = p[-2] * (2 * n - 1) * m * (2.0 - m) / (2 * (n + 1))
+        short = (1.0 - eps) - math.fsum(p[:-1])
+        assert 0.0 < short <= last + np.spacing(1.0), m
+        assert abs(p.sum() - 1.0) < 1e-12
+    for m in (0.996, 0.998):
+        with pytest.raises(Refused, match="limit of 1e6 terms"):
+            pn_weights(m)
+    # tables of lower m stop where the plain total stopped: their bytes are unchanged
+    digests = {
+        0.1: "e96a33dccdf9a2e1732acff26ff291fbc1e61d4557c6c457989e141bab788403",
+        0.3: "bcf20ebdb1a3b9e98fed0219170c06afff1e54eb8369572f82105e215e899d03",
+        0.5: "d2af66c77fd53fcfb4b068321f99b9c53e899dd75169e70d4c2824f968683675",
+        0.7: "8b1551a29817a33d4150bd5c954c95370e5a5421d358229ff4a9fadea8c0db40",
+        0.9: "f1b4b8963fbdbd65410a47088a2e9184d24d87b35784054887ced06833b290d2",
+    }
+    for m, digest in digests.items():
+        assert hashlib.sha256(pn_weights(m).tobytes()).hexdigest() == digest, m
 
 
 def test_unreadable_matched_kernel_file_is_invalid(tmp_path):

@@ -1,6 +1,8 @@
 """Monte-Carlo oracles against the closed forms, plus the validate suites."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from clusterbispec.montecarlo import (
     periodogram,
     validate_suite,
 )
-from clusterbispec.simulate import EventSeries, ModelParams
+from clusterbispec.simulate import EventSeries, ModelParams, sample_clusters_batch
 from clusterbispec.spectra import b_complete, bartlett, borel_factorial3
 
 EXP_PARAMS = ModelParams(1.0, 0.5, 1.0, Exponential(1.0))
@@ -173,9 +175,35 @@ def _walk_sums(x, omega):
     [[0.5, -1.0, 2.0], [4.0, 0.5, -3.75]],                  # 2-D
 ])
 def test_phasor_walk_matches_direct_sums(omega):
-    x = np.sort(np.random.default_rng(3).uniform(0.0, 1e3, 3000))
-    direct = np.exp(-1j * np.multiply.outer(np.asarray(omega, dtype=float), x)).sum(axis=-1)
-    assert np.max(np.abs(_walk_sums(x, omega) - direct)) <= 1e-12 * len(x)
+    # at T = 1e4, |d| max|x| of an ulp-sized near step is largest
+    for span in (1e3, 1e4):
+        x = np.sort(np.random.default_rng(3).uniform(0.0, span, 3000))
+        direct = np.exp(-1j * np.multiply.outer(np.asarray(omega, dtype=float), x)).sum(axis=-1)
+        assert np.max(np.abs(_walk_sums(x, omega) - direct)) <= 1e-12 * len(x), span
+
+
+def test_phasor_walk_frees_its_phasors():
+    # the walk's phasors go with its last reference, not at the cyclic
+    # collector's next run: a batch's worth of them a frequency adds up
+    x = np.random.default_rng(1).uniform(0.0, 100.0, 1000)
+    gc.disable()
+    try:
+        kept = [weakref.ref(ph) for _, ph in montecarlo._phasors(x, np.linspace(0.4, 6.4, 16))]
+        assert all(ref() is None for ref in kept)
+    finally:
+        gc.enable()
+
+
+def test_near_step_factor_is_the_exponential():
+    # below 2^-27 in size, cos t rounds to 1 and sin t to t: the walk's factor
+    # 1 - i d x is bit for bit np.exp(-1j * d * x)
+    rng = np.random.default_rng(9)
+    x = rng.uniform(-1e4, 1e4, 10**5)
+    for d in (2.0**-27 / 1e4 * 0.999, 1.1e-16, 3e-19, 5e-300):
+        factor = np.empty(len(x), dtype=complex)
+        factor.real = 1.0
+        factor.imag = -d * x
+        assert factor.tobytes() == np.exp(-1j * d * x).tobytes(), d
 
 
 def test_periodogram_walk_against_direct_and_mpmath():
@@ -206,12 +234,9 @@ def test_periodogram_shapes_signs_and_empty_series():
     assert periodogram(EventSeries(np.array([]), 4.0), 1.0) == 0.0
 
 
-@pytest.mark.parametrize("omega, most", [(np.linspace(0.4, 6.4, 16), 5),
-                                         ([0.5, 1.0, 2.0, 4.0], 1)])
-def test_periodogram_exponentials_per_point(omega, most, monkeypatch):
-    # the walk takes one complex exponential per distinct step, not one per
-    # frequency: 16 -> 5 on C05's grid and 4 -> 1 on the doubling set
-    series = EventSeries(np.sort(np.random.default_rng(5).uniform(0.0, 100.0, 250)), 100.0)
+@pytest.fixture
+def exponentials(monkeypatch):
+    """The sizes of every np.exp argument, as the calls are made."""
     counted = []
     exp = np.exp
 
@@ -220,8 +245,35 @@ def test_periodogram_exponentials_per_point(omega, most, monkeypatch):
         return exp(z, *args, **kwargs)
 
     monkeypatch.setattr(np, "exp", counting)
+    return counted
+
+
+@pytest.mark.parametrize("omega, most", [(np.linspace(0.4, 6.4, 16), 1),
+                                         ([0.5, 1.0, 2.0, 4.0], 1),
+                                         (np.linspace(0.01, 8.0, 512), 2)])
+def test_periodogram_exponentials_per_point(omega, most, exponentials):
+    # one complex exponential per distinct step, not one per frequency, and
+    # none for a step an ulp from one already formed: 16 -> 1 on C05's grid,
+    # 4 -> 1 on the doubling set, 512 -> 2 on the fine grid (its first
+    # frequency and its step)
+    series = EventSeries(np.sort(np.random.default_rng(5).uniform(0.0, 100.0, 250)), 100.0)
     periodogram(series, omega)
-    assert 1 <= sum(counted) / len(series.times) <= most
+    assert 1 <= sum(exponentials) / len(series.times) <= most
+
+
+def test_cluster_transform_exponentials_per_member(exponentials, monkeypatch):
+    # the triple (0.3, 0.7, -1.0): e^{-0.3ix}, then the step 0.4; the step
+    # from 0.7 to 1.0 is 0.3 plus an ulp, a near step of the first
+    members = []
+
+    def counting_clusters(*args):
+        drawn = sample_clusters_batch(*args)
+        members.append(len(drawn[0]) - args[0])
+        return drawn
+
+    monkeypatch.setattr(montecarlo, "sample_clusters_batch", counting_clusters)
+    mc_b_complete(EXP_PARAMS, 0.3, 0.7, 2000, seed=0)
+    assert sum(exponentials) <= 2 * sum(members)
 
 
 def test_periodogram_refuses_non_finite_frequencies(monkeypatch):

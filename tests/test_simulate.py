@@ -1,5 +1,6 @@
 """Cluster generation, window simulation, and event ingestion."""
 
+import hashlib
 import math
 import re
 from dataclasses import replace
@@ -84,6 +85,17 @@ def test_cluster_size_cap(rng, monkeypatch):
     monkeypatch.setattr(simulate, "DEFAULT_SIZE_CAP", 10)
     with pytest.raises(ClusterSizeCapExceeded):
         sample_clusters_batch(200, 0.99, Exponential(1.0), rng)
+
+
+def test_cluster_size_cap_is_per_cluster_not_per_batch(rng, monkeypatch):
+    # sizes are counted once the batch's total passes the cap; 200 clusters at
+    # m = 0.3 pass a cap of 10 together, none of them alone, and the draws are
+    # the ones made without a cap
+    monkeypatch.setattr(simulate, "DEFAULT_SIZE_CAP", 10)
+    offs, cid, up = sample_clusters_batch(200, 0.3, Exponential(1.0), rng)
+    assert len(offs) > 10 and np.bincount(cid).max() <= 10
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in (offs, cid, up))).hexdigest()
+    assert digest == "596057ab16060b9401bcdce64111e2c21fe7029e4d8d670651851a087921269e"
 
 
 # ---------------------------------------------------------------------------
