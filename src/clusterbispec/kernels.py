@@ -8,8 +8,8 @@ so hhat(0) = 1 and hhat(-w) = conj(hhat(w)) for real densities.  Kernels are
 immutable after construction; every method is pure and safe to call
 concurrently.  RNG state is caller-owned (numpy Generator) and never shared.
 Lomax transforms by doubling contour rules that stop at rounding level (within
-1e-11, ``_lomax_rule``) and tabulated densities by trapezoid sums, both in
-bounded frequency blocks.
+1e-11, ``_lomax_rule``) and tabulated densities (each one ``EvenTable``: a ``tab:``
+kernel, a matched kernel's rho_h) by trapezoid sums, both in bounded frequency blocks.
 """
 
 from __future__ import annotations
@@ -43,22 +43,20 @@ _LOMAX_CUTOFF = 60.0   # the contour ends where e^{-w u} or u^{-alpha} reaches e
 
 
 def readonly(a):
-    """Read-only copy of an array field (None stays None)."""
-    if a is None:
-        return None
-    a = np.array(a)
+    """Read-only float copy of an array field."""
+    a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
 
 
 def array_key(*arrays) -> tuple:
-    """Hashable value of array fields: dtype, shape and bytes of each (None stays None).
+    """Hashable value of array fields: dtype, shape and bytes of each.
 
     Frozen dataclasses with ndarray fields compare and hash through this key,
     so they behave as values; they hold those fields read-only (``readonly``)
     so the key cannot go stale.
     """
-    return tuple(None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in arrays)
+    return tuple((a.dtype.str, a.shape, a.tobytes()) for a in arrays)
 
 
 def in_row_chunks(rows, omega, width):
@@ -78,7 +76,8 @@ class Refused(ValueError):
 
 
 class InvalidKernel(Refused):
-    """Kernel parameters or tabulated data violate a construction invariant."""
+    """Kernel parameters or tabulated data violate a construction invariant, or put
+    a tail quantile or an autocorrelation past the double range."""
 
 
 class TransformOutOfRange(Refused):
@@ -198,7 +197,10 @@ class Lomax(Kernel):
         return (1.0 - u) ** (-1.0 / self.alpha) - 1.0
 
     def tail_quantile(self, eps):
-        return eps ** (-1.0 / self.alpha) - 1.0
+        try:
+            return eps ** (-1.0 / self.alpha) - 1.0
+        except OverflowError:
+            raise InvalidKernel(f"Lomax({self.alpha:g}) quantile at {eps:g} overflows") from None
 
     def moment(self, p: int) -> float:
         """Raw moment E X^p; inf when p >= alpha."""
@@ -255,6 +257,8 @@ class UniformHalf(Kernel):
         return self.a
 
     def autocorrelation(self, x):
+        if not 0.0 < self.a * self.a < math.inf:
+            raise InvalidKernel(f"UniformHalf({self.a:g}) autocorrelation: a^2 out of range")
         return np.clip(self.a - np.abs(np.asarray(x, dtype=float)), 0.0, None) / self.a**2
 
     def mixing_moments(self):
@@ -296,68 +300,92 @@ class SymmetricLaplace(Kernel):
 
 
 @dataclass(frozen=True)
-class TabulatedSymmetric(Kernel):
-    """Even density given by samples on a uniform grid x_k = k * spacing, k >= 0.
+class EvenTable:
+    """Even density on a half-line table, the package's one tabulated law.
 
-    Linear interpolation between samples; transforms are trapezoidal cosine
-    sums.  Samples are validated to integrate to 1 within 1e-3 and then
-    renormalized exactly.
+    Holds the density ``values`` at ``grid`` knots from 0, strictly increasing
+    (k * spacing if not given), the cell widths ``spacing`` (np.diff(grid) if
+    not given) and the half-line ``cdf`` of the trapezoid cells.  Owns the
+    validation, the cosine transform by trapezoid sums in bounded frequency
+    blocks, the draw (|X| by inverse CDF, then a fair sign) and the tail
+    inversion; ``==`` and ``hash`` see the arrays.  A draw interpolates the CDF
+    linearly, so the sampled law is uniform within each cell, while the
+    transform integrates the piecewise-linear density: a reloaded
+    ``match:lomax:1.5:0.5`` (through its table) transforms 6.3e-6 from the live
+    one (exact) at |w| = 20 and up to 2.6e-4 below it, 1.8e-3 at 100, 2.2e-3 at 1000.
     """
 
     values: np.ndarray = field(compare=False)
-    spacing: float
-    symmetric = True
-    _cdf: np.ndarray = field(init=False, repr=False, compare=False)
-    _key: tuple = field(init=False, repr=False)   # == and hash see the samples
+    spacing: float | np.ndarray | None = field(default=None, compare=False)
+    grid: np.ndarray = field(default=None, compare=False)
+    _key: tuple = field(init=False, repr=False)   # == and hash see the table
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or len(vals) < 2:
-            raise InvalidKernel("tabulated kernel needs at least two samples")
+        vals = readonly(self.values)
+        xs = readonly(self.spacing * np.arange(vals.size) if self.grid is None else self.grid)
+        if (xs.ndim != 1 or xs.size < 2 or not np.all(np.isfinite(xs))
+                or xs[0] != 0.0 or not np.all(np.diff(xs) > 0.0)):
+            raise InvalidKernel("tabulated density: knots must start at 0 and strictly increase")
+        if vals.shape != xs.shape or not np.all(np.isfinite(vals)) or np.any(vals < 0.0):
+            raise InvalidKernel("tabulated density: one finite, non-negative value a knot")
+        dx = readonly(np.diff(xs)) if self.spacing is None else self.spacing
+        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * dx)])
+        if not cdf[-1] > 0.0:
+            raise InvalidKernel("tabulated density has no mass")
+        for name, a in (("values", vals), ("spacing", dx), ("grid", xs), ("cdf", readonly(cdf)),
+                        ("_unit_cdf", cdf / cdf[-1]), ("_key", array_key(xs, vals))):
+            object.__setattr__(self, name, a)
+
+    def transform(self, omega):
+        vals = in_row_chunks(lambda w: 2.0 * np.trapezoid(
+            np.cos(np.multiply.outer(w, self.grid)) * self.values, dx=self.spacing, axis=-1),
+            omega, len(self.grid))
+        return vals.astype(complex) if np.ndim(omega) else complex(vals)
+
+    def sample(self, rng, size=None):
+        mag = np.interp(rng.random(size), self._unit_cdf, self.grid)
+        return np.where(rng.random(size) < 0.5, -1.0, 1.0) * mag
+
+    def tail_quantile(self, eps):
+        tail = 2.0 * (self.cdf[-1] - self.cdf)   # P(|X| > x_k)
+        idx = int(np.searchsorted(-tail, -eps))
+        return float(self.grid[min(idx, len(self.grid) - 1)])
+
+
+@dataclass(frozen=True)
+class TabulatedSymmetric(EvenTable, Kernel):
+    """Even density given by samples on a uniform grid x_k = k * spacing, k >= 0.
+
+    An EvenTable whose cells are exactly ``spacing`` wide: linear interpolation
+    between samples, trapezoidal cosine sums.  Samples are validated to
+    integrate to 1 within 1e-3 and then renormalized exactly.
+    """
+
+    spacing: float = field()   # required, and compared, unlike a table's widths
+    grid: np.ndarray = field(init=False, repr=False, compare=False)
+    symmetric = True
+
+    def __post_init__(self):
         if not (self.spacing > 0 and math.isfinite(self.spacing)):
             raise InvalidKernel(f"grid spacing must be positive, got {self.spacing}")
-        if np.any(~np.isfinite(vals)) or np.any(vals < 0):
-            raise InvalidKernel("tabulated density samples must be finite and nonnegative")
-        total = 2.0 * np.trapezoid(vals, dx=self.spacing)  # even extension
+        super().__post_init__()   # the samples as given
+        total = 2.0 * np.trapezoid(self.values, dx=self.spacing)  # even extension
         if abs(total - 1.0) > 1e-3:
             raise InvalidKernel(f"tabulated density integrates to {total:.6f}, expected 1")
-        vals = readonly(vals / total)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_key", array_key(vals))
-        # CDF of |X| on the half grid, for sampling and survival
-        seg = 0.5 * (vals[1:] + vals[:-1]) * self.spacing
-        cdf = np.concatenate([[0.0], np.cumsum(seg)]) * 2.0
-        object.__setattr__(self, "_cdf", cdf)
-
-    @property
-    def grid(self):
-        return self.spacing * np.arange(len(self.values))
+        object.__setattr__(self, "values", self.values / total)
+        super().__post_init__()   # renormalized
 
     def density(self, x):
         ax = np.abs(np.asarray(x, dtype=float))
         return np.interp(ax, self.grid, self.values, right=0.0)
 
-    def transform(self, omega):
-        vals = in_row_chunks(lambda w: 2.0 * np.trapezoid(
-            np.cos(np.multiply.outer(w, self.grid)) * self.values, dx=self.spacing, axis=-1),
-            omega, len(self.values))
-        return vals.astype(complex) if np.ndim(omega) else complex(vals)
+    # on the class itself, as every family's transform and sampler are
+    transform, sample = EvenTable.transform, EvenTable.sample
 
     def survival(self, x):
         x = np.asarray(x, dtype=float)
-        half = np.interp(np.abs(x), self.grid, self._cdf / 2.0, right=0.5)
+        half = np.interp(np.abs(x), self.grid, self.cdf, right=0.5)
         return np.where(x >= 0, 0.5 - half, 0.5 + half)
-
-    def sample(self, rng, size=None):
-        u = rng.random(size) * self._cdf[-1]
-        mag = np.interp(u, self._cdf, self.grid)
-        sign = np.where(rng.random(size) < 0.5, -1.0, 1.0)
-        return sign * mag
-
-    def tail_quantile(self, eps):
-        tail = self._cdf[-1] - self._cdf  # P(|X| > x_k)
-        idx = np.searchsorted(-tail, -eps)
-        return float(self.grid[min(idx, len(self.grid) - 1)])
 
     def spec_string(self):
         return "tab:<inline>"
@@ -513,7 +541,7 @@ def kernel_from_spec(spec: str) -> Kernel:
 def load_tabulated_csv(path: str) -> TabulatedSymmetric:
     """Load a tabulated symmetric kernel from CSV `x,density` (header row).
 
-    x must be strictly increasing, uniformly spaced, and start at 0.
+    x must start at 0 and increase in uniform steps.
     """
     from .simulate import ParseError, read_columns
 
@@ -521,9 +549,7 @@ def load_tabulated_csv(path: str) -> TabulatedSymmetric:
         x, ds = read_columns(path, ["x", "density"])
     except ParseError as exc:
         raise InvalidKernel(str(exc)) from exc
-    if len(x) < 2 or np.any(np.diff(x) <= 0):
-        raise InvalidKernel(f"{path}: x column must be strictly increasing")
-    dx = x[1] - x[0]
-    if abs(x[0]) > 1e-9 * dx or np.max(np.abs(np.diff(x) - dx)) > 1e-9 * dx:
-        raise InvalidKernel(f"{path}: grid must be uniform and start at 0")
+    dx = x[1] - x[0] if len(x) > 1 else 0.0
+    if not (dx > 0 and abs(x[0]) <= 1e-9 * dx and np.max(np.abs(np.diff(x) - dx)) <= 1e-9 * dx):
+        raise InvalidKernel(f"{path}: x column must start at 0 and increase uniformly")
     return TabulatedSymmetric(ds, float(dx))

@@ -14,8 +14,8 @@ from phi_h is a p_n-sized random sum of rho_h draws.
 
 The bases are the ``monotone`` families (one-sided exponential, Lomax and
 uniform); each declares h * hcheck in closed form, so rho_h is exact and cheap.
-A matched kernel holds rho_h on one table and draws each summand from it by
-inverse CDF, whether it was just built or reloaded from a file.  A kernel
+A matched kernel holds rho_h as one ``kernels.EvenTable`` and draws each
+summand from it, whether it was just built or reloaded from a file.  A kernel
 built from its base keeps the exact transform phi_transform.
 """
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import (InvalidKernel, Kernel, Refused, UniformHalf, array_key, in_row_chunks,
+from .kernels import (EvenTable, InvalidKernel, Kernel, Refused, UniformHalf, array_key,
                       readonly)
 
 __all__ = [
@@ -63,8 +63,6 @@ class MatchSpec:
     m: float
 
     def __post_init__(self):
-        if not (0.0 < self.m < 1.0):
-            raise ValueError(f"branching ratio m must lie in (0, 1), got {self.m}")
         if not self.base.monotone:
             raise InvalidKernel("spectral match needs a monotone one-sided base, "
                                 f"got {type(self.base).__name__}")
@@ -82,21 +80,21 @@ def pn_weights(m: float, eps: float = PN_TRUNCATION_EPS) -> np.ndarray:
     near 1 that more than 1e6 terms are needed is :class:`Refused`.
     """
     if not (0.0 < m < 1.0 and 0.0 < eps < 1.0):
-        raise ValueError("need 0 < m < 1 and 0 < eps < 1")
+        raise ValueError(f"need 0 < m < 1 and 0 < eps < 1, got m = {m}, eps = {eps}")
     p = [(2.0 - m) / 2.0]
     total, carry = p[0], 0.0  # compensated (Neumaier) sum: total + carry
     factor = m * (2.0 - m)
     limit = f"p_n at m = {m:g} needs more than its limit of 1e6 terms to reach tail mass {eps:g}"
     # p_{N+1} = p_1 q^N Gamma(N + 1/2) / (sqrt(pi) Gamma(N + 2)), q = m(2-m); the ratios
     # p_{n+1}/p_n rise with n, so p_{N+1} / (1 - r_{N+1}) bounds the tail past N terms
-    # from below.  Refuse up front when it beats eps by 4N ulps of 1, more than the
-    # running sum's rounding, so no m the loop accepts is refused; the loop's check
-    # stays the backstop.
+    # from below.  Refuse up front when it beats eps by more than the loop's rounding: each
+    # p_n is off by O(n) ulps and sum n p_n <= E K = (2-m) / (2(1-m)), so a margin of
+    # 8 sqrt(pi) / (1-m) ulps of 1 refuses no m the loop accepts (its check is the backstop).
     n_max = 10**6
     log_next = (math.log(p[0]) + n_max * math.log(factor) + math.lgamma(n_max + 0.5)
                 - math.lgamma(n_max + 2.0) - 0.5 * math.log(math.pi))
     ratio = (2 * n_max + 1) * factor / (2 * (n_max + 2))
-    if math.exp(log_next) / (1.0 - ratio) > eps + 4 * n_max * np.finfo(float).eps:
+    if math.exp(log_next) / (1.0 - ratio) > eps + 8 * math.sqrt(math.pi) * 2.0**-52 / (1.0 - m):
         raise Refused(limit)
     while total + carry < 1.0 - eps:
         n = len(p)
@@ -154,12 +152,11 @@ def phi_transform(spec: MatchSpec, omega):
 class MatchedKernel(Kernel):
     """Even offspring kernel realizing the reversible spectral match.
 
-    Holds rho_h on a half-line table (``rho_x`` from 0, strictly increasing)
-    and the p_n weights; a draw is a p_n-sized sum of inverse-CDF draws from
-    that table.  A kernel built from a MatchSpec transforms exactly
+    Holds rho_h as one EvenTable (``rho_x`` from 0, strictly increasing, and
+    ``rho_vals``) and the p_n weights; a draw is a p_n-sized sum of the
+    table's draws.  A kernel built from a MatchSpec transforms exactly
     (phi_transform) and takes its summand tail quantile from the base; a
-    kernel reloaded from a file (``spec`` None) transforms by trapezoid sums
-    over the table, in bounded frequency blocks, and inverts the table's tail.
+    kernel reloaded from a file (``spec`` None) takes both from the table.
     It has no density or survival function (Kernel's raise
     NotImplementedError); nothing needs them, and the sampler defines the law.
     The object is immutable and safe to share.
@@ -175,51 +172,29 @@ class MatchedKernel(Kernel):
     _key: tuple = field(init=False, repr=False)   # == and hash see the tables
 
     def __post_init__(self):
-        pn, xs, vals = (readonly(np.asarray(a, dtype=float))
-                        for a in (self.pn, self.rho_x, self.rho_vals))
+        pn = readonly(self.pn)
         if not (0.0 < self.m < 1.0):
             raise InvalidKernel(f"matched kernel: m must lie in (0, 1), got {self.m}")
         if (pn.ndim != 1 or pn.size == 0 or not np.all(np.isfinite(pn))
                 or np.any(pn < 0.0) or abs(pn.sum() - 1.0) > 1e-12):
             raise InvalidKernel("matched kernel: pn must be finite, non-negative and sum to 1")
-        if (xs.ndim != 1 or xs.size < 2 or not np.all(np.isfinite(xs))
-                or xs[0] != 0.0 or not np.all(np.diff(xs) > 0.0)):
-            raise InvalidKernel("matched kernel: rho_x must start at 0 and strictly increase")
-        if vals.shape != xs.shape or not np.all(np.isfinite(vals)) or np.any(vals < 0.0):
-            raise InvalidKernel(
-                "matched kernel: rho density must be finite, non-negative and match rho_x"
-            )
-        seg = 0.5 * (vals[1:] + vals[:-1]) * np.diff(xs)
-        cdf = np.concatenate([[0.0], np.cumsum(seg)])   # half-line CDF of rho_h
-        if not cdf[-1] > 0.0:
-            raise InvalidKernel("matched kernel: rho density has no mass")
-        for name, a in (("pn", pn), ("rho_x", xs), ("rho_vals", vals)):
+        rho = EvenTable(self.rho_vals, grid=self.rho_x)
+        for name, a in (("pn", pn), ("rho_x", rho.grid), ("rho_vals", rho.values), ("_rho", rho),
+                        ("_key", array_key(pn, rho.grid, rho.values)), ("_pn_cum", np.cumsum(pn))):
             object.__setattr__(self, name, a)
-        object.__setattr__(self, "_key", array_key(pn, xs, vals))
-        object.__setattr__(self, "_pn_cum", np.cumsum(pn))
-        object.__setattr__(self, "_cdf", cdf)
 
     # -- transform ----------------------------------------------------------
     def transform(self, omega):
-        if self.spec is not None:
-            out = phi_transform(self.spec, omega)
-        else:
-            rho_hat = in_row_chunks(lambda w: 2.0 * np.trapezoid(
-                np.cos(np.multiply.outer(w, self.rho_x)) * self.rho_vals, self.rho_x, axis=-1),
-                omega, len(self.rho_x))
-            out = _phi_hat(self.m, rho_hat)
+        out = (_phi_hat(self.m, self._rho.transform(omega).real) if self.spec is None
+               else phi_transform(self.spec, omega))
         return np.asarray(out, dtype=complex) if np.ndim(omega) else complex(out)
 
     # -- sampling -----------------------------------------------------------
     def sample(self, rng, size=None):
         n = 1 if size is None else int(size)
         K = np.searchsorted(self._pn_cum, rng.random(n), side="right") + 1
-        total = int(K.sum())
-        mag = np.interp(rng.random(total), self._cdf / self._cdf[-1], self.rho_x)
-        sign = np.where(rng.random(total) < 0.5, -1.0, 1.0)
-        draws = sign * mag
         bounds = np.concatenate([[0], np.cumsum(K)])
-        csum = np.concatenate([[0.0], np.cumsum(draws)])
+        csum = np.concatenate([[0.0], np.cumsum(self._rho.sample(rng, int(bounds[-1])))])
         sums = csum[bounds[1:]] - csum[bounds[:-1]]
         return float(sums[0]) if size is None else sums
 
@@ -231,11 +206,8 @@ class MatchedKernel(Kernel):
         """
         k_star = int(np.searchsorted(self._pn_cum, 1.0 - eps / 2.0) + 1)
         per = eps * (2.0 - self.m) / (4.0 * k_star)
-        if self.spec is not None:
-            return k_star * self.spec.base.tail_quantile(per)
-        tail = 2.0 * (self._cdf[-1] - self._cdf)
-        idx = int(np.searchsorted(-tail, -per))
-        return k_star * float(self.rho_x[min(idx, len(self.rho_x) - 1)])
+        base = self._rho if self.spec is None else self.spec.base
+        return k_star * base.tail_quantile(per)
 
     def spec_string(self):
         return f"match:{self.base_label}:{self.m:g}"

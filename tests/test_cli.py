@@ -293,6 +293,15 @@ REFUSED_WHILE_RUNNING = {   # argv ({tmp}: the run's folder) -> the refusal's te
                           "params.kernel: bad kernel spec"),
     "match-build-near-1": (["match", "build", "--m", "0.9999", "--kernel", "exp:1",
                             "--out", "m.json"], "limit of 1e6 terms"),
+    "match-lomax-quantile-overflows": (["match", "build", "--m", "1e-9", "--kernel",
+                                        "lomax:0.01", "--out", "m.json"],
+                                       "Lomax(0.01) quantile at 1e-10 overflows"),
+    "match-uhalf-square-overflows": (["match", "build", "--m", "0.5", "--kernel",
+                                      "uhalf:1e300", "--out", "m.json"],
+                                     "UniformHalf(1e+300) autocorrelation"),
+    "match-uhalf-square-underflows": (["match", "build", "--m", "1e-9", "--kernel",
+                                       "uhalf:1e-300", "--out", "m.json"],
+                                      "UniformHalf(1e-300) autocorrelation"),
     "bump-H-underflows": (["contrast", "run", "--events", "{tmp}/events.csv", "--H", "1e-200"],
                           "bump support radius H = 1e-200"),
     "bump-H-overflows": (["contrast", "run", "--events", "{tmp}/events.csv", "--H", "3e154"],

@@ -1,6 +1,7 @@
 """Kernel densities, transforms, samplers, tails, and the spec grammar."""
 
 import functools
+import hashlib
 import math
 import os
 import subprocess
@@ -378,6 +379,20 @@ def test_tabulated_transform_blocks_bit_identical(kernels):
     whole = 2.0 * np.trapezoid(np.cos(np.multiply.outer(w, tab.grid)) * tab.values,
                                dx=tab.spacing, axis=-1)
     assert np.array_equal(tab.transform(w), whole.astype(complex))
+
+
+def test_tabulated_kernel_keeps_its_bits(kernels):
+    # SHA-256 of the transform, density, survival and tail quantiles, pinned before the
+    # tab: kernel became a table shared with the matched kernel; only its draws moved
+    tab = kernels["tab"]
+    w, x = np.linspace(-50.0, 50.0, 101), np.linspace(-9.0, 9.0, 1001)
+    got = [hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest() for a in (
+        tab.transform(w), tab.density(x), tab.survival(x),
+        np.array([tab.tail_quantile(e) for e in (1e-2, 1e-4, 1e-6)]))]
+    assert got == ["955aa0c3504b78d420b2ea557765d32ec30aa0b92723dfaa11059118831b8ca3",
+                   "96947e488ee0cbb12fadb14f8995097916c9812200ffd5fccc821c8e65b15db3",
+                   "8dbda8e9ed0cda78cf8aa1ddfa239c41e6e029e3c31a35a8d659cea7a0fd1669",
+                   "bbe2bf0ef44a43503165c7340bedda66d67e6fd36a6550c8e4331a0c98eb1ba1"]
 
 
 def test_transform_error_bound_reported():

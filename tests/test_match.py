@@ -14,9 +14,10 @@ from scipy.integrate import IntegrationWarning, quad
 from clusterbispec import kernels
 from clusterbispec.cli import main
 from clusterbispec.kernels import (Exponential, Kernel, Lomax, Refused, SymmetricLaplace,
-                                   UniformHalf, kernel_from_spec)
+                                   TabulatedSymmetric, UniformHalf, kernel_from_spec)
 from clusterbispec.match import (
     InvalidKernel,
+    MatchedKernel,
     MatchSpec,
     build_matched_kernel,
     load_matched_kernel,
@@ -210,6 +211,16 @@ def test_pn_refused_before_its_recurrence():
     assert len(p) > 3 * 10**5 and abs(p.sum() - 1.0) < 1e-12
 
 
+def test_pn_refused_at_once_from_its_edge():
+    # the up-front margin is the loop's own rounding, 8 sqrt(pi) / (1-m) ulps, so
+    # every m past the 1e6-term edge is refused without running the recurrence
+    for m in np.round(np.arange(0.9960, 0.99685, 1e-4), 4):
+        start = time.perf_counter()
+        with pytest.raises(Refused, match="limit of 1e6 terms"):
+            pn_weights(float(m))
+        assert time.perf_counter() - start < 0.01, m
+
+
 def test_pn_sum_is_compensated():
     # with a compensated total the recurrence stops at the first term whose exact
     # partial sum reaches 1 - eps, to an ulp of 1, and accepts every m up to the
@@ -347,6 +358,83 @@ def test_live_and_reloaded_kernels_draw_identically(tmp_path):
             a = live.sample(np.random.default_rng(5), size)
             b = loaded.sample(np.random.default_rng(5), size)
             assert np.array_equal(a, b), (base, size)
+
+
+# SHA-256 of each matched kernel's draws (built and reloaded draw alike), transforms and
+# tail quantiles (built, then reloaded) and saved file, pinned before tab: kernels and
+# matched kernels shared one table type
+TABLE_PINS = {
+    "exp:1": (
+        "351f0622fc9d35166c1be0b3a2f1baab13572ac813f722c7bf674efdff65932c",
+        "b7690a9d07d0137088ba620497451d8e4155f8572b531b20adf129e0a255b81c",
+        "4ed7fe6c685d7b20395c1d0879d360a2d98eaf8b7b12a3346d20846e4e868b4f",
+        "ba0adf090350f58f1db433f35724a5963ff2bb03b479102c1e53c57034f71415",
+        "a792a5cbbd551a08fc83e66daf3b8bfaa10f6c100cee7a0c143b64dff6f3bbe1",
+        "6efdcab3a4cabcb05f9fee01290abcd18bcff10e0a967b2dfd0279a53cc2d564",
+    ),
+    "uhalf:1": (
+        "0a6a6867a24c2babd1e26afa10a6e48f95716822c7f043f49969c721dac04abf",
+        "73acf2806a6627ef65b227bfbfe2ee23c2943255ec710a3b68663988417742ad",
+        "5dacb1c249f01cb655d7d7b72d70b5790705d86a75106f41117ecb77442b5a56",
+        "1c3352c0afeaff0bc88490e5104e64b52dd3ef92b48ce254845084df8f9b1e24",
+        "25fddaa1eaf28b467e97af35cb6694fc9473a406e3f9add7a8c87e413e8ea2f5",
+        "7b0f748124bf780cdec742a2dce41c3d29a6b8870227190a66fd87acaba56b6c",
+    ),
+    "lomax:2": (
+        "5d9bf38fdb19810bec0cf7d2e338a2f77fc647aa46139144036c54599420c931",
+        "abb964b0db33f926da5c6b5e907e1de6b8a7b1c04fb13717cda7135f714246c4",
+        "d0102c9b09ced8207fc6fad94a66ec63b03c84a8e7fe708c2a850e25924920d0",
+        "f335ec00b6f0b5fbb868233b15f8749f3d32541544c660beb153c3f542472824",
+        "c6058d44cc7c325ea8fc314ec7d0e00181289aad5ff1456ba6873c854461c162",
+        "0494578064f9e6edf1e6c75ffaddc25f3630da1f821f11867aacaedba373ef59",
+    ),
+    "lomax:1.5": (
+        "2caf52b78cf450585f5349520cb300078edda157d8d0d013a2626d538e9aa180",
+        "d1e91a3f9f789df17bd46828a5c04e8be1ddc3752a2a981b8783f17db16ba034",
+        "5942fd41296de3c7486a43432737b03253c940b4475e77acf52c49a5a69d0de1",
+        "439dfdd1faa027863031f4181f01572f8cd8f21fd64397dc2951101eb0a6af54",
+        "1817335adf3749c15cdb368724c4b4c5a8981c4b93249d1f56dc47a58cfe386d",
+        "a10c1764280e7e997991e862fa6a8629aef515da2dfe717d237ef2e2f669b513",
+    ),
+}
+
+
+def _sha(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("base", TABLE_PINS)
+def test_matched_kernels_keep_their_bits(base, tmp_path):
+    built = build_matched_kernel(MatchSpec(kernel_from_spec(base), m=0.5))
+    save_matched_kernel(built, tmp_path / "built.json")
+    loaded = load_matched_kernel(tmp_path / "built.json")
+    save_matched_kernel(loaded, tmp_path / "loaded.json")
+    w = np.linspace(-50.0, 50.0, 101)
+    draws, *pins, saved = TABLE_PINS[base]
+    for k in (built, loaded):
+        assert _sha(k.sample(np.random.default_rng(3), 10000)) == draws
+    assert [_sha(k.transform(w)) for k in (built, loaded)] + [
+        _sha(np.array([k.tail_quantile(e) for e in (1e-2, 1e-4, 1e-6)])) for k in (built, loaded)
+    ] == pins
+    for name in ("built.json", "loaded.json"):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == saved
+
+
+def test_tab_and_matched_tables_draw_alike():
+    # one table sampler: a tab: kernel and a reloaded matched kernel with p_1 = 1 on the
+    # same knots (spaced by a power of two, so np.diff gives the spacing exactly) draw the
+    # same bits once the matched stream has drawn its K
+    x = np.arange(1025) / 128.0
+    tab = TabulatedSymmetric(np.exp(-x) / 2.0 / (1.0 - np.exp(-x[-1])), 1.0 / 128.0)
+    matched = MatchedKernel(0.5, [1.0], tab.grid, tab.values)
+    rng_tab, rng_matched = np.random.default_rng(8), np.random.default_rng(8)
+    ours, theirs = [], []
+    for _ in range(2000):
+        rng_tab.random()   # the matched kernel's K
+        ours.append(tab.sample(rng_tab))
+        theirs.append(matched.sample(rng_matched))
+    assert np.array(ours).tobytes() == np.array(theirs).tobytes()
+    assert rng_tab.random() == rng_matched.random()
 
 
 # ---------------------------------------------------------------------------
