@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Kernel, Refused
+from .kernels import InvalidKernel, Kernel, Refused
 from .simulate import ModelParams
 from .spectra import im_b_diagonal
 
@@ -114,11 +114,20 @@ def delta_m(z: MixtureZ, m: float) -> float:
 
 
 def z_from_kernel(kernel: Kernel) -> MixtureZ:
-    """Mixing law of X = Y Z from a monotone kernel's declared ``mixing_moments``."""
+    """Mixing law of X = Y Z from a monotone kernel's declared ``mixing_moments``;
+    InvalidKernel where they leave the double range: E Z or E Z^2 not positive and
+    finite, E Z^3 zero, or infinite for a tail index above 3 (``uhalf:1e300``)."""
     if not kernel.monotone:
         raise NonMonotoneKernel(
             f"scale mixture needs a monotone one-sided kernel, got {type(kernel).__name__}")
-    return MixtureZ(*kernel.mixing_moments())
+    try:
+        ez, ez2, ez3 = kernel.mixing_moments()
+    except (OverflowError, ZeroDivisionError):   # a float power or quotient left the range
+        ez = ez2 = ez3 = math.nan
+    if not (0.0 < ez < math.inf and 0.0 < ez2 < math.inf and ez3 > 0.0
+            and (ez3 < math.inf or kernel.tail_index <= 3.0)):
+        raise InvalidKernel(f"{kernel!r}: mixing moments E Z, E Z^2, E Z^3 leave the double range")
+    return MixtureZ(ez, ez2, ez3)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from . import __version__
 from .cumulant3 import GRID_BUDGET
 from .kernels import Kernel, Refused, kernel_from_spec
 from .montecarlo import SUITES
-from .simulate import ModelParams
+from .simulate import ModelParams, write_json
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main"]
 
@@ -307,11 +307,6 @@ def _emit_grid(grid, cfg, stem):
     return [str(out)]
 
 
-def _write_json(path: Path, doc) -> str:
-    path.write_text(json.dumps(doc, indent=1))
-    return str(path)
-
-
 def run(cfg: RunConfig) -> int:
     """Execute a config; writes artifacts plus a manifest.
 
@@ -327,6 +322,7 @@ def run(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs, exit_code, opt, record = [], 0, cfg.options, {}
+    doc = None   # the JSON report of contrast, mc-validate and asym-check, in `name`
 
     if cfg.command == "simulate":
         from .simulate import simulate_window, write_events
@@ -398,7 +394,7 @@ def run(cfg: RunConfig) -> int:
             params = _model(cfg, theta=0.0)
             # the exact mean checks H against the lag grid before any window is drawn
             grid = cumulant3.invert_bispectrum(params)
-            mean = contrasts.exact_mean(params, g, opt["T"], cumulant3.odd_part(grid))
+            mean = contrasts.exact_mean(params, g, opt["T"], grid)
             scan = contrasts.linearity_scan(params, g, opt["T"], opt["theta"],
                                             opt["reps"], cfg.seed)
             doc = {"thetas": scan.thetas.tolist(), "means": scan.means.tolist(),
@@ -406,14 +402,13 @@ def run(cfg: RunConfig) -> int:
                    "slope": scan.slope, "slope_stderr": scan.slope_stderr,
                    "intercept": scan.intercept, "intercept_stderr": scan.intercept_stderr,
                    "mu_Tg": mean.mu_Tg, "gap_bound": mean.gap_bound}
-        outputs.append(_write_json(out_dir / "contrast.json", doc))
+        name = "contrast.json"
 
     elif cfg.command == "mc-validate":
         override = _model(cfg, theta=1.0) if opt["m"] is not None else None
-        report = montecarlo.validate_suite(opt["suite"], opt["level"], cfg.seed,
-                                           params=override)
-        outputs.append(_write_json(out_dir / f"mc_{opt['suite']}.json", report))
-        if not report["pass"]:
+        doc = montecarlo.validate_suite(opt["suite"], opt["level"], cfg.seed, params=override)
+        name = f"mc_{opt['suite']}.json"
+        if not doc["pass"]:
             exit_code = 1
 
     elif cfg.command == "asym-check":
@@ -427,8 +422,11 @@ def run(cfg: RunConfig) -> int:
                "t": report.t_values.tolist(), "im_b": report.im_values.tolist(),
                "ratios": report.ratios.tolist(),
                "underflow": report.underflow.tolist(), "converged": report.converged}
-        outputs.append(_write_json(out_dir / "asym_check.json", doc))
+        name = "asym_check.json"
 
+    if doc is not None:
+        write_json(out_dir / name, doc)
+        outputs.append(str(out_dir / name))
     manifest = {
         "config": json.loads(cfg.to_json()),
         "seed": cfg.seed,
@@ -437,7 +435,7 @@ def run(cfg: RunConfig) -> int:
         "outputs": outputs,
         **record,
     }
-    _write_json(out_dir / "manifest.json", manifest)
+    write_json(out_dir / "manifest.json", manifest)
     return exit_code
 
 

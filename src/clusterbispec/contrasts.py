@@ -70,7 +70,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cumulant3 import CumulantGrid, SupportExceedsGrid, mu_g_time, odd_part
+from .cumulant3 import CumulantGrid, SupportExceedsGrid, _g_sums, odd_part
 from .kernels import Refused
 from .simulate import EventSeries, ModelParams, replicate_windows
 
@@ -543,24 +543,25 @@ class ExactMeanResult:
 
 
 def exact_mean(params: ModelParams, f: OddTestFunction, T, c3odd: CumulantGrid) -> ExactMeanResult:
-    """E_theta[O_{T,g}] = theta * mu_{T,g} from the odd cumulant grid.
+    """E_theta[O_{T,g}] = theta * mu_{T,g} from the odd cumulant grid (or the whole
+    grid: its odd part is taken here, and odd_part of an odd grid is that grid).
 
     The anchor integral of the window indicator has the closed form
     overlap(tau) = max(0, min(T, T - tau1, T - tau2) - max(0, -tau1, -tau2)),
-    so mu_{T,g} is a single lag-lattice Riemann sum of g * overlap/T * c3_odd.
+    so mu_{T,g} is a single lag-lattice Riemann sum of g * overlap/T * c3_odd, taken
+    with mu_g's from one evaluation of g and refused as ``mu_g_time`` refuses, except
+    that a symmetric kernel (c3_odd exactly 0) may have a lattice too coarse for g.
     """
     T = float(T)
     if not (T > 0 and math.isfinite(T)):
         raise ValueError(f"window length T must be positive and finite, got {T}")
-    mu = mu_g_time(c3odd, f)   # SupportExceedsGrid for a g wider than the grid
+
+    def window(T1, T2):   # overlap / T
+        return np.maximum(0.0, np.minimum(np.minimum(T, T - T1), T - T2)
+                          - np.maximum(np.maximum(0.0, -T1), -T2)) / T
+
     odd = odd_part(c3odd)
-    lags = odd.lags
-    T1, T2 = np.meshgrid(lags, lags, indexing="ij")
-    overlap = np.maximum(
-        0.0,
-        np.minimum(np.minimum(T, T - T1), T - T2) - np.maximum(np.maximum(0.0, -T1), -T2),
-    )
-    mu_T = float((f.evaluate(T1, T2) * (overlap / T) * odd.values).sum() * odd.spacing**2)
+    mu, mu_T = _g_sums(odd, f, None, window, even_law=params.kernel.symmetric)
     l1 = float(np.abs(odd.values).sum() * odd.spacing**2)
     gap = 2.0 * f.support_radius * f.bound * l1 / T if T > f.support_radius else math.inf
     return ExactMeanResult(params.theta * mu_T, mu_T, mu, gap)

@@ -77,7 +77,7 @@ class Refused(ValueError):
 
 class InvalidKernel(Refused):
     """Kernel parameters or tabulated data violate a construction invariant, or put
-    a tail quantile or an autocorrelation past the double range."""
+    a tail quantile, an autocorrelation or the mixing moments past the double range."""
 
 
 class TransformOutOfRange(Refused):

@@ -17,6 +17,7 @@ own child seed sequence.
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -42,6 +43,7 @@ __all__ = [
     "write_events",
     "read_columns",
     "write_columns",
+    "write_json",
 ]
 
 DEFAULT_SIZE_CAP = 10**7
@@ -430,3 +432,9 @@ def write_columns(path, header, *columns) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+
+
+def write_json(path, doc) -> None:
+    """Write a JSON document with one-space indents, the one JSON writer of every artifact."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)

@@ -12,19 +12,20 @@ and the factorial transform differs by real pair-diagonal corrections,
 
     B_fac = B_comp - Gamma(w1) - Gamma(w2) - Gamma(w1+w2) + 2 lam,
 
-so Im B_fac = Im B_comp exactly.  All evaluators are pure; expensive kernel
-transforms are computed once per distinct frequency within a call.
+so Im B_fac = Im B_comp exactly.  All evaluators are pure.  Each call hands
+the kernel its distinct |w| once and looks hhat up once per distinct
+argument (w1, w2 and w1+w2; t and 2t; omega); a negative argument is that
+lookup's conjugate, exact since 1/(1 - m conj hhat) = conj(1/(1 - m hhat)) and
+|1 - m conj hhat| = |1 - m hhat| bit for bit.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import Kernel
-from .simulate import ModelParams, write_columns
+from .simulate import ModelParams, write_columns, write_json
 
 __all__ = [
     "SpectralGrid",
@@ -58,50 +59,59 @@ class SpectralGrid:
                       *freqs, self.values.real, self.values.imag)
 
     def write_json(self, path):
-        doc = {
-            "dims": self.dims,
-            "frequencies": np.asarray(self.frequencies).tolist(),
-            "re": self.values.real.tolist(),
-            "im": self.values.imag.tolist(),
-            "meta": self.meta,
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1)
+        write_json(path, {"dims": self.dims, "frequencies": np.asarray(self.frequencies).tolist(),
+                          "re": self.values.real.tolist(), "im": self.values.imag.tolist(),
+                          "meta": self.meta})
 
 
-class _TransformTable:
-    """Evaluate hhat once per distinct |w| within one spectra call.
+def _hhat(params: ModelParams, *ws):
+    """hhat at each of the float arrays ``ws``, in turn: the kernel transforms their
+    distinct |w| once, then each w takes one lookup, a negative w the conjugate
+    hhat(-w) = conj(hhat(w))."""
+    grid = np.unique(np.abs(np.concatenate([np.ravel(w) for w in ws])))
+    table = np.asarray(params.kernel.transform(grid))
 
-    Negative frequencies take the conjugate, hhat(-w) = conj(hhat(w)), so a
-    table built from some frequencies answers for their negatives too.
+    def lookup(w):
+        h = np.asarray(table[np.searchsorted(grid, np.abs(w))])   # an array even for a scalar w
+        return np.conjugate(h, out=h, where=w < 0)
+
+    return (lookup(w) for w in ws)   # lazily, so a caller can drop each before the next
+
+
+def _r_form(params: ModelParams, hs):
+    """B_comp by the R-form, and Gamma = lam / |1 - m hhat|^2 at w1, w2 and w1+w2, from
+    an iterator over hhat at those three arguments.
+
+    R(w) = 1/(1 - m hhat(w)), R(-w) = conj(R(w)) and R(w3) = conj(R(w1+w2)); each R is
+    formed once and used at once, so no more than two are held.  The products keep the
+    factor order of lam R(w1) R(w2) R(w3) (R(-w1) + R(-w2) + R(-w3) - 2), in place
+    where numpy could otherwise reuse the right-hand temporary (``P * np.conj(R)`` may
+    run as np.conj(R) * P): with fused multiply-adds a complex product's last bit
+    depends on the order.
     """
+    m, lam = params.m, params.lam
+    gammas = []
 
-    def __init__(self, kernel: Kernel, frequencies):
-        self._grid = np.unique(np.abs(np.concatenate([np.ravel(np.asarray(f, dtype=float))
-                                                      for f in frequencies])))
-        self._vals = np.asarray(kernel.transform(self._grid))
+    def next_r():
+        d = 1.0 - m * next(hs)
+        gammas.append(lam / np.abs(d) ** 2)
+        return 1.0 / d
 
-    def __call__(self, w):
-        w = np.asarray(w, dtype=float)
-        vals = self._vals[np.searchsorted(self._grid, np.abs(w))]
-        return np.where(w < 0, np.conj(vals), vals)
-
-
-def _r_form(params: ModelParams, hh: _TransformTable, w1, w2):
-    """R-form of B_comp(w1, w2) from an already-built transform table."""
-    m = params.m
-
-    def R(w):
-        return 1.0 / (1.0 - m * hh(w))
-
-    w3 = -w1 - w2
-    return params.lam * R(w1) * R(w2) * R(w3) * (R(-w1) + R(-w2) + R(-w3) - 2.0)
+    R = next_r()
+    P, S = lam * R, np.conj(R)
+    R = next_r()
+    P, S = P * R, S + np.conj(R)
+    R = next_r()
+    P *= np.conj(R)
+    S += R
+    S -= 2.0
+    return P * S, gammas
 
 
 def bartlett(params: ModelParams, omega):
     """Full Bartlett spectrum Gamma(w) = lam / |1 - m hhat(w)|^2."""
-    hh = params.kernel.transform(omega)
-    return params.lam / np.abs(1.0 - params.m * hh) ** 2
+    (h,) = _hhat(params, np.asarray(omega, dtype=float))
+    return params.lam / np.abs(1.0 - params.m * h) ** 2
 
 
 def b_complete(params: ModelParams, w1, w2, form="R"):
@@ -112,33 +122,26 @@ def b_complete(params: ModelParams, w1, w2, form="R"):
     """
     if form not in ("R", "Q"):
         raise ValueError(f"form must be 'R' or 'Q', got {form!r}")
-    w1 = np.asarray(w1, dtype=float)
-    w2 = np.asarray(w2, dtype=float)
-    hh = _TransformTable(params.kernel, [w1, w2, w1 + w2])
-    if form == "R":
-        return _r_form(params, hh, w1, w2)
+    w1, w2 = np.asarray(w1, dtype=float), np.asarray(w2, dtype=float)
     m, lam = params.m, params.lam
-    w3 = -w1 - w2
-    h1m, h2m, h12 = hh(-w1), hh(-w2), hh(w1 + w2)
+    hs = _hhat(params, w1, w2, w1 + w2)
+    if form == "R":
+        return _r_form(params, hs)[0]
+    h1, h2, h12 = hs
+    # arrays even for a scalar call, as a lookup is: numpy's scalar and array
+    # complex products can differ in the last bit
+    h1m, h2m = np.asarray(np.conj(h1)), np.asarray(np.conj(h2))
     Q = h1m * h2m + h12 * (h1m + h2m - 2.0 * m * h1m * h2m)
-    den = (np.abs(1.0 - m * hh(w1)) ** 2
-           * np.abs(1.0 - m * hh(w2)) ** 2
-           * np.abs(1.0 - m * hh(w3)) ** 2)
+    den = np.abs(1.0 - m * h1) ** 2 * np.abs(1.0 - m * h2) ** 2 * np.abs(1.0 - m * h12) ** 2
     return lam * (1.0 - m**2 * Q) / den
 
 
 def b_factorial(params: ModelParams, w1, w2):
     """Factorial bispectrum B_fac = B_comp - Gamma(w1) - Gamma(w2) - Gamma(w1+w2) + 2 lam."""
-    w1 = np.asarray(w1, dtype=float)
-    w2 = np.asarray(w2, dtype=float)
-    hh = _TransformTable(params.kernel, [w1, w2, w1 + w2])
-    m, lam = params.m, params.lam
-
-    def gamma(w):
-        return lam / np.abs(1.0 - m * hh(w)) ** 2
-
-    bc = _r_form(params, hh, w1, w2)
-    return bc - gamma(w1) - gamma(w2) - gamma(w1 + w2) + 2.0 * lam
+    lam = params.lam
+    w1, w2 = np.asarray(w1, dtype=float), np.asarray(w2, dtype=float)
+    bc, (g1, g2, g12) = _r_form(params, _hhat(params, w1, w2, w1 + w2))
+    return bc - g1 - g2 - g12 + 2.0 * lam
 
 
 def im_b_diagonal(params: ModelParams, t):
@@ -154,16 +157,15 @@ def im_b_diagonal(params: ModelParams, t):
     with Im b_factorial(t, t) but stays numerically clean at small t.
     """
     t = np.asarray(t, dtype=float)
-    hh = _TransformTable(params.kernel, [t, 2 * t])
     m, lam = params.m, params.lam
-    h1, h2 = hh(t), hh(2 * t)
+    h1, h2 = _hhat(params, t, 2 * t)
     U1, V1 = h1.real, -h1.imag
     U2, V2 = h2.real, -h2.imag
     A = (2.0 * (1.0 - m) * (2.0 * V1 - V2)
          + 2.0 * (1.0 - 2.0 * m) * ((1.0 - U1) * (V2 - V1) - (1.0 - U2) * V1)
          + 2.0 * m * (((1.0 - U1) ** 2 - V1**2) * V2
                       - 2.0 * (1.0 - U2) * (1.0 - U1) * V1))
-    den = np.abs(1.0 - m * h1) ** 4 * np.abs(1.0 - m * hh(-2 * t)) ** 2
+    den = np.abs(1.0 - m * h1) ** 4 * np.abs(1.0 - m * h2) ** 2
     return -lam * m**2 * A / den
 
 

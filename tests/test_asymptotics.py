@@ -17,7 +17,7 @@ from clusterbispec.asymptotics import (
     s_alpha,
     z_from_kernel,
 )
-from clusterbispec.kernels import Exponential, Kernel, Lomax, SymmetricLaplace, UniformHalf
+from clusterbispec.kernels import Exponential, InvalidKernel, Kernel, Lomax, SymmetricLaplace, UniformHalf
 from clusterbispec.simulate import ModelParams
 
 
@@ -102,6 +102,16 @@ def test_z_from_kernel():
     assert math.isinf(z_from_kernel(Lomax(2.5)).moments()[2])
     with pytest.raises(NonMonotoneKernel):
         z_from_kernel(SymmetricLaplace(1.0))
+
+
+def test_z_from_kernel_refuses_moments_past_the_double_range():
+    # a^3 or 24 / beta^3 overflows, or a^2 underflows: named, not an OverflowError,
+    # ZeroDivisionError or a plain ValueError; an infinite E Z^3 stays a Lomax tail's
+    for kernel in (UniformHalf(1e300), UniformHalf(1e-300), UniformHalf(1e103),
+                   Exponential(1e300), Exponential(1e-300), Exponential(1e-103), Lomax(1e300)):
+        with pytest.raises(InvalidKernel, match="mixing moments E Z, E Z\\^2, E Z\\^3 leave"):
+            z_from_kernel(kernel)
+    assert z_from_kernel(UniformHalf(1e102)) == MixtureZ(1e102, 1e102 * 1e102, 1e102 * 1e102 * 1e102)
 
 
 def test_z_from_kernel_rejects_other_one_sided_families():

@@ -228,3 +228,124 @@ def test_spectral_grid_csv_stderr_columns(tmp_path):
     import json
     doc = json.loads(jpath.read_text())
     assert doc["im"] == [2.0, -4.0]
+
+
+# ---------------------------------------------------------------------------
+# the bytes of every closed form, and one transform lookup per argument
+# ---------------------------------------------------------------------------
+
+
+def _spectral_kernels():
+    from clusterbispec.match import MatchSpec, build_matched_kernel
+    from conftest import builtin_kernels
+
+    k = builtin_kernels()
+    return {"exp": k["exp"], "lomax": k["lomax15"], "uhalf": k["uhalf"], "slap": k["slap"],
+            "tab": k["tab"], "match": build_matched_kernel(MatchSpec(Exponential(1.0), m=0.5))}
+
+
+def _spectral_digests(kernel):
+    """SHA-256 of b_complete (R, Q), b_factorial, bartlett and im_b_diagonal: each on
+    an n = 16 conjugate lattice (its origin, where w3 = -w1 - w2 is -0.0, and its
+    Nyquist row) or grid, then at scalars."""
+    import hashlib
+
+    p = params(kernel, nu=1.3, m=0.6)
+    axis = np.arange(-8, 8) * 0.75
+    W1, W2 = np.meshgrid(axis, axis, indexing="ij")
+    pairs = [(W1, W2), (0.0, 0.0), (-0.0, 0.0), (1.0, -1.0), (2.5, -0.7)]
+    calls = {
+        "R": [b_complete(p, a, b) for a, b in pairs],
+        "Q": [b_complete(p, a, b, form="Q") for a, b in pairs],
+        "fac": [b_factorial(p, a, b) for a, b in pairs],
+        "bartlett": [bartlett(p, w) for w in (np.linspace(-6.0, 6.0, 17), 0.0, -0.0, -2.0)],
+        "diag": [im_b_diagonal(p, t) for t in (np.array([1e-4, 1e-2, 0.5, 3.0]), 0.1)],
+    }
+    return {name: hashlib.sha256(b"".join(np.ascontiguousarray(v).tobytes() for v in vals)
+                                 ).hexdigest() for name, vals in calls.items()}
+
+
+SPECTRA_PINS = {   # R, Q, b_factorial, bartlett, im_b_diagonal
+    "exp": (
+        "7aac6979867f5c7a9c6073f19d5e8cae66de7722d732f6c8866b2ae7847aaa87",
+        "c70829c68bb760c5eaa8db28a07fe55c154d6e8a5e899666a3cd705dc4e349ac",
+        "5eb43838ea535c1a6031735621ca82ce25de5b8bbfe12a777202e5e9094991e1",
+        "f8a9a1269198a590c4f9dbb6110ee9bcd738e7d739d37c2312c1195087d85c5e",
+        "b24472cd5e524374b27bb90e94de57f34a99aeff06b154089cc584a574a2f5e8",
+    ),
+    "lomax": (
+        "143412a9cb6def537359cd0755bc35b6f4c6ab04ea931ea52a0020868e6fa7ac",
+        "88ebf84be84b8bc3f55b136d77527cf7db420d6dbf26844d3c11765ec8a6580d",
+        "4dab4f3a3908e3db0e95c77432c0c2dc5a7bbc42d9aa412c868e3614b83e5281",
+        "669e97f7b47e0d398130088336671317f613d1f3d7f9d085d607e831201c499a",
+        "2bb29ce8e92bc7c4d5fb9445debac6195b7526faebcaf17daef61286181bd4c5",
+    ),
+    "uhalf": (
+        "bb10e56b99efd3a675cb7ceaceea1f32cd5eb9fee3122088472fccbfbccad70f",
+        "08ae9a61e298fa6904702b81de19059c2a5846ed0097c5737b7bdd888fe61d0f",
+        "b8b3930ea6f2cbdfadf7bd83591df6303bda5940c4cd07c227424d5d80c09567",
+        "56acabb6fd8bf23b25eb4de876a09f2833694b30ca609bbf3072be499782eb5c",
+        "ee441836fb855dddfe4b84922e04f35680c27d3ee0d9aa73ca204359d81f7bdd",
+    ),
+    "slap": (
+        "573f40cb68020e71519da140c1b115180258c1afa195fdad42655a265a96c450",
+        "d7fa93991f1a12d3be6e5def817781d71c01a4dd0841d630f30c35797c23a5b3",
+        "7503a7073e9c8f0178ad18d3c3c26d87aeadc360755fe3e9926366b6b63668c6",
+        "c81695067ceac6464a9110abf1d23a676e4c5e86527f0b4513d783bc7a73da5d",
+        "0e82de473370cb58697955ca63aca9e5ff3558b6d4a11a4862308f48b08bf74d",
+    ),
+    "tab": (
+        "d45bebf3e659516aa9710f3a78a96059592a85b740c5927b42958ab55e788354",
+        "f36422b8a6d109c5248b8c67c29c954ff8b3a16e2190fedd38a08b6bf6a43b54",
+        "73993aafcc711b78256ce1109b9d95b45bc5a355188620f9d19fbd7c16bc935c",
+        "0b063ef3983b5e3cb5def04918eeaca45cf023b0c9240336356b852e8f155f89",
+        "0e82de473370cb58697955ca63aca9e5ff3558b6d4a11a4862308f48b08bf74d",
+    ),
+    "match": (
+        "4528aebbf79a9c3bede98ee8a7e17273631d70dd0f98a7845dee97fa268a1ac3",
+        "de3dc26f0279d4863949023b095fde3c7979db95827b06d939ba896eccaee1a1",
+        "6cd287d4dd8fd39d99d43bcccd3716e34349f318cede0483ba1c6c517788eb84",
+        "22324848febc4fd962d41f0312b6bf293c53afce27b91c7f7534fa830db02e49",
+        "0e82de473370cb58697955ca63aca9e5ff3558b6d4a11a4862308f48b08bf74d",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", SPECTRA_PINS)
+def test_closed_forms_keep_their_bits(family):
+    digests = _spectral_digests(_spectral_kernels()[family])
+    assert tuple(digests[k] for k in ("R", "Q", "fac", "bartlett", "diag")) == SPECTRA_PINS[family]
+
+
+def test_one_transform_table_and_lookup_per_argument(monkeypatch):
+    # each closed form builds one table, looked up once per distinct argument:
+    # w1, w2 and w1+w2; t and 2t; omega
+    from clusterbispec import spectra
+
+    tables = []
+    hhat = spectra._hhat
+    monkeypatch.setattr(spectra, "_hhat", lambda p, *ws: tables.append(len(ws)) or hhat(p, *ws))
+    p = params(Lomax(1.5))
+    w1, w2 = np.linspace(-3.0, 3.0, 7), np.linspace(-1.0, 2.0, 7)
+    for call, lookups in ((lambda: b_complete(p, w1, w2), 3),
+                          (lambda: b_complete(p, w1, w2, form="Q"), 3),
+                          (lambda: b_factorial(p, w1, w2), 3),
+                          (lambda: b_factorial(p, 0.5, -0.25), 3),
+                          (lambda: im_b_diagonal(p, w1), 2),
+                          (lambda: bartlett(p, w1), 1)):
+        tables.clear()
+        call()
+        assert tables == [lookups]
+
+
+def test_bartlett_transforms_each_modulus_once(monkeypatch):
+    # a symmetric 2k-point grid hands the kernel its k distinct |w|
+    seen = []
+    transform = Exponential.transform
+    monkeypatch.setattr(Exponential, "transform",
+                        lambda self, w: seen.append(np.array(w)) or transform(self, w))
+    x = np.linspace(0.25, 10.0, 40)
+    w = np.concatenate([-x[::-1], x])
+    g = bartlett(params(), w)
+    assert len(seen) == 1 and seen[0].tobytes() == x.tobytes()
+    assert g.tobytes() == (2.0 / np.abs(1.0 - 0.5 * Exponential(1.0).transform(w)) ** 2).tobytes()
