@@ -322,7 +322,6 @@ def run(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs, exit_code, opt, record = [], 0, cfg.options, {}
-    doc = None   # the JSON report of contrast, mc-validate and asym-check, in `name`
 
     if cfg.command == "simulate":
         from .simulate import simulate_window, write_events
@@ -402,13 +401,14 @@ def run(cfg: RunConfig) -> int:
                    "slope": scan.slope, "slope_stderr": scan.slope_stderr,
                    "intercept": scan.intercept, "intercept_stderr": scan.intercept_stderr,
                    "mu_Tg": mean.mu_Tg, "gap_bound": mean.gap_bound}
-        name = "contrast.json"
+        outputs.append(write_json(out_dir / "contrast.json", doc))
 
     elif cfg.command == "mc-validate":
         override = _model(cfg, theta=1.0) if opt["m"] is not None else None
-        doc = montecarlo.validate_suite(opt["suite"], opt["level"], cfg.seed, params=override)
-        name = f"mc_{opt['suite']}.json"
-        if not doc["pass"]:
+        report = montecarlo.validate_suite(opt["suite"], opt["level"], cfg.seed,
+                                           params=override)
+        outputs.append(write_json(out_dir / f"mc_{opt['suite']}.json", report))
+        if not report["pass"]:
             exit_code = 1
 
     elif cfg.command == "asym-check":
@@ -422,11 +422,8 @@ def run(cfg: RunConfig) -> int:
                "t": report.t_values.tolist(), "im_b": report.im_values.tolist(),
                "ratios": report.ratios.tolist(),
                "underflow": report.underflow.tolist(), "converged": report.converged}
-        name = "asym_check.json"
+        outputs.append(write_json(out_dir / "asym_check.json", doc))
 
-    if doc is not None:
-        write_json(out_dir / name, doc)
-        outputs.append(str(out_dir / name))
     manifest = {
         "config": json.loads(cfg.to_json()),
         "seed": cfg.seed,

@@ -543,14 +543,11 @@ class ExactMeanResult:
 
 
 def exact_mean(params: ModelParams, f: OddTestFunction, T, c3odd: CumulantGrid) -> ExactMeanResult:
-    """E_theta[O_{T,g}] = theta * mu_{T,g} from the odd cumulant grid (or the whole
-    grid: its odd part is taken here, and odd_part of an odd grid is that grid).
+    """E_theta[O_{T,g}] = theta * mu_{T,g} from the cumulant grid or its odd part.
 
     The anchor integral of the window indicator has the closed form
     overlap(tau) = max(0, min(T, T - tau1, T - tau2) - max(0, -tau1, -tau2)),
-    so mu_{T,g} is a single lag-lattice Riemann sum of g * overlap/T * c3_odd, taken
-    with mu_g's from one evaluation of g and refused as ``mu_g_time`` refuses, except
-    that a symmetric kernel (c3_odd exactly 0) may have a lattice too coarse for g.
+    so mu_{T,g} is a lag-lattice Riemann sum of g * overlap/T * c3_odd, as mu_g is.
     """
     T = float(T)
     if not (T > 0 and math.isfinite(T)):
@@ -561,7 +558,7 @@ def exact_mean(params: ModelParams, f: OddTestFunction, T, c3odd: CumulantGrid) 
                           - np.maximum(np.maximum(0.0, -T1), -T2)) / T
 
     odd = odd_part(c3odd)
-    mu, mu_T = _g_sums(odd, f, None, window, even_law=params.kernel.symmetric)
+    mu, mu_T = _g_sums(odd, f, None, window)   # SupportExceedsGrid for a g wider than the grid
     l1 = float(np.abs(odd.values).sum() * odd.spacing**2)
     gap = 2.0 * f.support_radius * f.bound * l1 / T if T > f.support_radius else math.inf
     return ExactMeanResult(params.theta * mu_T, mu_T, mu, gap)

@@ -29,7 +29,6 @@ __all__ = [
     "AliasWarning",
     "HOutOfRange",
     "SupportExceedsGrid",
-    "LatticeTooCoarse",
     "GridBudgetExceeded",
     "LatticeOutOfRange",
     "TransformNotIntegrable",
@@ -46,7 +45,7 @@ HALF_WIDTH_TOL = 1e-6  # kernel survival at a third of the default lag half-widt
 ALIAS_FRAC = 0.01      # boundary-band share of |c3| mass above which AliasWarning fires
 # most cells one frequency grid may hold (a lag lattice, a CLI spectrum or bispectrum):
 # the bispectrum command peaks at about 240 B a cell (tracemalloc, n = 256, JSON out;
-# invert 145 B, mu_g_freq 170 B), so 2^22 cells, n = 2048 a side, take about 1 GB
+# invert 155 B, mu_g_freq 175 B), so 2^22 cells, n = 2048 a side, take about 1 GB
 GRID_BUDGET = 2**22
 
 
@@ -60,10 +59,6 @@ class HOutOfRange(Refused):
 
 class SupportExceedsGrid(Refused):
     """Test-function support does not fit inside the lag grid."""
-
-
-class LatticeTooCoarse(Refused):
-    """The lag lattice puts fewer than 8 spacings across g's support radius."""
 
 
 class GridBudgetExceeded(Refused):
@@ -212,22 +207,16 @@ def contrast_mass_DH(grid: CumulantGrid, H: float) -> float:
 
 
 def mu_g_time(grid: CumulantGrid, f) -> float:
-    """Lag-domain functional: Riemann sum of g * c3_odd over the lattice; refuses a g
-    wider than the grid or a lattice too coarse for it (``_g_sums``)."""
+    """Lag-domain functional: Riemann sum of g * c3_odd over the lattice."""
     return _g_sums(odd_part(grid), f, None)[0]
 
 
-def _g_sums(odd: CumulantGrid, f, *weights, even_law=False) -> list[float]:
-    """Lattice sums of g * w * c3_odd, one per weight w(tau1, tau2) (None: 1), from
-    one evaluation of g, the one place g meets a lag lattice.  Before it: SupportExceedsGrid,
-    and LatticeTooCoarse for fewer than 8 spacings across g's support radius unless
-    ``even_law`` (a symmetric kernel, whose c3_odd is exactly 0)."""
-    H = f.support_radius
-    if H > odd.half_width:
-        raise SupportExceedsGrid(f"support radius {H:g} exceeds grid half-width {odd.half_width:g}")
-    if odd.spacing > H / 8 and not even_law:
-        raise LatticeTooCoarse(f"lag spacing {odd.spacing:g} puts {H / odd.spacing:.3g} spacings "
-                               f"across the support radius {H:g} of g, fewer than 8")
+def _g_sums(odd: CumulantGrid, f, *weights) -> list[float]:
+    """Lattice sums of g * w * c3_odd, one per weight w(tau1, tau2) (None: 1), from one
+    evaluation of g: the one place g meets a lag lattice."""
+    if f.support_radius > odd.half_width:
+        raise SupportExceedsGrid(
+            f"support radius {f.support_radius:g} exceeds grid half-width {odd.half_width:g}")
     T1, T2 = np.meshgrid(odd.lags, odd.lags, indexing="ij")
     g = f.evaluate(T1, T2)
     return [float(((g if w is None else g * w(T1, T2)) * odd.values).sum() * odd.spacing**2)

@@ -43,7 +43,6 @@ __all__ = [
     "write_events",
     "read_columns",
     "write_columns",
-    "write_json",
 ]
 
 DEFAULT_SIZE_CAP = 10**7
@@ -434,7 +433,8 @@ def write_columns(path, header, *columns) -> None:
         fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
-def write_json(path, doc) -> None:
-    """Write a JSON document with one-space indents, the one JSON writer of every artifact."""
+def write_json(path, doc) -> str:
+    """The one JSON writer (one-space indents); returns the path as a string."""
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
+    return str(path)

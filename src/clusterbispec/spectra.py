@@ -12,11 +12,10 @@ and the factorial transform differs by real pair-diagonal corrections,
 
     B_fac = B_comp - Gamma(w1) - Gamma(w2) - Gamma(w1+w2) + 2 lam,
 
-so Im B_fac = Im B_comp exactly.  All evaluators are pure.  Each call hands
-the kernel its distinct |w| once and looks hhat up once per distinct
-argument (w1, w2 and w1+w2; t and 2t; omega); a negative argument is that
-lookup's conjugate, exact since 1/(1 - m conj hhat) = conj(1/(1 - m hhat)) and
-|1 - m conj hhat| = |1 - m hhat| bit for bit.
+so Im B_fac = Im B_comp exactly.  All evaluators are pure.  Each call hands the
+kernel its distinct |w| once and looks hhat up once per distinct argument (w1, w2
+and w1+w2; t and 2t; omega), a negative one as that lookup's conjugate, exact since
+1/(1 - m conj hhat) = conj(1/(1 - m hhat)) and |1 - m conj hhat| = |1 - m hhat|.
 """
 
 from __future__ import annotations
@@ -65,47 +64,33 @@ class SpectralGrid:
 
 
 def _hhat(params: ModelParams, *ws):
-    """hhat at each of the float arrays ``ws``, in turn: the kernel transforms their
-    distinct |w| once, then each w takes one lookup, a negative w the conjugate
-    hhat(-w) = conj(hhat(w))."""
+    """hhat at each of the float arrays ``ws``, in turn and lazily, holding none, so a
+    caller can drop each before the next: the kernel transforms their distinct |w| once,
+    then each w takes one lookup, a negative w the conjugate hhat(-w) = conj(hhat(w))."""
     grid = np.unique(np.abs(np.concatenate([np.ravel(w) for w in ws])))
     table = np.asarray(params.kernel.transform(grid))
-
-    def lookup(w):
-        h = np.asarray(table[np.searchsorted(grid, np.abs(w))])   # an array even for a scalar w
-        return np.conjugate(h, out=h, where=w < 0)
-
-    return (lookup(w) for w in ws)   # lazily, so a caller can drop each before the next
+    table = np.concatenate([table, np.conj(table)])   # hhat(|w|), then hhat(-|w|)
+    for w in ws:   # an array even for a scalar w
+        yield np.asarray(table[np.searchsorted(grid, np.abs(w)) + grid.size * (w < 0)])
 
 
 def _r_form(params: ModelParams, hs):
-    """B_comp by the R-form, and Gamma = lam / |1 - m hhat|^2 at w1, w2 and w1+w2, from
-    an iterator over hhat at those three arguments.
-
-    R(w) = 1/(1 - m hhat(w)), R(-w) = conj(R(w)) and R(w3) = conj(R(w1+w2)); each R is
-    formed once and used at once, so no more than two are held.  The products keep the
-    factor order of lam R(w1) R(w2) R(w3) (R(-w1) + R(-w2) + R(-w3) - 2), in place
-    where numpy could otherwise reuse the right-hand temporary (``P * np.conj(R)`` may
-    run as np.conj(R) * P): with fused multiply-adds a complex product's last bit
-    depends on the order.
-    """
+    """B_comp by the R-form from an iterator over hhat at w1, w2 and w1+w2: each
+    R(w) = 1/(1 - m hhat(w)) is formed once and used at once, R(-w) and R(w3) = R(-(w1+w2))
+    as conjugates, so no more than two are held.  The products keep the factor order of
+    lam R(w1) R(w2) R(w3) (R(-w1) + R(-w2) + R(-w3) - 2), in place where numpy could reuse
+    a right-hand temporary (``P * np.conj(R)`` may run as np.conj(R) * P): with fused
+    multiply-adds a complex product's last bit depends on the order."""
     m, lam = params.m, params.lam
-    gammas = []
-
-    def next_r():
-        d = 1.0 - m * next(hs)
-        gammas.append(lam / np.abs(d) ** 2)
-        return 1.0 / d
-
-    R = next_r()
+    R = 1.0 / (1.0 - m * next(hs))
     P, S = lam * R, np.conj(R)
-    R = next_r()
+    R = 1.0 / (1.0 - m * next(hs))
     P, S = P * R, S + np.conj(R)
-    R = next_r()
+    R = 1.0 / (1.0 - m * next(hs))
     P *= np.conj(R)
     S += R
     S -= 2.0
-    return P * S, gammas
+    return P * S
 
 
 def bartlett(params: ModelParams, omega):
@@ -126,7 +111,7 @@ def b_complete(params: ModelParams, w1, w2, form="R"):
     m, lam = params.m, params.lam
     hs = _hhat(params, w1, w2, w1 + w2)
     if form == "R":
-        return _r_form(params, hs)[0]
+        return _r_form(params, hs)
     h1, h2, h12 = hs
     # arrays even for a scalar call, as a lookup is: numpy's scalar and array
     # complex products can differ in the last bit
@@ -138,10 +123,16 @@ def b_complete(params: ModelParams, w1, w2, form="R"):
 
 def b_factorial(params: ModelParams, w1, w2):
     """Factorial bispectrum B_fac = B_comp - Gamma(w1) - Gamma(w2) - Gamma(w1+w2) + 2 lam."""
-    lam = params.lam
+    m, lam = params.m, params.lam
     w1, w2 = np.asarray(w1, dtype=float), np.asarray(w2, dtype=float)
-    bc, (g1, g2, g12) = _r_form(params, _hhat(params, w1, w2, w1 + w2))
-    return bc - g1 - g2 - g12 + 2.0 * lam
+    gammas = []
+
+    def keep_gamma(h):   # Gamma at each argument, from the lookup the R-form takes
+        gammas.append(lam / np.abs(1.0 - m * h) ** 2)
+        return h
+
+    bc = _r_form(params, map(keep_gamma, _hhat(params, w1, w2, w1 + w2)))
+    return bc - gammas[0] - gammas[1] - gammas[2] + 2.0 * lam
 
 
 def im_b_diagonal(params: ModelParams, t):

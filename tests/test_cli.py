@@ -308,13 +308,10 @@ REFUSED_WHILE_RUNNING = {   # argv ({tmp}: the run's folder) -> the refusal's te
                          "bump support radius H = 3e+154"),
     "high-m-window": (["simulate", "--m", "0.999", "--kernel", "exp:1", "--T", "10"],
                       "cluster members at m = 0.999, above the budget"),
-    "contrast-scan-coarse-lattice": (["contrast", "scan", "--m", "0.5", "--kernel", "lomax:2",
-                                      "--T", "1e3", "--reps", "2"],
-                                     "0.342 spacings across the support radius 4 of g"),
     "asym-uhalf-moments-overflow": (["asym-check", "--m", "0.5", "--kernel", "uhalf:1e300"],
-                                    "UniformHalf(a=1e+300): mixing moments"),
+                                    "mixing moments (1e+300, inf, nan) leave the double range"),
     "asym-uhalf-moments-underflow": (["asym-check", "--m", "0.5", "--kernel", "uhalf:1e-300"],
-                                     "UniformHalf(a=1e-300): mixing moments"),
+                                     "mixing moments (1e-300, 0.0, 0.0) leave the double range"),
 }
 
 

@@ -569,18 +569,6 @@ def test_exact_mean_evaluates_g_once(exp_odd_grid, monkeypatch):
                                      cumulant3.mu_g_time(exp_odd_grid, bump))
 
 
-def test_exact_mean_refuses_a_lattice_too_coarse_unless_the_kernel_is_symmetric():
-    from clusterbispec.cumulant3 import LatticeTooCoarse
-
-    g = smooth_quadrant_bump(3.0)   # 8 spacings of 80/128 need H >= 5
-    with pytest.raises(LatticeTooCoarse):
-        exact_mean(EXP_PARAMS, g, 100.0, odd_part(invert_bispectrum(EXP_PARAMS, 40.0, 128)))
-    # a symmetric kernel's c3_odd is exactly 0, so a coarse lattice misses nothing
-    matched = ModelParams(1.0, 0.5, 1.0, build_matched_kernel(MatchSpec(Exponential(1.0), m=0.5)))
-    res = exact_mean(matched, g, 100.0, odd_part(invert_bispectrum(matched, 40.0, 128)))
-    assert abs(res.mu_Tg) < 1e-12 and abs(res.mu_g) < 1e-12
-
-
 def test_exact_mean_needs_a_positive_finite_window(exp_odd_grid):
     g = smooth_quadrant_bump(4.0)
     for T in (-5.0, 0.0, math.nan, math.inf):

@@ -10,7 +10,6 @@ from clusterbispec.contrasts import antisymmetrize, sign_contrast_function, smoo
 from clusterbispec.cumulant3 import (
     AliasWarning,
     GridBudgetExceeded,
-    LatticeTooCoarse,
     LatticeOutOfRange,
     HOutOfRange,
     SupportExceedsGrid,
@@ -214,18 +213,6 @@ def test_sign_function_achieves_dh(exp_grid):
 def test_support_must_fit_grid(exp_grid):
     with pytest.raises(SupportExceedsGrid):
         mu_g_time(exp_grid, smooth_quadrant_bump(100.0))
-
-
-def test_lattice_too_coarse_for_g_is_refused_before_g_is_evaluated(exp_grid):
-    # exp_grid spaces its lags 80/512 = 0.156 apart: 8 spacings need H >= 1.25
-    calls = []
-    bump = smooth_quadrant_bump(1.2)
-    g = SimpleNamespace(support_radius=1.2, evaluate=lambda a, b: calls.append(1) or bump.evaluate(a, b))
-    with pytest.raises(LatticeTooCoarse, match="7.68 spacings across the support radius 1.2"):
-        mu_g_time(exp_grid, g)
-    assert calls == []
-    g.support_radius = 1.25
-    assert mu_g_time(exp_grid, g) != 0.0 and calls == [1]
 
 
 def test_mu_g_cross_route(exp_grid):
