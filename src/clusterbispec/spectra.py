@@ -76,16 +76,18 @@ def _hhat(params: ModelParams, *ws):
 
 def _r_form(params: ModelParams, hs):
     """B_comp by the R-form from an iterator over hhat at w1, w2 and w1+w2: each
-    R(w) = 1/(1 - m hhat(w)) is formed once and used at once, R(-w) and R(w3) = R(-(w1+w2))
-    as conjugates, so no more than two are held.  The products keep the factor order of
+    R(w) = 1/(1 - m hhat(w)) is formed once and dropped once used, R(-w) and R(w3) =
+    R(-(w1+w2)) as conjugates, so one is held at a time.  The products keep the order of
     lam R(w1) R(w2) R(w3) (R(-w1) + R(-w2) + R(-w3) - 2), in place where numpy could reuse
     a right-hand temporary (``P * np.conj(R)`` may run as np.conj(R) * P): with fused
     multiply-adds a complex product's last bit depends on the order."""
     m, lam = params.m, params.lam
     R = 1.0 / (1.0 - m * next(hs))
     P, S = lam * R, np.conj(R)
+    del R
     R = 1.0 / (1.0 - m * next(hs))
-    P, S = P * R, S + np.conj(R)
+    P, S = P * R, S + np.conj(R)   # not in place: w1 and w2 may broadcast to a larger shape
+    del R
     R = 1.0 / (1.0 - m * next(hs))
     P *= np.conj(R)
     S += R
@@ -108,16 +110,12 @@ def b_complete(params: ModelParams, w1, w2, form="R"):
     if form not in ("R", "Q"):
         raise ValueError(f"form must be 'R' or 'Q', got {form!r}")
     w1, w2 = np.asarray(w1, dtype=float), np.asarray(w2, dtype=float)
-    m, lam = params.m, params.lam
-    hs = _hhat(params, w1, w2, w1 + w2)
     if form == "R":
-        return _r_form(params, hs)
-    h1, h2, h12 = hs
-    # arrays even for a scalar call, as a lookup is: numpy's scalar and array
-    # complex products can differ in the last bit
-    h1m, h2m = np.asarray(np.conj(h1)), np.asarray(np.conj(h2))
+        return _r_form(params, _hhat(params, w1, w2, w1 + w2))
+    m, lam = params.m, params.lam
+    h1m, h2m, h12 = _hhat(params, -w1, -w2, w1 + w2)   # |1 - m hhat(-w)| = |1 - m hhat(w)|
     Q = h1m * h2m + h12 * (h1m + h2m - 2.0 * m * h1m * h2m)
-    den = np.abs(1.0 - m * h1) ** 2 * np.abs(1.0 - m * h2) ** 2 * np.abs(1.0 - m * h12) ** 2
+    den = np.abs(1.0 - m * h1m) ** 2 * np.abs(1.0 - m * h2m) ** 2 * np.abs(1.0 - m * h12) ** 2
     return lam * (1.0 - m**2 * Q) / den
 
 

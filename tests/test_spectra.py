@@ -338,6 +338,17 @@ def test_one_transform_table_and_lookup_per_argument(monkeypatch):
         assert tables == [lookups]
 
 
+def test_closed_forms_broadcast_their_arguments():
+    # a column of w1 against a row of w2 gives the meshgrid's values bit for bit
+    p = params(Lomax(1.5))
+    a, b = np.linspace(-3.0, 3.0, 7), np.linspace(-2.0, 5.0, 5)
+    W1, W2 = np.meshgrid(a, b, indexing="ij")
+    for f in (b_complete, lambda p, x, y: b_complete(p, x, y, form="Q"), b_factorial):
+        got = f(p, a[:, None], b[None, :])
+        assert got.shape == (7, 5)
+        assert got.tobytes() == f(p, W1, W2).tobytes()
+
+
 def test_bartlett_transforms_each_modulus_once(monkeypatch):
     # a symmetric 2k-point grid hands the kernel its k distinct |w|
     seen = []
