@@ -45,7 +45,7 @@ HALF_WIDTH_TOL = 1e-6  # kernel survival at a third of the default lag half-widt
 ALIAS_FRAC = 0.01      # boundary-band share of |c3| mass above which AliasWarning fires
 # most cells one frequency grid may hold (a lag lattice, a CLI spectrum or bispectrum):
 # the bispectrum command peaks at about 240 B a cell (tracemalloc, n = 256, JSON out;
-# invert and mu_g_freq 160 B), so 2^22 cells, n = 2048 a side, take about 1 GB
+# invert 145 B, mu_g_freq 170 B), so 2^22 cells, n = 2048 a side, take about 1 GB
 GRID_BUDGET = 2**22
 
 

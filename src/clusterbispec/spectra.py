@@ -123,13 +123,15 @@ def b_factorial(params: ModelParams, w1, w2):
     """Factorial bispectrum B_fac = B_comp - Gamma(w1) - Gamma(w2) - Gamma(w1+w2) + 2 lam."""
     m, lam = params.m, params.lam
     w1, w2 = np.asarray(w1, dtype=float), np.asarray(w2, dtype=float)
-    gammas = []
+    # one block, made before the R-form's arrays: three separate Gamma arrays left
+    # the allocator holding 6 MB more at its peak on a 512-squared grid
+    gammas = np.empty((3,) + np.broadcast_shapes(w1.shape, w2.shape))
 
-    def keep_gamma(h):   # Gamma at each argument, from the lookup the R-form takes
-        gammas.append(lam / np.abs(1.0 - m * h) ** 2)
+    def keep_gamma(i, h):   # Gamma at each argument, from the lookup the R-form takes
+        gammas[i] = lam / np.abs(1.0 - m * h) ** 2
         return h
 
-    bc = _r_form(params, map(keep_gamma, _hhat(params, w1, w2, w1 + w2)))
+    bc = _r_form(params, map(keep_gamma, range(3), _hhat(params, w1, w2, w1 + w2)))
     return bc - gammas[0] - gammas[1] - gammas[2] + 2.0 * lam
 
 
