@@ -343,10 +343,10 @@ def run(cfg: RunConfig) -> int:
     elif cfg.command == "bispectrum":
         params = _model(cfg, theta=0.0)
         axis = np.linspace(-opt["omega_max"], opt["omega_max"], opt["n"])
-        W1, W2 = np.meshgrid(axis, axis, indexing="ij")
-        vals = (spectra.b_factorial(params, W1, W2) if opt["factorial"]
-                else spectra.b_complete(params, W1, W2, form=opt["form"]))
-        freqs = np.column_stack([W1.ravel(), W2.ravel()])
+        w1, w2 = axis[:, None], axis[None, :]   # a column and a row: only w1 + w2 fills n^2 cells
+        vals = (spectra.b_factorial(params, w1, w2) if opt["factorial"]
+                else spectra.b_complete(params, w1, w2, form=opt["form"]))
+        freqs = np.column_stack([np.repeat(axis, axis.size), np.tile(axis, axis.size)])
         grid = spectra.SpectralGrid(2, freqs, np.asarray(vals).ravel(), meta={
             "quantity": "b_factorial" if opt["factorial"] else "b_complete",
             "form": opt["form"],

@@ -5,7 +5,10 @@ centered lag grid and inverted with the e^{+i w tau} convention,
 
     c3(tau) = (2 pi)^{-2} int B_fac(w) e^{i w . tau} dw,
 
-via a 2-D inverse FFT.  The odd component c3_odd(tau) = (c3(tau) -
+via a 2-D inverse FFT.  Both this inversion and the frequency route of mu_g
+evaluate B_fac on the Hermitian half of their lattice only and fill the other
+half by B_fac(-w) = conj B_fac(w), which holds for a real process and is exact
+in floating point (``_b_lattice``).  The odd component c3_odd(tau) = (c3(tau) -
 c3(-tau)) / 2 carries the whole orientation signal; D_H integrates its
 absolute value over the centered box [-H, H]^2 and is the best achievable
 mean of any bounded jointly odd local contrast of support radius H.
@@ -13,6 +16,7 @@ mean of any bounded jointly odd local contrast of support radius H.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -20,7 +24,7 @@ from itertools import product
 
 import numpy as np
 
-from .kernels import Refused
+from .kernels import Refused, array_key, readonly
 from .simulate import ModelParams, write_json
 from .spectra import b_factorial, envelope
 
@@ -44,8 +48,8 @@ __all__ = [
 HALF_WIDTH_TOL = 1e-6  # kernel survival at a third of the default lag half-width
 ALIAS_FRAC = 0.01      # boundary-band share of |c3| mass above which AliasWarning fires
 # most cells one frequency grid may hold (a lag lattice, a CLI spectrum or bispectrum):
-# the bispectrum command peaks at about 240 B a cell (tracemalloc, n = 256, JSON out;
-# invert 145 B, mu_g_freq 170 B), so 2^22 cells, n = 2048 a side, take about 1 GB
+# the bispectrum command peaks at about 230 B a cell (tracemalloc, exp:1, n = 256, JSON
+# out; invert 57 B, mu_g_freq 97 B), so 2^22 cells, n = 2048 a side, take about 1 GB
 GRID_BUDGET = 2**22
 
 
@@ -74,12 +78,17 @@ class TransformNotIntegrable(UserWarning):
     """H_g decays slower than |w|^-2 numerically; frequency route is unreliable."""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CumulantGrid:
     """Real values on the centered lag lattice tau_j = (j - n/2) * spacing.
 
     Row/column index 0 corresponds to lag -half_width; the lattice is
-    periodic under the DFT, so index n/2 is the origin.
+    periodic under the DFT, so index n/2 is the origin.  The values are held
+    as a read-only float copy.  Two grids are equal, and hash alike, when
+    their lattice, imaginary residue and values (bit for bit) are; the meta
+    describes how a grid was made, not the grid, so it is left out.  The key
+    of the values' bytes is built at the first == or hash, so a grid holds
+    no second copy of them until then.
     """
 
     half_width: float
@@ -92,8 +101,19 @@ class CumulantGrid:
     def __post_init__(self):
         if self.n & (self.n - 1) or self.n < 64:
             raise ValueError(f"n must be a power of two >= 64, got {self.n}")
+        object.__setattr__(self, "values", readonly(self.values))
         if self.values.shape != (self.n, self.n):
             raise ValueError("values must be an n-by-n array")
+
+    @functools.cached_property
+    def _key(self) -> tuple:
+        return (self.half_width, self.n, self.spacing, self.imag_residue, array_key(self.values))
+
+    def __eq__(self, other):
+        return self._key == other._key if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
 
     @property
     def lags(self) -> np.ndarray:
@@ -125,12 +145,17 @@ def default_half_width(params: ModelParams) -> float:
 def invert_bispectrum(params: ModelParams, half_width=None, n=512) -> CumulantGrid:
     """Sample B_fac on the conjugate lattice and invert to the lag grid.
 
-    The frequency lattice w_k = k pi / Lambda is conjugate to the lag grid;
-    the shared Nyquist row is realified (its +/- pair is identified under
-    periodicity), after which the inverse FFT is real to rounding.  The
-    discarded imaginary residue is recorded, and an AliasWarning fires when
-    the outermost 5% boundary band holds more than ALIAS_FRAC of the
-    total absolute mass.  An n^2 above GRID_BUDGET raises
+    The frequency lattice w_k = k pi / Lambda is conjugate to the lag grid.
+    B_fac is evaluated on its Hermitian half only, the rows k1 <= 0, and the
+    rows k1 > 0 are conjugates, B_fac(-w) = conj B_fac(w): negating k dw and
+    k1 dw + k2 dw is exact and the closed form commutes with conjugation, so
+    the lattice is bit for bit the full evaluation but for the sign of exact
+    zeros, which the transform absorbs.  It is written straight into FFT
+    order and transformed in place; the shared Nyquist row is realified (its
+    +/- pair is identified under periodicity), after which the inverse FFT
+    is real to rounding.  The discarded imaginary residue is recorded, and an
+    AliasWarning fires when the outermost 5% boundary band holds more than
+    ALIAS_FRAC of the total absolute mass.  An n^2 above GRID_BUDGET raises
     :class:`GridBudgetExceeded`, and a lag cell area spacing^2 that under- or
     overflows, or that lets c3 overflow, :class:`LatticeOutOfRange`, before
     any frequency is sampled.
@@ -147,20 +172,19 @@ def invert_bispectrum(params: ModelParams, half_width=None, n=512) -> CumulantGr
     dtau = 2.0 * lam_w / n
     # |c3| <= envelope / area: nu E[(M)_3] bounds |B_fac| as well
     _check_cells(dtau, f"half_width {lam_w:g} gives lag cells", envelope(params))
-    dw = math.pi / lam_w
-    k = np.arange(-n // 2, n // 2)
-    W1, W2 = np.meshgrid(k * dw, k * dw, indexing="ij")
-    B = np.asarray(b_factorial(params, W1, W2), dtype=complex)
+    B = _b_lattice(params, n, math.pi / lam_w)
     # The Nyquist row/column represents both +/- n/2 Delta-w at once, like
     # the Nyquist bin of a real-signal FFT; fold it to its Hermitian average
-    # so the inverse transform is real to rounding.
-    refl = _reflect_index(n)
-    B[0, :] = 0.5 * (B[0, :] + np.conj(B[0, refl]))
-    B[:, 0] = 0.5 * (B[:, 0] + np.conj(B[refl, 0]))
-    c = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(B))) / dtau**2
-    scale = float(np.max(np.abs(c.real)))
-    residue = float(np.max(np.abs(c.imag)))
-    values = np.ascontiguousarray(c.real)
+    # so the inverse transform is real to rounding.  In FFT order it sits at
+    # position n/2, and k -> -k is the same reflection as tau -> -tau.
+    h, refl = n // 2, _reflect_index(n)
+    B[h, :] = 0.5 * (B[h, :] + np.conj(B[h, refl]))
+    B[:, h] = 0.5 * (B[:, h] + np.conj(B[refl, h]))
+    np.fft.ifftn(B, out=B)   # in place: numpy's ifft2 drops its ``out``
+    B /= dtau**2
+    scale = float(np.max(np.abs(B.real)))
+    residue = float(np.max(np.abs(B.imag)))
+    values = np.fft.fftshift(B.real)
 
     band = max(1, n // 20)
     absval = np.abs(values)
@@ -173,6 +197,30 @@ def invert_bispectrum(params: ModelParams, half_width=None, n=512) -> CumulantGr
                         meta={"nu": params.nu, "m": params.m,
                               "kernel": params.kernel.spec_string(),
                               "envelope": envelope(params)})
+
+
+def _b_lattice(params: ModelParams, n: int, dw: float) -> np.ndarray:
+    """B_fac at (k1 dw, k2 dw), k1 and k2 in [-n/2, n/2), in FFT order: lattice index k
+    at position k mod n.
+
+    Sampled on the Hermitian half: one ``b_factorial`` call broadcasts the rows k1 in
+    [-n/2, 0] against the columns k2 in [-n/2, n/2], and each row k1 in (0, n/2) is the
+    conjugate of row -k1 with its columns reversed, B(k1, k2) = conj B(-k1, -k2), the
+    column k2 = +n/2 giving its k2 = -n/2 entry.  This is exact: negation is exact on
+    k dw and on fl(k1 dw + k2 dw), and every operation of the closed form commutes with
+    conjugation, so only the sign of an exactly zero imaginary part can differ from a
+    full evaluation."""
+    h = n // 2
+    w = np.arange(-h, h + 1) * dw
+    half = np.asarray(b_factorial(params, w[:h + 1, None], w[None, :]), dtype=complex)
+    B = np.empty((n, n), dtype=complex)
+    # rows k1 in [-n/2, -1] at positions n/2.., row 0 at position 0; columns alike
+    B[h:, h:], B[h:, :h] = half[:h, :h], half[:h, h:n]
+    B[0, h:], B[0, :h] = half[h, :h], half[h, h:n]
+    # row k1 in (0, n/2) at position k1 from half row n/2 - k1, column k2 from n/2 - k2
+    np.conjugate(half[h - 1:0:-1, h:0:-1], out=B[1:h, :h])
+    np.conjugate(half[h - 1:0:-1, n:h:-1], out=B[1:h, h:])
+    return B
 
 
 def _check_cells(spacing, cells, bound=1.0):
@@ -236,11 +284,14 @@ def mu_g_freq(params: ModelParams, f, omega_max=40.0, n_omega=1600) -> MuFreqRes
 
     H_g is obtained on the lattice by an FFT of g (g real and jointly odd
     makes ghat = i H_g with H_g real), and the integral is a lattice sum
-    truncated at ``omega_max``.  The reported bound combines the outer-ring
-    contribution with the global envelope on |Im B|.  An n_omega^2 above
-    GRID_BUDGET raises :class:`GridBudgetExceeded`, and a lag or frequency
-    cell area that under- or overflows :class:`LatticeOutOfRange`, before g
-    or any frequency is sampled.
+    truncated at ``omega_max``.  Im B_fac comes from the same Hermitian-half
+    evaluation as the inversion's, Im B_fac(-w) = -Im B_fac(w) filling the
+    other half exactly, so the sum is bit for bit the full lattice's.  The
+    reported bound combines the outer-ring contribution with the global
+    envelope on |Im B|.  An n_omega^2 above GRID_BUDGET raises
+    :class:`GridBudgetExceeded`, and a lag or frequency cell area that under-
+    or overflows :class:`LatticeOutOfRange`, before g or any frequency is
+    sampled.
     """
     if not (omega_max > 0 and math.isfinite(omega_max)):
         raise ValueError(f"omega_max must be positive and finite, got {omega_max}")
@@ -266,13 +317,12 @@ def mu_g_freq(params: ModelParams, f, omega_max=40.0, n_omega=1600) -> MuFreqRes
         raise ValueError("transform of g is not purely imaginary; g is not jointly odd")
     Hg = ghat.imag                         # ghat = i H_g
 
-    w = k * dw
-    W1, W2 = np.meshgrid(w, w, indexing="ij")
-    imb = np.asarray(b_factorial(params, W1, W2)).imag
+    imb = np.fft.fftshift(_b_lattice(params, n_omega, dw).imag)
     value = float((Hg * imb).sum() * dw**2 / (2.0 * math.pi) ** 2)
 
     # decay diagnostic: |H_g| on two outer rings should fall faster than w^-2
-    ring = np.maximum(np.abs(W1), np.abs(W2))
+    aw = np.abs(k * dw)
+    ring = np.maximum(aw[:, None], aw[None, :])
     outer = (ring >= 0.9 * omega_max)
     mid = (ring >= 0.45 * omega_max) & (ring < 0.55 * omega_max)
     peak_outer = float(np.abs(Hg[outer]).max())

@@ -11,7 +11,10 @@
   (frequency, point), the K x N array exp(-i outer(w, x)) summed by row;
 - ``w_product_prefix``: the per-cluster product of cluster transforms W(w)
   from one exponential per (frequency, member), members sorted by cluster
-  and each W a difference of cumulative sums.
+  and each W a difference of cumulative sums;
+- ``full_lattice_inversion`` and ``full_lattice_mu_g_freq``: the lag
+  inversion and the frequency route of mu_g with B_fac evaluated at every
+  cell of the full meshgrid, in centered order, shifted for the FFT.
 """
 
 import math
@@ -94,3 +97,30 @@ def w_product_prefix(freqs, offs, cid, batch):
         cs = np.concatenate([[0.0 + 0.0j], np.cumsum(np.exp(-1j * float(w) * offs))])
         prod *= cs[bounds[1:]] - cs[bounds[:-1]]
     return [prod]
+
+
+def full_lattice_inversion(params: ModelParams, half_width: float, n: int):
+    """(c3 values, imaginary residue) of the lag inversion from B_fac at all n^2 cells."""
+    dw, dtau = math.pi / half_width, 2.0 * half_width / n
+    k = np.arange(-n // 2, n // 2)
+    W1, W2 = np.meshgrid(k * dw, k * dw, indexing="ij")
+    B = np.asarray(b_factorial(params, W1, W2), dtype=complex)
+    refl = (n - np.arange(n)) % n
+    B[0, :] = 0.5 * (B[0, :] + np.conj(B[0, refl]))
+    B[:, 0] = 0.5 * (B[:, 0] + np.conj(B[refl, 0]))
+    c = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(B))) / dtau**2
+    return c.real, float(np.max(np.abs(c.imag))) / max(float(np.max(np.abs(c.real))), 1e-300)
+
+
+def full_lattice_mu_g_freq(params: ModelParams, f, omega_max: float, n_omega: int):
+    """(value, truncation bound) of the frequency route from Im B_fac at all n_omega^2 cells."""
+    dw = 2.0 * omega_max / n_omega
+    delta = 2.0 * (math.pi / dw) / n_omega
+    k = np.arange(-n_omega // 2, n_omega // 2)
+    T1, T2 = np.meshgrid(k * delta, k * delta, indexing="ij")
+    Hg = (np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(f.evaluate(T1, T2)))) * delta**2).imag
+    W1, W2 = np.meshgrid(k * dw, k * dw, indexing="ij")
+    imb = np.asarray(b_factorial(params, W1, W2)).imag
+    outer = np.maximum(np.abs(W1), np.abs(W2)) >= 0.9 * omega_max
+    return (float((Hg * imb).sum() * dw**2 / (2.0 * math.pi) ** 2),
+            float(np.abs(Hg[outer] * imb[outer]).sum() * dw**2 / (2.0 * math.pi) ** 2))

@@ -506,6 +506,31 @@ def test_bispectrum_uniform_kernel_metadata(tmp_path):
     assert doc["meta"]["envelope"] == pytest.approx(44.0)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("extra", [["--form", "R"], ["--form", "Q"], ["--factorial"]])
+def test_bispectrum_grid_is_the_meshgrid_evaluation(tmp_path, fmt, extra):
+    # the command evaluates a column against a row; each cell as at the full meshgrid
+    from clusterbispec import spectra
+    from clusterbispec.kernels import Lomax
+    from clusterbispec.simulate import ModelParams
+
+    assert run_cli(tmp_path, "--format", fmt, "bispectrum", "--m", "0.5", "--kernel",
+                   "lomax:1.5", "--n", "17", "--omega-max", "5", *extra) == 0
+    p, axis = ModelParams(1.0, 0.5, 0.0, Lomax(1.5)), np.linspace(-5.0, 5.0, 17)
+    W1, W2 = np.meshgrid(axis, axis, indexing="ij")
+    vals = np.asarray(spectra.b_factorial(p, W1, W2) if extra == ["--factorial"]
+                      else spectra.b_complete(p, W1, W2, form=extra[1]))
+    want = spectra.SpectralGrid(2, np.column_stack([W1.ravel(), W2.ravel()]), vals.ravel())
+    if fmt == "csv":
+        want.write_csv(tmp_path / "want.csv")
+        assert (tmp_path / "bispectrum.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    else:
+        doc = json.loads((tmp_path / "bispectrum.json").read_text())
+        assert doc["frequencies"] == want.frequencies.tolist()
+        assert (doc["re"], doc["im"]) == (vals.real.ravel().tolist(), vals.imag.ravel().tolist())
+        assert doc["meta"]["max_abs_im"] == float(np.max(np.abs(vals.imag)))
+
+
 def test_spectrum_csv_output(tmp_path):
     assert run_cli(tmp_path, "spectrum", "--m", "0.5", "--kernel", "exp:1",
                    "--n", "16") == 0

@@ -1,6 +1,9 @@
 """Bispectrum inversion, odd decomposition, D_H, and the two mu_g routes."""
 
+import dataclasses
 import math
+import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,10 +12,12 @@ import pytest
 from clusterbispec.contrasts import antisymmetrize, sign_contrast_function, smooth_quadrant_bump
 from clusterbispec.cumulant3 import (
     AliasWarning,
+    CumulantGrid,
     GridBudgetExceeded,
     LatticeOutOfRange,
     HOutOfRange,
     SupportExceedsGrid,
+    TransformNotIntegrable,
     contrast_mass_DH,
     default_half_width,
     invert_bispectrum,
@@ -20,10 +25,11 @@ from clusterbispec.cumulant3 import (
     mu_g_time,
     odd_part,
 )
-from clusterbispec.kernels import Exponential
-from clusterbispec.match import MatchSpec, build_matched_kernel
+from clusterbispec.kernels import Exponential, kernel_from_spec
+from clusterbispec.match import MatchSpec, build_matched_kernel, save_matched_kernel
 from clusterbispec.simulate import ModelParams, sample_clusters_batch
 from clusterbispec.spectra import b_factorial, borel_factorial3
+from oracles import full_lattice_inversion, full_lattice_mu_g_freq
 
 EXP_PARAMS = ModelParams(1.0, 0.5, 1.0, Exponential(1.0))
 
@@ -156,8 +162,8 @@ def test_odd_part_of_even_grid_is_zero(matched_grid):
     # build an exactly even grid by symmetrizing, then antisymmetrize
     n = matched_grid.n
     refl = (n - np.arange(n)) % n
-    even = matched_grid
-    even.values[:] = 0.5 * (even.values + even.values[np.ix_(refl, refl)])
+    even = CumulantGrid(matched_grid.half_width, n, 0.5 * (
+        matched_grid.values + matched_grid.values[np.ix_(refl, refl)]), matched_grid.spacing)
     assert np.max(np.abs(odd_part(even).values)) == 0.0
 
 
@@ -346,3 +352,116 @@ def test_lattice_beyond_the_grid_budget_fails_before_sampling(call, monkeypatch)
     monkeypatch.setattr(cumulant3, "b_factorial", no_sampling)
     with pytest.raises(GridBudgetExceeded, match="above the grid budget of 16383"):
         call()
+
+
+# ---------------------------------------------------------------------------
+# the Hermitian half of each frequency lattice
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def lattice_params(kernels, tmp_path_factory):
+    """Every kernel family, a tab: kernel and a matched kernel reloaded from its file."""
+    path = tmp_path_factory.mktemp("match") / "matched.json"
+    save_matched_kernel(build_matched_kernel(MatchSpec(Exponential(1.0), m=0.5)), path)
+    every = {**kernels, "match-reloaded": kernel_from_spec(f"match:{path}")}
+    return {name: ModelParams(1.0, 0.5, 1.0, k) for name, k in every.items()}
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_inversion_is_bit_identical_to_the_full_lattice(lattice_params, n, tmp_path):
+    for name, params in lattice_params.items():
+        half_width = default_half_width(params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AliasWarning)
+            grid = invert_bispectrum(params, half_width, n)
+        values, residue = full_lattice_inversion(params, half_width, n)
+        assert grid.values.tobytes() == values.tobytes(), name
+        assert grid.imag_residue == residue, name
+        full = CumulantGrid(half_width, n, values, grid.spacing, residue)
+        grid.write_csv(tmp_path / "half.csv")
+        full.write_csv(tmp_path / "full.csv")
+        assert (tmp_path / "half.csv").read_bytes() == (tmp_path / "full.csv").read_bytes(), name
+
+
+@pytest.mark.parametrize("n_omega, omega_max, H", [(2, 1.0, 1.0), (6, 3.0, 3.0), (400, 40.0, 1.0)])
+def test_mu_g_freq_is_bit_identical_to_the_full_lattice(lattice_params, n_omega, omega_max, H):
+    g = smooth_quadrant_bump(H)   # within the lag half-width pi n_omega / (2 omega_max)
+    values = []
+    for name, params in lattice_params.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TransformNotIntegrable)
+            res = mu_g_freq(params, g, omega_max=omega_max, n_omega=n_omega)
+        assert (res.value, res.truncation_bound) == full_lattice_mu_g_freq(
+            params, g, omega_max, n_omega), name
+        values.append(res.value)
+    assert n_omega == 2 or any(values)   # g meets the lattice but on its axes
+
+
+@pytest.mark.parametrize("call, n", [
+    (lambda n: invert_bispectrum(EXP_PARAMS, half_width=40.0, n=n), 64),
+    (lambda n: mu_g_freq(EXP_PARAMS, smooth_quadrant_bump(1.0), omega_max=3.0, n_omega=n), 6),
+])
+def test_a_lattice_samples_its_hermitian_half_once(call, n, monkeypatch):
+    # the full meshgrid handed b_factorial all n^2 points
+    import clusterbispec.cumulant3 as cumulant3
+
+    points = []
+
+    def counting(params, w1, w2):
+        points.append(np.broadcast(w1, w2).size)
+        return b_factorial(params, w1, w2)
+
+    monkeypatch.setattr(cumulant3, "b_factorial", counting)
+    call(n)
+    assert points == [(n // 2 + 1) * (n + 1)]
+
+
+def test_inversion_peak_allocation():
+    # the full meshgrid peaked at 32.1 MB here, the half lattice at 14.1 MB
+    tracemalloc.start()
+    try:
+        invert_bispectrum(EXP_PARAMS, half_width=40.0, n=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# CumulantGrid as a value
+# ---------------------------------------------------------------------------
+
+
+def _grid(values, spacing=0.25, **kwargs):
+    return CumulantGrid(8.0, 64, values, spacing, **kwargs)
+
+
+def test_cumulant_grid_equality_and_hash():
+    v = np.arange(64.0 * 64).reshape(64, 64)
+    a, b = _grid(v, meta={"kernel": "exp:1"}), _grid(v.copy())
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    w = v.copy()
+    w[3, 5] = np.nextafter(w[3, 5], np.inf)
+    assert a != _grid(w)
+    assert a != _grid(v, imag_residue=1e-9)
+    assert a != _grid(v, spacing=0.5)
+    assert a != odd_part(a)
+
+
+def test_cumulant_grid_values_are_a_read_only_copy():
+    v = np.zeros((64, 64))
+    grid = _grid(v)
+    v[0, 0] = 1.0
+    assert grid.values[0, 0] == 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        grid.values[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.values = v
+
+
+def test_cumulant_grid_builds_its_key_at_the_first_comparison():
+    grid = _grid(np.zeros((64, 64)))
+    assert "_key" not in vars(grid)
+    hash(grid)
+    assert "_key" in vars(grid)
