@@ -21,11 +21,11 @@ or matched) has no limit here and is refused with NonMonotoneKernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import InvalidKernel, Kernel, Refused
+from .kernels import InvalidKernel, Kernel, Refused, array_key, readonly
 from .simulate import ModelParams
 from .spectra import im_b_diagonal
 
@@ -128,16 +128,26 @@ def z_from_kernel(kernel: Kernel) -> MixtureZ:
 
 @dataclass(frozen=True)
 class DiagLimitReport:
-    """Per-t diagonal ratios against the predicted small-frequency limit."""
+    """Per-t diagonal ratios against the predicted small-frequency limit.  The arrays
+    are held as read-only copies of their own dtype; two reports are equal, and hash
+    alike, when their arrays (bit for bit) and other fields are."""
 
-    t_values: np.ndarray
-    im_values: np.ndarray
-    ratios: np.ndarray          # |Im B(t,t)| / t^p over the limit
+    t_values: np.ndarray = field(compare=False)
+    im_values: np.ndarray = field(compare=False)
+    ratios: np.ndarray = field(compare=False)   # |Im B(t,t)| / t^p over the limit
     power: float
     limit: float                # predicted lim |Im B| / t^p; inf in the divergent band
     regime: str                 # 'regularly_varying' | 'finite_third_moment' | 'divergent'
-    underflow: np.ndarray       # per-t flag: |Im B| below the underflow floor
+    underflow: np.ndarray = field(compare=False)   # per-t flag: |Im B| below the underflow floor
     converged: bool
+    _key: tuple = field(init=False, repr=False)   # == and hash see the arrays
+
+    def __post_init__(self):
+        for name, dtype in (("t_values", float), ("im_values", float), ("ratios", float),
+                            ("underflow", bool)):
+            object.__setattr__(self, name, readonly(getattr(self, name), dtype))
+        object.__setattr__(self, "_key", array_key(self.t_values, self.im_values, self.ratios,
+                                                   self.underflow))
 
     def summary(self) -> str:
         lines = [f"regime={self.regime} power={self.power:g} limit={self.limit:g} "

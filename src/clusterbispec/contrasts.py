@@ -65,13 +65,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from typing import Callable, Hashable
 
 import numpy as np
 
 from .cumulant3 import CumulantGrid, SupportExceedsGrid, _g_sums, odd_part
-from .kernels import Refused
+from .kernels import Refused, array_key, readonly
 from .simulate import EventSeries, ModelParams, replicate_windows
 
 __all__ = [
@@ -146,14 +146,24 @@ class OddTestFunction:
     unordered pair once.  A declaration is checked on a probe lattice over
     the box (both axes, +-H and 0 included), and any violation there raises
     ValueError, so a wrong declaration fails when g is made.
+
+    Two test functions are equal, and hash alike, when their support radius,
+    bound, declaration and ``key`` are: the key names what ``evaluate``
+    computes, such as ("bump", H), so ``evaluate`` itself is not compared.
+    The key defaults to ``evaluate``, so a g without one, such as a g from
+    :func:`antisymmetrize`, equals only itself and its copies; a g made by
+    ``dataclasses.replace`` with a new ``evaluate`` needs a new key.
     """
 
     support_radius: float
-    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(compare=False)
     bound: float
     quadrant_symmetric: bool = False
+    key: Hashable = None
 
     def __post_init__(self):
+        if self.key is None:
+            object.__setattr__(self, "key", self.evaluate)
         if not (self.support_radius > 0 and math.isfinite(self.support_radius)):
             raise ValueError("support radius must be positive and finite")
         if not (self.bound >= 0 and math.isfinite(self.bound)):
@@ -208,7 +218,8 @@ def quadrant_indicator(H) -> OddTestFunction:
     def u(t1, t2):
         return ((t1 > 0) & (t2 > 0)).astype(float)
 
-    return replace(antisymmetrize(u, H, bound=1.0), quadrant_symmetric=True)
+    return replace(antisymmetrize(u, H, bound=1.0), quadrant_symmetric=True,
+                   key=("quadrant", float(H)))
 
 
 def smooth_quadrant_bump(H) -> OddTestFunction:
@@ -254,7 +265,7 @@ def smooth_quadrant_bump(H) -> OddTestFunction:
         return out.reshape(shape)
 
     # the two lobes have disjoint supports, so sup|g| = e^-1
-    return OddTestFunction(H, evaluate, math.exp(-1.0), quadrant_symmetric=True)
+    return OddTestFunction(H, evaluate, math.exp(-1.0), quadrant_symmetric=True, key=("bump", H))
 
 
 def sign_contrast_function(grid: CumulantGrid, H) -> OddTestFunction:
@@ -284,7 +295,7 @@ def sign_contrast_function(grid: CumulantGrid, H) -> OddTestFunction:
             out[inside] = vals
         return out
 
-    return OddTestFunction(H, evaluate, 1.0)
+    return OddTestFunction(H, evaluate, 1.0, key=("sign", grid, H))
 
 
 # ---------------------------------------------------------------------------
@@ -566,13 +577,23 @@ def exact_mean(params: ModelParams, f: OddTestFunction, T, c3odd: CumulantGrid) 
 
 @dataclass(frozen=True)
 class LinearityScan:
-    thetas: np.ndarray
-    means: np.ndarray
-    stderrs: np.ndarray
+    """Per-theta means and stderrs with their fitted line.  The arrays are held as
+    read-only copies; two scans are equal, and hash alike, when their arrays (bit for
+    bit) and fit are."""
+
+    thetas: np.ndarray = field(compare=False)
+    means: np.ndarray = field(compare=False)
+    stderrs: np.ndarray = field(compare=False)
     slope: float
     intercept: float
     slope_stderr: float
     intercept_stderr: float
+    _key: tuple = field(init=False, repr=False)   # == and hash see the arrays
+
+    def __post_init__(self):
+        for name in ("thetas", "means", "stderrs"):
+            object.__setattr__(self, name, readonly(getattr(self, name)))
+        object.__setattr__(self, "_key", array_key(self.thetas, self.means, self.stderrs))
 
 
 def linearity_scan(params: ModelParams, f: OddTestFunction, T, theta_list,

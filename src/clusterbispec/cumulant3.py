@@ -48,8 +48,8 @@ __all__ = [
 HALF_WIDTH_TOL = 1e-6  # kernel survival at a third of the default lag half-width
 ALIAS_FRAC = 0.01      # boundary-band share of |c3| mass above which AliasWarning fires
 # most cells one frequency grid may hold (a lag lattice, a CLI spectrum or bispectrum):
-# the bispectrum command peaks at about 230 B a cell (tracemalloc, exp:1, n = 256, JSON
-# out; invert 57 B, mu_g_freq 97 B), so 2^22 cells, n = 2048 a side, take about 1 GB
+# the bispectrum command peaks at about 225 B a cell (tracemalloc, exp:1, n = 256, JSON
+# out; invert 45 B, mu_g_freq 60 B), so 2^22 cells, n = 2048 a side, take about 1 GB
 GRID_BUDGET = 2**22
 
 
@@ -265,7 +265,7 @@ def _g_sums(odd: CumulantGrid, f, *weights) -> list[float]:
     if f.support_radius > odd.half_width:
         raise SupportExceedsGrid(
             f"support radius {f.support_radius:g} exceeds grid half-width {odd.half_width:g}")
-    T1, T2 = np.meshgrid(odd.lags, odd.lags, indexing="ij")
+    T1, T2 = np.broadcast_arrays(odd.lags[:, None], odd.lags[None, :])   # views, no copies
     g = f.evaluate(T1, T2)
     return [float(((g if w is None else g * w(T1, T2)) * odd.values).sum() * odd.spacing**2)
             for w in weights]
@@ -308,17 +308,17 @@ def mu_g_freq(params: ModelParams, f, omega_max=40.0, n_omega=1600) -> MuFreqRes
     _check_cells(delta, f"omega_max {omega_max:g} gives lag cells")
     if f.support_radius > A:
         raise SupportExceedsGrid("omega grid too coarse for the test-function support")
-    k = np.arange(-n_omega // 2, n_omega // 2)
-    tgrid = k * delta
-    T1, T2 = np.meshgrid(tgrid, tgrid, indexing="ij")
-    gvals = f.evaluate(T1, T2)
-    ghat = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(gvals))) * delta**2
+    # lattice index k at position k mod n_omega, as _b_lattice writes B: no complex shifts
+    k = (np.arange(n_omega) + n_omega // 2) % n_omega - n_omega // 2
+    t = (k * delta)[:, None]
+    ghat = np.fft.fft2(f.evaluate(*np.broadcast_arrays(t, t.T)))
+    ghat *= delta**2
     if np.max(np.abs(ghat.real)) > 1e-9 * max(np.max(np.abs(ghat.imag)), 1e-300):
         raise ValueError("transform of g is not purely imaginary; g is not jointly odd")
     Hg = ghat.imag                         # ghat = i H_g
 
-    imb = np.fft.fftshift(_b_lattice(params, n_omega, dw).imag)
-    value = float((Hg * imb).sum() * dw**2 / (2.0 * math.pi) ** 2)
+    terms = np.fft.fftshift(Hg * _b_lattice(params, n_omega, dw).imag)   # summed with k ascending
+    value = float(terms.sum() * dw**2 / (2.0 * math.pi) ** 2)
 
     # decay diagnostic: |H_g| on two outer rings should fall faster than w^-2
     aw = np.abs(k * dw)
@@ -334,5 +334,5 @@ def mu_g_freq(params: ModelParams, f, omega_max=40.0, n_omega=1600) -> MuFreqRes
     # outer-ring contribution of |integrand| as the truncation proxy: H_g
     # decays superpolynomially for smooth g, so the beyond-grid remainder is
     # below the last ring's own mass
-    bound = float(np.abs(Hg[outer] * imb[outer]).sum() * dw**2 / (2.0 * math.pi) ** 2)
+    bound = float(np.abs(terms[np.fft.fftshift(outer)]).sum() * dw**2 / (2.0 * math.pi) ** 2)
     return MuFreqResult(value, bound, omega_max, n_omega)

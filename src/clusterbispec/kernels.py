@@ -42,9 +42,9 @@ _LOMAX_LAST_RUNG = 512   # and of its last; each rung doubles the one before
 _LOMAX_CUTOFF = 60.0   # the contour ends where e^{-w u} or u^{-alpha} reaches e^{-60}
 
 
-def readonly(a):
-    """Read-only float copy of an array field."""
-    a = np.array(a, dtype=float)
+def readonly(a, dtype=float):
+    """Read-only copy of an array field, float unless ``dtype`` says otherwise."""
+    a = np.array(a, dtype=dtype)
     a.setflags(write=False)
     return a
 

@@ -63,34 +63,28 @@ class SpectralGrid:
                           "meta": self.meta})
 
 
-def _hhat(params: ModelParams, *ws):
-    """hhat at each of the float arrays ``ws``, in turn and lazily, holding none, so a
-    caller can drop each before the next: the kernel transforms their distinct |w| once,
-    then each w takes one lookup, a negative w the conjugate hhat(-w) = conj(hhat(w))."""
+def _hhat(params: ModelParams, *ws) -> list:
+    """hhat at each of the float arrays ``ws``, an array of its shape even for a scalar w:
+    the kernel transforms their distinct |w| once, then each w takes one lookup, a
+    negative w the conjugate hhat(-w) = conj(hhat(w))."""
     grid = np.unique(np.abs(np.concatenate([np.ravel(w) for w in ws])))
     table = np.asarray(params.kernel.transform(grid))
     table = np.concatenate([table, np.conj(table)])   # hhat(|w|), then hhat(-|w|)
-    for w in ws:   # an array even for a scalar w
-        yield np.asarray(table[np.searchsorted(grid, np.abs(w)) + grid.size * (w < 0)])
+    return [np.asarray(table[np.searchsorted(grid, np.abs(w)) + grid.size * (w < 0)]) for w in ws]
 
 
-def _r_form(params: ModelParams, hs):
-    """B_comp by the R-form from an iterator over hhat at w1, w2 and w1+w2: each
-    R(w) = 1/(1 - m hhat(w)) is formed once and dropped once used, R(-w) and R(w3) =
-    R(-(w1+w2)) as conjugates, so one is held at a time.  The products keep the order of
-    lam R(w1) R(w2) R(w3) (R(-w1) + R(-w2) + R(-w3) - 2), in place where numpy could reuse
-    a right-hand temporary (``P * np.conj(R)`` may run as np.conj(R) * P): with fused
-    multiply-adds a complex product's last bit depends on the order."""
+def _r_form(params: ModelParams, h1, h2, h12):
+    """B_comp by the R-form from hhat at w1, w2 and w1+w2, each R(w) = 1/(1 - m hhat(w))
+    formed once at its argument's shape, R(-w) and R(w3) = R(-(w1+w2)) as conjugates.  The
+    products keep the order of lam R(w1) R(w2) R(w3) (R(-w1) + R(-w2) + R(-w3) - 2), in
+    place where numpy could reuse a right-hand temporary: with fused multiply-adds a
+    complex product's last bit depends on the order."""
     m, lam = params.m, params.lam
-    R = 1.0 / (1.0 - m * next(hs))
-    P, S = lam * R, np.conj(R)
-    del R
-    R = 1.0 / (1.0 - m * next(hs))
-    P, S = P * R, S + np.conj(R)   # not in place: w1 and w2 may broadcast to a larger shape
-    del R
-    R = 1.0 / (1.0 - m * next(hs))
-    P *= np.conj(R)
-    S += R
+    R1, R2, R12 = (1.0 / (1.0 - m * h) for h in (h1, h2, h12))
+    P = lam * R1 * R2
+    P *= np.conj(R12)
+    S = np.conj(R1) + np.conj(R2)
+    S += R12
     S -= 2.0
     return P * S
 
@@ -111,7 +105,7 @@ def b_complete(params: ModelParams, w1, w2, form="R"):
         raise ValueError(f"form must be 'R' or 'Q', got {form!r}")
     w1, w2 = np.asarray(w1, dtype=float), np.asarray(w2, dtype=float)
     if form == "R":
-        return _r_form(params, _hhat(params, w1, w2, w1 + w2))
+        return _r_form(params, *_hhat(params, w1, w2, w1 + w2))
     m, lam = params.m, params.lam
     h1m, h2m, h12 = _hhat(params, -w1, -w2, w1 + w2)   # |1 - m hhat(-w)| = |1 - m hhat(w)|
     Q = h1m * h2m + h12 * (h1m + h2m - 2.0 * m * h1m * h2m)
@@ -123,16 +117,10 @@ def b_factorial(params: ModelParams, w1, w2):
     """Factorial bispectrum B_fac = B_comp - Gamma(w1) - Gamma(w2) - Gamma(w1+w2) + 2 lam."""
     m, lam = params.m, params.lam
     w1, w2 = np.asarray(w1, dtype=float), np.asarray(w2, dtype=float)
-    # one block, made before the R-form's arrays: three separate Gamma arrays left
-    # the allocator holding 6 MB more at its peak on a 512-squared grid
-    gammas = np.empty((3,) + np.broadcast_shapes(w1.shape, w2.shape))
-
-    def keep_gamma(i, h):   # Gamma at each argument, from the lookup the R-form takes
-        gammas[i] = lam / np.abs(1.0 - m * h) ** 2
-        return h
-
-    bc = _r_form(params, map(keep_gamma, range(3), _hhat(params, w1, w2, w1 + w2)))
-    return bc - gammas[0] - gammas[1] - gammas[2] + 2.0 * lam
+    hs = _hhat(params, w1, w2, w1 + w2)
+    # each Gamma at its argument's shape: a column and a row for a lattice's axes
+    g1, g2, g12 = (lam / np.abs(1.0 - m * h) ** 2 for h in hs)
+    return _r_form(params, *hs) - g1 - g2 - g12 + 2.0 * lam
 
 
 def im_b_diagonal(params: ModelParams, t):

@@ -1,5 +1,6 @@
 """Small-frequency constants, mixture representations, and the limit checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -197,6 +198,22 @@ def test_diag_limit_divergent_band():
     assert math.isinf(report.limit)
     assert np.all(np.diff(report.ratios) > 0)
     assert report.converged
+
+
+def test_diag_limit_report_is_a_value():
+    p = ModelParams(1.0, 0.5, 1.0, UniformHalf(1.0))
+    a, b = (diag_limit_check(p, t_list=(1e-1, 1e-2)) for _ in range(2))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != diag_limit_check(p, t_list=(1e-1, 1e-3))
+    assert a != dataclasses.replace(a, underflow=~a.underflow)
+    assert a.underflow.dtype == bool and a.t_values.dtype == float
+    given = np.array([True, False])
+    c = dataclasses.replace(a, underflow=given)
+    given[0] = False
+    assert c.underflow.tolist() == [True, False]   # a copy of the caller's array
+    for name in ("t_values", "im_values", "ratios", "underflow"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(a, name)[0] = 1
 
 
 def test_diag_limit_rejects_bad_t_list():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from clusterbispec import contrasts
 from clusterbispec.contrasts import (
     EmptyWindowWarning,
+    LinearityScan,
     OddTestFunction,
     PairBudgetExceeded,
     antisymmetrize,
@@ -23,8 +24,8 @@ from clusterbispec.contrasts import (
     sign_contrast_function,
     smooth_quadrant_bump,
 )
-from clusterbispec.cumulant3 import invert_bispectrum, odd_part
-from clusterbispec.kernels import Exponential, Refused
+from clusterbispec.cumulant3 import invert_bispectrum, mu_g_time, odd_part
+from clusterbispec.kernels import Exponential, Refused, kernel_from_spec
 from clusterbispec.match import MatchSpec, build_matched_kernel
 from clusterbispec.simulate import EventSeries, ModelParams, simulate_window_batched
 from oracles import contrast_statistic_bruteforce
@@ -139,6 +140,28 @@ def test_test_functions_broadcast_before_masking(exp_odd_grid):
         assert v.shape == (3, 4) and np.any(v != 0.0)
         assert np.array_equal(v, g.evaluate(T1.ravel(), T2.ravel()).reshape(3, 4))
         assert np.array_equal(g.evaluate(0.5, t2), g.evaluate(np.full(4, 0.5), t2))
+
+
+def test_test_functions_compare_by_what_they_compute(exp_odd_grid):
+    # each constructor keys g by its name and arguments; a sign contrast by its grid's
+    # values, so an equal grid gives an equal g
+    a, b = smooth_quadrant_bump(4.0), smooth_quadrant_bump(4)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != smooth_quadrant_bump(3.0) and a != quadrant_indicator(4.0)
+    assert quadrant_indicator(2.0) == quadrant_indicator(2.0)
+    assert hash(quadrant_indicator(2.0)) == hash(quadrant_indicator(2.0))
+    twin = odd_part(exp_odd_grid)   # exactly odd already, so the same values
+    assert twin is not exp_odd_grid and twin == exp_odd_grid
+    s, t = sign_contrast_function(exp_odd_grid, 4.0), sign_contrast_function(twin, 4.0)
+    assert s == t and hash(s) == hash(t) and s != sign_contrast_function(exp_odd_grid, 3.0)
+
+    # a g from antisymmetrize has no name: it equals only itself and its copies
+    def u(t1, t2):
+        return t1 * t2**2
+
+    g = antisymmetrize(u, 2.0)
+    assert g == g and g == replace(g) and g != antisymmetrize(u, 2.0)
+    assert g.key is g.evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +614,47 @@ def test_exact_mean_matches_simulation(exp_odd_grid):
         assert abs(vals.mean() - target) < 4 * se, T
 
 
+# exact_mean (mu_Tg, mu_g, gap_bound) and mu_g_time, as float.hex, on inversions at
+# half-width 16 and n = 128 (m = 0.5, T = 50): the bits of the lag-lattice sums
+LAG_SUM_PINS = {
+    ("exp:1", "bump"): ("-0x1.3bdda18e1246ap-4", "-0x1.4a6f48de0f5dap-4",
+                        "0x1.3fda106905d6dp-3", "-0x1.4a6f48de0f5dap-4"),
+    ("exp:1", "antisym"): ("0x1.8a29087266250p-5", "0x1.989071d014490p-5",
+                           "0x1.45a6d8eac8df0p-1", "0x1.989071d014490p-5"),
+    ("exp:1", "sign"): ("0x1.7b73bd91d601ap+0", "0x1.90dca9e0a25a8p+0",
+                        "0x1.b2b9437254b3dp-2", "0x1.90dca9e0a25a8p+0"),
+    ("lomax:1.5", "bump"): ("-0x1.820a73e9a5502p-4", "-0x1.93462ea1f245ap-4",
+                            "0x1.093ca9839d2ccp-2", "-0x1.93462ea1f245ap-4"),
+    ("lomax:1.5", "antisym"): ("0x1.03e457545fc7ap-4", "0x1.0d1e38817b54ap-4",
+                               "0x1.0e0beafe3d2f5p+0", "0x1.0d1e38817b54ap-4"),
+    ("lomax:1.5", "sign"): ("0x1.daed1b4ea9621p+0", "0x1.f3fc33c387da7p+0",
+                            "0x1.687e916bcb96dp-1", "0x1.f3fc33c387da7p+0"),
+    ("match:exp:1:0.5", "bump"): ("-0x1.e14d64eb833c4p-57", "-0x1.00c4d2c0be886p-56",
+                                  "0x1.8b53bcbde41b2p-51", "-0x1.00c4d2c0be886p-56"),
+    ("match:exp:1:0.5", "antisym"): ("0x1.4d55e82ae8662p-54", "0x1.51fccdc32f0b8p-54",
+                                     "0x1.927ee255c741bp-49", "0x1.51fccdc32f0b8p-54"),
+    ("match:exp:1:0.5", "sign"): ("0x1.c7ab99999999ap-50", "0x1.e370000000000p-50",
+                                  "0x1.0ca711eb851ecp-49", "0x1.e370000000000p-50"),
+}
+
+
+@pytest.mark.parametrize("spec", ["exp:1", "lomax:1.5", "match:exp:1:0.5"])
+def test_lag_lattice_sums_keep_their_bits(spec):
+    p = ModelParams(1.0, 0.5, 1.0, kernel_from_spec(spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # lomax:1.5 aliases at this half-width
+        grid = invert_bispectrum(p, half_width=16.0, n=128)
+    def u(a, b):
+        return np.exp(-(a - 1.0) ** 2 - 2.0 * (b - 0.5) ** 2)
+
+    gs = {"bump": smooth_quadrant_bump(4.0), "antisym": antisymmetrize(u, 3.0),
+          "sign": sign_contrast_function(grid, 4.0)}
+    for name, g in gs.items():
+        r = exact_mean(p, g, 50.0, grid)
+        got = tuple(float(x).hex() for x in (r.mu_Tg, r.mu_g, r.gap_bound, mu_g_time(grid, g)))
+        assert got == LAG_SUM_PINS[spec, name], name
+
+
 # ---------------------------------------------------------------------------
 # linearity scan
 # ---------------------------------------------------------------------------
@@ -644,3 +708,17 @@ def test_linearity_scan_needs_two_distinct_thetas(monkeypatch):
     monkeypatch.setattr(contrasts, "replicate_windows", no_windows)
     with pytest.raises(ValueError, match="distinct"):
         linearity_scan(EXP_PARAMS, smooth_quadrant_bump(3.0), 20.0, (0.5, 0.5, 0.5), 2, seed=0)
+
+
+def test_linearity_scan_is_a_value():
+    arrays = np.array([-1.0, 0.0, 1.0]), np.array([-0.1, np.nan, 0.1]), np.array([0.01, 0.02, 0.01])
+    a = LinearityScan(*arrays, 0.1, 0.0, 0.01, 0.005)
+    b = LinearityScan(*(x.copy() for x in arrays), 0.1, 0.0, 0.01, 0.005)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1   # NaN equals NaN bitwise
+    assert a != replace(a, slope=0.2)
+    assert a != replace(a, means=np.array([-0.1, np.nan, np.nextafter(0.1, 1.0)]))
+    arrays[1][0] = 5.0
+    assert a.means[0] == -0.1   # a copy of the caller's array
+    for name in ("thetas", "means", "stderrs"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(a, name)[0] = 0.0

@@ -428,6 +428,19 @@ def test_inversion_peak_allocation():
     assert peak < 20 * 2**20
 
 
+def test_mu_g_freq_peak_allocation():
+    # lag meshgrids and shifted copies of the complex lattices peaked at 24.1 MiB
+    # here, g evaluated and transformed in FFT order at 15.1 MiB
+    g = smooth_quadrant_bump(4.0)
+    tracemalloc.start()
+    try:
+        mu_g_freq(EXP_PARAMS, g, omega_max=40.0, n_omega=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # CumulantGrid as a value
 # ---------------------------------------------------------------------------
