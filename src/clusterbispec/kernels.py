@@ -36,7 +36,8 @@ __all__ = [
 ]
 
 TRANSFORM_TOL = 1e-9  # absolute error the Lomax rule's reported bound stays within
-CHUNK_CELLS = 1 << 16  # cells of one (frequencies x nodes or table cells) block
+CHUNK_CELLS = 1 << 13  # cells of one (frequencies x nodes or table cells) block: 64 KiB a
+# float temporary, under glibc's 128 KiB mmap threshold, so blocks reuse heap pages
 _LOMAX_FIRST_RUNG = 16   # Gauss-Legendre nodes of the Lomax contour rule's first rung
 _LOMAX_LAST_RUNG = 512   # and of its last; each rung doubles the one before
 _LOMAX_CUTOFF = 60.0   # the contour ends where e^{-w u} or u^{-alpha} reaches e^{-60}
@@ -453,51 +454,74 @@ def _lomax_rule(alpha, omega):
     the analytic contour integrand), or Q_512 if none does; only frequencies still
     open run the next rung.  That last change is the rule's own error estimate.  A
     frequency's rows and its stop depend on it alone, so no value depends on the
-    batch.  Values come in omega's shape (a complex for a scalar).
+    batch.  The contour ends are found once a call, and every rung's blocks write
+    into one workspace of four CHUNK_CELLS temporaries.  Values come in omega's shape
+    (a complex for a scalar): exactly 1 at w = 0 and the conjugate for w < 0.
     """
     w = np.asarray(omega, dtype=float).ravel()
-    _lomax_contour_end(alpha, np.abs(w[w != 0.0]))   # refuse before any rule runs
+    live = np.flatnonzero(w)
+    aw = np.abs(w[live])
+    half = 0.5 * _lomax_contour_end(alpha, aw)   # refuses before any rule runs
+    work = [np.empty(min(CHUNK_CELLS, aw.size * _LOMAX_LAST_RUNG)) for _ in range(4)]
     floor, n = _lomax_floor(alpha), _LOMAX_FIRST_RUNG
-    value = in_row_chunks(lambda x: _lomax_rows(alpha, x, n), w, n)
-    change = np.zeros(w.shape)
-    open_ = np.arange(w.size)
+    q = _lomax_rows(alpha, aw, n, half, work)
+    change = np.zeros(aw.shape)
+    open_ = np.arange(aw.size)
     while open_.size and n < _LOMAX_LAST_RUNG:
         n *= 2
-        fine = in_row_chunks(lambda x: _lomax_rows(alpha, x, n), w[open_], n)
-        change[open_] = np.abs(fine - value[open_])
-        value[open_] = fine
+        fine = _lomax_rows(alpha, aw[open_], n, half[open_], work)
+        change[open_] = np.abs(fine - q[open_])
+        q[open_] = fine
         open_ = open_[change[open_] > floor]
+    value = np.ones(w.shape, dtype=complex)
+    value[live] = q
+    np.conjugate(value, out=value, where=w < 0)
     value = value.reshape(np.shape(omega))
     return (value if np.ndim(omega) else complex(value)), float(np.max(change, initial=0.0))
 
 
-def _lomax_rows(alpha, w, nodes):
-    """Lomax hhat at a 1-D block of frequencies by a ``nodes``-point contour rule.
+def _lomax_rows(alpha, w, nodes, half=None, work=None):
+    """Lomax hhat at positive frequencies w by one ``nodes``-point contour rule.
 
     For w > 0, t = -iu gives hhat(w) = -i alpha int_0^inf e^{-w u} (1 - iu)^{-1-alpha} du,
     which does not oscillate (numerical steepest descent: Huybrechs & Vandewalle, SIAM
-    J. Numer. Anal. 44(3), 2006); u = e^v - 1 up to u = min(60/w, e^{60/alpha}).  In real
-    arithmetic, (1 - iu)^{-1-alpha} has modulus e^{-(1+alpha) log|1 - iu|}, with
-    log|1 - iu| = v + log1p(-2u e^{-2v}) / 2 (finite wherever u is), and phase
-    phi = (1+alpha) arctan u, so hhat = alpha (sum mod sin phi - i sum mod cos phi);
-    sin and cos come from tan(phi/2).  Exactly 1 at w = 0 and the conjugate for w < 0;
-    each row is summed alone.
+    J. Numer. Anal. 44(3), 2006); u = e^v - 1 up to u = min(60/w, e^{60/alpha}), v up to
+    2 ``half`` (``_lomax_contour_end``).  In real arithmetic, (1 - iu)^{-1-alpha} has
+    modulus e^{-(1+alpha) log|1 - iu|}, with log|1 - iu| = v + log1p(-2u e^{-2v}) / 2
+    (finite wherever u is), and phase phi = (1+alpha) arctan u, so hhat = alpha (sum mod
+    sin phi - i sum mod cos phi); sin and cos come from tan(phi/2).  Rows run
+    CHUNK_CELLS // nodes at a time through the four arrays of ``work`` (each with at
+    least that many cells), and each row is summed alone.
     """
-    out = np.ones(w.shape, dtype=complex)
-    aw = np.abs(w[w != 0.0])[:, None]
+    if half is None:
+        half = 0.5 * _lomax_contour_end(alpha, w)
+    if work is None:
+        work = [np.empty(min(CHUNK_CELLS, w.size * nodes)) for _ in range(4)]
     x, q = _gauss_legendre(nodes)
-    half = 0.5 * _lomax_contour_end(alpha, aw)
-    v = half * (x + 1.0)
-    u = np.expm1(v)
-    t = 1.0 / (1.0 + u)  # e^{-v}
-    # e^v (du = e^v dv) over |1 - iu|^{1+alpha}, the v terms summed first: -alpha v
-    log_mod = -alpha * v - aw * u - 0.5 * (1.0 + alpha) * np.log1p(-2.0 * (u * t) * t)
-    mod = np.exp(log_mod) * (half * q)
-    tan_half = np.tan(0.5 * (1.0 + alpha) * np.arctan(u))
-    mod /= 1.0 + tan_half * tan_half   # sin phi, cos phi: 2 tan_half, 1 - tan_half^2 over this
-    out[w != 0.0] = alpha * (np.sum(2.0 * tan_half * mod, axis=1)
-                             - 1j * np.sum((1.0 - tan_half * tan_half) * mod, axis=1))
-    return np.where(w < 0, np.conj(out), out)
+    x1, c = x + 1.0, 0.5 * (1.0 + alpha)
+    out = np.empty(w.shape, dtype=complex)
+    step = max(1, CHUNK_CELLS // nodes)
+    for i in range(0, w.size, step):
+        aw, h = w[i:i + step, None], half[i:i + step, None]
+        v, u, t, mod = (a[:aw.size * nodes].reshape(aw.size, nodes) for a in work)
+        np.multiply(h, x1, out=v)
+        np.expm1(v, out=u)
+        np.add(1.0, u, out=t)
+        np.divide(1.0, t, out=t)   # e^{-v}
+        # e^v (du = e^v dv) over |1 - iu|^{1+alpha}, the v terms summed first: -alpha v
+        np.multiply(-alpha, v, out=mod)
+        np.subtract(mod, np.multiply(aw, u, out=v), out=mod)
+        np.multiply(-2.0, np.multiply(u, t, out=v), out=v)
+        np.log1p(np.multiply(v, t, out=v), out=v)
+        np.subtract(mod, np.multiply(c, v, out=v), out=mod)
+        np.multiply(np.exp(mod, out=mod), np.multiply(h, q, out=v), out=mod)
+        np.tan(np.multiply(c, np.arctan(u, out=u), out=u), out=u)   # tan(phi/2)
+        np.multiply(u, u, out=t)
+        np.divide(mod, np.add(1.0, t, out=v), out=mod)   # sin phi, cos phi: 2 tan, 1 - tan^2 over 1 + tan^2
+        np.multiply(np.multiply(2.0, u, out=u), mod, out=u)
+        np.multiply(np.subtract(1.0, t, out=t), mod, out=t)
+        out[i:i + step] = alpha * (np.sum(u, axis=1) - 1j * np.sum(t, axis=1))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -283,10 +283,10 @@ def _lomax_cells(monkeypatch):
     """Count the cells (frequencies x nodes) and calls of every Lomax contour rule."""
     count = {"cells": 0, "calls": 0}
 
-    def counted(alpha, w, nodes):
+    def counted(alpha, w, nodes, *blocks):
         count["cells"] += w.size * nodes
         count["calls"] += 1
-        return _lomax_rows(alpha, w, nodes)
+        return _lomax_rows(alpha, w, nodes, *blocks)
 
     monkeypatch.setattr("clusterbispec.kernels._lomax_rows", counted)
     return count
