@@ -174,7 +174,7 @@ def diag_limit_check(params: ModelParams, t_list=None) -> DiagLimitReport:
     t = np.asarray([1e-1, 1e-2, 1e-3, 1e-4] if t_list is None else t_list, dtype=float)
     if np.any(np.diff(t) >= 0) or np.any(t <= 0):
         raise ValueError("t_list must be positive and strictly decreasing")
-    imb = np.asarray([float(im_b_diagonal(params, ti)) for ti in t])
+    imb = np.asarray(im_b_diagonal(params, t), dtype=float)
     under = np.abs(imb) < _UNDERFLOW
     lam, m = params.lam, params.m
 

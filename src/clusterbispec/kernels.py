@@ -8,8 +8,9 @@ so hhat(0) = 1 and hhat(-w) = conj(hhat(w)) for real densities.  Kernels are
 immutable after construction; every method is pure and safe to call
 concurrently.  RNG state is caller-owned (numpy Generator) and never shared.
 Lomax transforms by doubling contour rules that stop at rounding level (within
-1e-11, ``_lomax_rule``) and tabulated densities (each one ``EvenTable``: a ``tab:``
-kernel, a matched kernel's rho_h) by trapezoid sums, both in bounded frequency blocks.
+1e-11, ``_lomax_rule``; refused where 512 nodes do not get there) and tabulated
+densities (each one ``EvenTable``: a ``tab:`` kernel, a matched kernel's rho_h) by
+trapezoid sums, both in frequency blocks of CHUNK_CELLS cells.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ __all__ = [
 TRANSFORM_TOL = 1e-9  # absolute error the Lomax rule's reported bound stays within
 CHUNK_CELLS = 1 << 13  # cells of one (frequencies x nodes or table cells) block: 64 KiB a
 # float temporary, under glibc's 128 KiB mmap threshold, so blocks reuse heap pages
-_LOMAX_FIRST_RUNG = 16   # Gauss-Legendre nodes of the Lomax contour rule's first rung
+_LOMAX_FIRST_RUNG = 8    # Gauss-Legendre nodes of the Lomax contour rule's first rung
 _LOMAX_LAST_RUNG = 512   # and of its last; each rung doubles the one before
 _LOMAX_CUTOFF = 60.0   # the contour ends where e^{-w u} or u^{-alpha} reaches e^{-60}
 
@@ -82,7 +83,8 @@ class InvalidKernel(Refused):
 
 
 class TransformOutOfRange(Refused):
-    """The Lomax contour runs past the double range: alpha < 0.085 at a subnormal |w|."""
+    """The Lomax contour runs past the double range (alpha < 0.085 at a subnormal |w|),
+    or its 512-node rule still moves by more than TRANSFORM_TOL (alpha from about 2000)."""
 
 
 class Kernel:
@@ -400,10 +402,12 @@ class TabulatedSymmetric(EvenTable, Kernel):
 def transform_with_bound(kernel: Kernel, omega):
     """Transform plus an absolute error bound over all of omega (0.0 if exact).
 
-    For Lomax, from the same pass as the value: the largest change between a
-    frequency's last two rungs (``_lomax_rule``), plus the rounding floor 64 ulps of
+    For Lomax, from the same pass as the value: the largest error estimate of the
+    rule (``_lomax_rule``: a frequency's last change |Q_n - Q_{n/2}|, or d_n^3 / d_{n/2}^2
+    where it stopped on geometric contraction), plus the rounding floor 64 ulps of
     alpha int_0^inf |1 - iu|^{-1-alpha} du, plus the (alpha/60 + 1) e^{-60} the two
-    cuts drop; at most TRANSFORM_TOL for alpha in [0.05, 10] and |w| >= 1e-8.
+    cuts drop; at most TRANSFORM_TOL for alpha in [0.05, 10] and |w| >= 1e-8, and at
+    most TRANSFORM_TOL plus those two terms wherever the rule does not refuse.
     """
     if not isinstance(kernel, Lomax):
         return kernel.transform(omega), 0.0
@@ -447,14 +451,17 @@ def _lomax_contour_end(alpha, aw):
 
 
 def _lomax_rule(alpha, omega):
-    """Lomax hhat over omega by doubling contour rules, and the largest last change.
+    """Lomax hhat over omega by doubling contour rules, and the largest error estimate.
 
-    Each frequency takes Q_16, then Q_32, Q_64, ... and keeps the first Q_n with
-    |Q_n - Q_{n/2}| <= ``_lomax_floor`` (Gauss-Legendre converges geometrically on
-    the analytic contour integrand), or Q_512 if none does; only frequencies still
-    open run the next rung.  That last change is the rule's own error estimate.  A
-    frequency's rows and its stop depend on it alone, so no value depends on the
-    batch.  The contour ends are found once a call, and every rung's blocks write
+    Each frequency takes Q_8, then Q_16, Q_32, ... up to Q_512; only frequencies
+    still open run the next rung.  With d_n = |Q_n - Q_{n/2}|, a frequency keeps the
+    first Q_n with d_n <= ``_lomax_floor`` (error estimate d_n), or whose last two
+    changes contract, d_n < d_{n/2}, with d_n^3 / d_{n/2}^2 <= the floor (the estimate:
+    Gauss-Legendre converges geometrically on the analytic contour integrand, e_n ~ C r^n,
+    so with d_n ~ e_{n/2} and d_{n/2} ~ e_{n/4}, e_n ~ d_n^3 / d_{n/2}^2); else Q_512
+    with estimate d_512, refused (TransformOutOfRange) above TRANSFORM_TOL.
+    A frequency's rows and its stop depend on it alone, so no value depends on the
+    batch.  The contour ends are found once a frequency, and every rung's blocks write
     into one workspace of four CHUNK_CELLS temporaries.  Values come in omega's shape
     (a complex for a scalar): exactly 1 at w = 0 and the conjugate for w < 0.
     """
@@ -465,19 +472,28 @@ def _lomax_rule(alpha, omega):
     work = [np.empty(min(CHUNK_CELLS, aw.size * _LOMAX_LAST_RUNG)) for _ in range(4)]
     floor, n = _lomax_floor(alpha), _LOMAX_FIRST_RUNG
     q = _lomax_rows(alpha, aw, n, half, work)
-    change = np.zeros(aw.shape)
+    error = np.zeros(aw.shape)   # each value's error estimate
+    change = np.full(aw.shape, np.nan)   # |Q_n - Q_{n/2}|, none before the second rung
     open_ = np.arange(aw.size)
     while open_.size and n < _LOMAX_LAST_RUNG:
         n *= 2
         fine = _lomax_rows(alpha, aw[open_], n, half[open_], work)
-        change[open_] = np.abs(fine - q[open_])
-        q[open_] = fine
-        open_ = open_[change[open_] > floor]
+        d, d_prev = np.abs(fine - q[open_]), change[open_]
+        geometric = d * (d / d_prev) ** 2   # NaN until two changes exist
+        done = d <= floor
+        contracts = ~done & (d < d_prev) & (geometric <= floor)
+        q[open_], change[open_] = fine, d
+        error[open_] = np.where(contracts, geometric, d)
+        open_ = open_[~(done | contracts)]
+    if open_.size and np.max(error[open_]) > TRANSFORM_TOL:
+        worst = open_[np.argmax(error[open_])]
+        raise TransformOutOfRange(f"Lomax({alpha:g}) transform at |w| = {aw[worst]:g}: the "
+                                  f"{n}-node rule still moves by {error[worst]:.3g}")
     value = np.ones(w.shape, dtype=complex)
     value[live] = q
     np.conjugate(value, out=value, where=w < 0)
     value = value.reshape(np.shape(omega))
-    return (value if np.ndim(omega) else complex(value)), float(np.max(change, initial=0.0))
+    return (value if np.ndim(omega) else complex(value)), float(np.max(error, initial=0.0))
 
 
 def _lomax_rows(alpha, w, nodes, half=None, work=None):
@@ -517,7 +533,8 @@ def _lomax_rows(alpha, w, nodes, half=None, work=None):
         np.multiply(np.exp(mod, out=mod), np.multiply(h, q, out=v), out=mod)
         np.tan(np.multiply(c, np.arctan(u, out=u), out=u), out=u)   # tan(phi/2)
         np.multiply(u, u, out=t)
-        np.divide(mod, np.add(1.0, t, out=v), out=mod)   # sin phi, cos phi: 2 tan, 1 - tan^2 over 1 + tan^2
+        # sin phi, cos phi: 2 tan(phi/2) and 1 - tan^2(phi/2), each over 1 + tan^2(phi/2)
+        np.divide(mod, np.add(1.0, t, out=v), out=mod)
         np.multiply(np.multiply(2.0, u, out=u), mod, out=u)
         np.multiply(np.subtract(1.0, t, out=t), mod, out=t)
         out[i:i + step] = alpha * (np.sum(u, axis=1) - 1j * np.sum(t, axis=1))

@@ -269,15 +269,18 @@ def _default_params():
 
 def _comparison(name, est, target, k, imag=False) -> dict:
     """One report row: estimate, target, stderr and z of the real part (and of the
-    imaginary part with ``imag``); it passes when each |z| is at most k."""
+    imaginary part with ``imag``); it passes when each |z| is at most k.  A z whose
+    stderr is exactly 0 has no spread to scale by: it is None and fails."""
     target = complex(target)
     parts = ("re", "im") if imag else ("re",)
+    stderr = (est.stderr_re, est.stderr_im)
+    z = tuple(zi if se > 0.0 else None for zi, se in zip(est.z(target), stderr))
     cols = {"estimate": (est.value.real, est.value.imag), "target": (target.real, target.imag),
-            "stderr": (est.stderr_re, est.stderr_im), "z": est.z(target)}
+            "stderr": stderr, "z": z}
     row = {"name": name}
     for col, pair in cols.items():
         row.update(zip([f"{col}_{p}" for p in parts], pair))
-    return {**row, "k": k, "pass": all(abs(z) <= k for z in cols["z"][:len(parts)])}
+    return {**row, "k": k, "pass": all(zi is not None and abs(zi) <= k for zi in z[:len(parts)])}
 
 
 def validate_suite(suite, level="quick", seed=0, params=None) -> dict:

@@ -434,7 +434,8 @@ def write_columns(path, header, *columns) -> None:
 
 
 def write_json(path, doc) -> str:
-    """The one JSON writer (one-space indents); returns the path as a string."""
+    """The one JSON writer (one-space indents, strict: a NaN or an infinity raises
+    ValueError, never ``NaN``/``Infinity``); returns the path as a string."""
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
+        json.dump(doc, fh, indent=1, allow_nan=False)
     return str(path)

@@ -179,6 +179,16 @@ def test_diag_limit_lomax_alpha1():
     assert report.converged
 
 
+def test_diag_limit_check_transforms_once(monkeypatch):
+    # one im_b_diagonal over every t: the kernel transforms t and 2t in one call
+    calls = []
+    transform = Lomax.transform
+    monkeypatch.setattr(Lomax, "transform", lambda self, w: calls.append(w) or transform(self, w))
+    report = diag_limit_check(ModelParams(1.0, 0.5, 1.0, Lomax(1.0)),
+                              t_list=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5))
+    assert len(calls) == 1 and report.converged
+
+
 def test_diag_limit_uniform_underflows():
     for a in (1.0, 0.3, 1.3):
         p = ModelParams(1.0, 0.5, 1.0, UniformHalf(a))

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import json
+import math
 import pkgutil
 import shlex
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 import clusterbispec
 from clusterbispec.cli import COMMANDS, GLOBAL_OPTIONS, ConfigError, RunConfig, main, parse_config
 from clusterbispec.kernels import Refused
+from clusterbispec.simulate import write_json
 
 
 def run_cli(tmp_path, *args):
@@ -620,6 +622,22 @@ def test_mc_validate_moments_at_the_given_m(tmp_path):
     assert doc["params"]["m"] == 0.8
     assert len(doc["comparisons"]) == 3
     assert all(c["name"].endswith("(m=0.8)") for c in doc["comparisons"])
+
+
+def test_mc_validate_writes_strict_json_when_no_cluster_branches(tmp_path):
+    # at m = 1e-9 no cluster has a child, so every stderr is 0: such a z is null, not
+    # Infinity (which strict JSON parsers reject), and the suite still fails
+    assert run_cli(tmp_path, "mc-validate", "--suite", "moments", "--m", "1e-9",
+                   "--kernel", "exp:1") == 1
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    doc = json.loads((tmp_path / "mc_moments.json").read_text(), parse_constant=reject)
+    assert not doc["pass"] and all(c["z_re"] is None and not c["pass"]
+                                   for c in doc["comparisons"])
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "nan.json", {"z": math.inf})
 
 
 def test_mc_validate_bartlett_defaults(tmp_path):

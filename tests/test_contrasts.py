@@ -615,7 +615,8 @@ def test_exact_mean_matches_simulation(exp_odd_grid):
 
 
 # exact_mean (mu_Tg, mu_g, gap_bound) and mu_g_time, as float.hex, on inversions at
-# half-width 16 and n = 128 (m = 0.5, T = 50): the bits of the lag-lattice sums
+# half-width 16 and n = 128 (m = 0.5, T = 50): the bits of the lag-lattice sums; the
+# lomax:1.5 sums re-pinned when the Lomax contour rule began to stop on geometric convergence
 LAG_SUM_PINS = {
     ("exp:1", "bump"): ("-0x1.3bdda18e1246ap-4", "-0x1.4a6f48de0f5dap-4",
                         "0x1.3fda106905d6dp-3", "-0x1.4a6f48de0f5dap-4"),
@@ -623,12 +624,12 @@ LAG_SUM_PINS = {
                            "0x1.45a6d8eac8df0p-1", "0x1.989071d014490p-5"),
     ("exp:1", "sign"): ("0x1.7b73bd91d601ap+0", "0x1.90dca9e0a25a8p+0",
                         "0x1.b2b9437254b3dp-2", "0x1.90dca9e0a25a8p+0"),
-    ("lomax:1.5", "bump"): ("-0x1.820a73e9a5502p-4", "-0x1.93462ea1f245ap-4",
-                            "0x1.093ca9839d2ccp-2", "-0x1.93462ea1f245ap-4"),
-    ("lomax:1.5", "antisym"): ("0x1.03e457545fc7ap-4", "0x1.0d1e38817b54ap-4",
-                               "0x1.0e0beafe3d2f5p+0", "0x1.0d1e38817b54ap-4"),
-    ("lomax:1.5", "sign"): ("0x1.daed1b4ea9621p+0", "0x1.f3fc33c387da7p+0",
-                            "0x1.687e916bcb96dp-1", "0x1.f3fc33c387da7p+0"),
+    ("lomax:1.5", "bump"): ("-0x1.820a73e9a54e8p-4", "-0x1.93462ea1f2442p-4",
+                            "0x1.093ca9839d296p-2", "-0x1.93462ea1f2442p-4"),
+    ("lomax:1.5", "antisym"): ("0x1.03e457545fc7cp-4", "0x1.0d1e38817b54cp-4",
+                               "0x1.0e0beafe3d2bep+0", "0x1.0d1e38817b54cp-4"),
+    ("lomax:1.5", "sign"): ("0x1.daed1b4ea9600p+0", "0x1.f3fc33c387d85p+0",
+                            "0x1.687e916bcb924p-1", "0x1.f3fc33c387d85p+0"),
     ("match:exp:1:0.5", "bump"): ("-0x1.e14d64eb833c4p-57", "-0x1.00c4d2c0be886p-56",
                                   "0x1.8b53bcbde41b2p-51", "-0x1.00c4d2c0be886p-56"),
     ("match:exp:1:0.5", "antisym"): ("0x1.4d55e82ae8662p-54", "0x1.51fccdc32f0b8p-54",

@@ -362,7 +362,8 @@ def test_live_and_reloaded_kernels_draw_identically(tmp_path):
 
 # SHA-256 of each matched kernel's draws (built and reloaded draw alike), transforms and
 # tail quantiles (built, then reloaded) and saved file, pinned before tab: kernels and
-# matched kernels shared one table type
+# matched kernels shared one table type; the live Lomax-based transforms re-pinned when
+# the Lomax contour rule began to stop on geometric convergence (within one floor)
 TABLE_PINS = {
     "exp:1": (
         "351f0622fc9d35166c1be0b3a2f1baab13572ac813f722c7bf674efdff65932c",
@@ -382,7 +383,7 @@ TABLE_PINS = {
     ),
     "lomax:2": (
         "5d9bf38fdb19810bec0cf7d2e338a2f77fc647aa46139144036c54599420c931",
-        "abb964b0db33f926da5c6b5e907e1de6b8a7b1c04fb13717cda7135f714246c4",
+        "b6773ca043ff24dd2ceae01becbb80f94f909ca7bce2154c7597bfd931829e9d",
         "d0102c9b09ced8207fc6fad94a66ec63b03c84a8e7fe708c2a850e25924920d0",
         "f335ec00b6f0b5fbb868233b15f8749f3d32541544c660beb153c3f542472824",
         "c6058d44cc7c325ea8fc314ec7d0e00181289aad5ff1456ba6873c854461c162",
@@ -390,7 +391,7 @@ TABLE_PINS = {
     ),
     "lomax:1.5": (
         "2caf52b78cf450585f5349520cb300078edda157d8d0d013a2626d538e9aa180",
-        "d1e91a3f9f789df17bd46828a5c04e8be1ddc3752a2a981b8783f17db16ba034",
+        "b962fb355d7ab4d72fd20edb00978d78f1ece656673431add35d5cea753547a4",
         "5942fd41296de3c7486a43432737b03253c940b4475e77acf52c49a5a69d0de1",
         "439dfdd1faa027863031f4181f01572f8cd8f21fd64397dc2951101eb0a6af54",
         "1817335adf3749c15cdb368724c4b4c5a8981c4b93249d1f56dc47a58cfe386d",

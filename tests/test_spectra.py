@@ -267,6 +267,7 @@ def _spectral_digests(kernel):
                                  ).hexdigest() for name, vals in calls.items()}
 
 
+# lomax re-pinned when the Lomax contour rule began to stop on geometric convergence
 SPECTRA_PINS = {   # R, Q, b_factorial, bartlett, im_b_diagonal
     "exp": (
         "7aac6979867f5c7a9c6073f19d5e8cae66de7722d732f6c8866b2ae7847aaa87",
@@ -276,11 +277,11 @@ SPECTRA_PINS = {   # R, Q, b_factorial, bartlett, im_b_diagonal
         "b24472cd5e524374b27bb90e94de57f34a99aeff06b154089cc584a574a2f5e8",
     ),
     "lomax": (
-        "143412a9cb6def537359cd0755bc35b6f4c6ab04ea931ea52a0020868e6fa7ac",
-        "88ebf84be84b8bc3f55b136d77527cf7db420d6dbf26844d3c11765ec8a6580d",
-        "4dab4f3a3908e3db0e95c77432c0c2dc5a7bbc42d9aa412c868e3614b83e5281",
-        "669e97f7b47e0d398130088336671317f613d1f3d7f9d085d607e831201c499a",
-        "2bb29ce8e92bc7c4d5fb9445debac6195b7526faebcaf17daef61286181bd4c5",
+        "be399f33c1326989e0dea6703d39a8a618b5a91bad129ec2b894eac8d8cbe9d1",
+        "ab7c1eaa9f063e5302b03109a8600961a18c57d22b472299b6483c53c4216ee7",
+        "c3c573be82accbabe6f397631b6747a6559b2561b8feffac4cbaaa4f25299236",
+        "8e38f7ef0e34e5bde4cd87d92f688d8ee58e38c818ef1e6d2538d00af3f1f094",
+        "df269ef04819f3f816b29ff7a4debe96089b5c2e1519d7cc55b6bb338c89d90b",
     ),
     "uhalf": (
         "bb10e56b99efd3a675cb7ceaceea1f32cd5eb9fee3122088472fccbfbccad70f",
