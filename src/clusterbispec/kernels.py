@@ -506,8 +506,8 @@ def _lomax_rows(alpha, w, nodes, half=None, work=None):
     modulus e^{-(1+alpha) log|1 - iu|}, with log|1 - iu| = v + log1p(-2u e^{-2v}) / 2
     (finite wherever u is), and phase phi = (1+alpha) arctan u, so hhat = alpha (sum mod
     sin phi - i sum mod cos phi); sin and cos come from tan(phi/2).  Rows run
-    CHUNK_CELLS // nodes at a time through the four arrays of ``work`` (each with at
-    least that many cells), and each row is summed alone.
+    CHUNK_CELLS // nodes at a time through the four arrays of ``work`` (each at least
+    one block long), and each row is summed alone.
     """
     if half is None:
         half = 0.5 * _lomax_contour_end(alpha, w)

@@ -258,7 +258,8 @@ def test_lomax_transform_out_of_range_is_named():
 def test_lomax_transform_at_large_alpha_is_right_or_refused():
     # past alpha of about 1000 the phase (1 + alpha) arctan u turns faster than 512 nodes
     # resolve: a frequency whose 512-node rung still moves by more than TRANSFORM_TOL is
-    # refused by name (Lomax(1e4) at w = 1 used to return -9.47 - 8.92i), any other is right
+    # refused by name (at alpha = 1e4, w = 1 the 512-node rule is off by 13.8), any other
+    # is right
     mpmath = pytest.importorskip("mpmath")
     for alpha in (2000.0, 5000.0, 1e4, 1e5):
         for x in (1e-3, -1e-3, 1.0, -1.0, 100.0, -100.0):
@@ -330,9 +331,7 @@ def test_lomax_rule_work_on_the_spectra_grid(monkeypatch):
     # and of its pairwise sums.  Q_n is certified by Q_{2n}, or by the geometric
     # contraction of its last two changes, so from 8 nodes up a frequency stopping
     # at 16 nodes costs 8 + 16, at 32 costs 56 and at 64 costs 120; most of this grid
-    # stops at 32 (it cost 115 a frequency on a ladder from 16 that stopped only on
-    # the last change, 400 with the fixed rule); none passes 8 + ... + 512, and w = 0
-    # runs no rule
+    # stops at 32, none passes 8 + ... + 512, and w = 0 runs no rule
     axis = np.linspace(-20.0, 20.0, 64)
     w = np.unique(np.abs(np.concatenate([axis, np.add.outer(axis, axis).ravel()])))
     count = _lomax_cells(monkeypatch)
@@ -396,7 +395,7 @@ def test_lomax_transform_memory_bounded():
 def test_lomax_transform_reuses_its_pages():
     # the 649 distinct moduli of the lomax:1.5 n = 256 inversion lattice: once warm, the
     # rule's blocks stay under glibc's mmap threshold and reuse one workspace, so its
-    # calls map no fresh pages (whole-lattice temporaries took about 2300 faults a call)
+    # calls map no fresh pages (temporaries above it cost about 2300 faults a call)
     moduli = []
 
     class Recorded(Lomax):
