@@ -14,7 +14,10 @@ per-anchor partials are fsum-reduced.  Each anchor's neighbors are cut into
 segments; anchors are taken in runs of bounded length and a run's segments
 in blocks of bounded pair count, one column per segment, so beyond the
 neighbor bounds (two or four indices per event) memory does not grow with
-the window.
+the window.  contrast_statistics takes many windows in one pass: their
+anchors are queued in order, and a run may hold the tail of one window and
+the heads of the next, each window's times and bounds placed side by side
+in one index space, unshifted, so every lag keeps its bits.
 
 The fast path certifies most sums.  Each column of a block is split by one
 error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
@@ -38,7 +41,8 @@ raise ValueError.
 
 Both paths return the correctly rounded exact sum, so the per-anchor sum
 does not depend on which path took it, on term order, on how anchors are
-cut or blocked, or on which exactly-zero terms are dropped, and it is
+cut, blocked or grouped into runs (with one window's anchors or with many
+windows'), or on which exactly-zero terms are dropped, and it is
 sign-symmetric.  Consequences: the support-pruned implementation equals
 the O(n^3) reference exactly (the reference, a plain math.fsum per anchor
 over every ordered triple, lives with the tests in tests/oracles.py),
@@ -57,7 +61,7 @@ exact per-anchor sum, and with it every statistic, is bit-identical to the
 all-pairs sum.
 
 The pairs a window will form are counted from the segment bounds before
-any term is evaluated; a window above PAIR_BUDGET raises
+any term is evaluated on it; a window above PAIR_BUDGET raises
 PairBudgetExceeded.
 """
 
@@ -66,7 +70,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Hashable
+from itertools import chain
+from typing import Callable, Hashable, Iterable
 
 import numpy as np
 
@@ -83,6 +88,7 @@ __all__ = [
     "smooth_quadrant_bump",
     "sign_contrast_function",
     "contrast_statistic",
+    "contrast_statistics",
     "ExactMeanResult",
     "exact_mean",
     "LinearityScan",
@@ -122,8 +128,10 @@ _EXTRACT_FLOOR = 2.0**-900
 _BOUND_FACTOR = 4 * 2.0**-53
 # anchors are taken in runs of _RUN_ANCHORS, whose column sums (t, lo, beta)
 # wait together for their join; long enough that blocks stay full on
-# typical windows
-_RUN_ANCHORS = 2**12
+# typical windows and that the few numpy calls each distinct segment length
+# costs are shared by several short windows (contrast_statistics); runs of
+# 2**15 ran faster still on the C06 scan, at 16 % more process RSS
+_RUN_ANCHORS = 2**13
 # most neighbor pairs one statistic may form: the README's T = 1e4 window
 # (19,669 events, H = 4) forms 1.9e6 pairs in about 0.1 s on a 2-core Xeon
 # VM, about 60 ns a pair.  In the worst case, every anchor summed again by
@@ -256,13 +264,14 @@ def smooth_quadrant_bump(H) -> OddTestFunction:
         v -= c
         s2 += np.square(v, out=v)
         s2 /= r**2
-        out = np.zeros(len(s2))
-        inside = np.flatnonzero(s2 < 1.0)
-        v = np.subtract(1.0, s2[inside])
-        np.exp(np.divide(-1.0, v, out=v), out=v)
-        v *= s[inside]
-        out[inside] = v + 0.0
-        return out.reshape(shape)
+        v = np.subtract(1.0, s2, out=s2)       # 0 off the open disc (and at NaN), where
+        np.fmax(v, 0.0, out=v)                 # -1/0 = -inf and exp(-inf) = +0.0
+        with np.errstate(divide="ignore"):
+            np.divide(-1.0, v, out=v)
+        np.exp(v, out=v)
+        v *= s
+        v += 0.0
+        return v.reshape(shape)
 
     # the two lobes have disjoint supports, so sup|g| = e^-1
     return OddTestFunction(H, evaluate, math.exp(-1.0), quadrant_symmetric=True, key=("bump", H))
@@ -399,24 +408,23 @@ def _pair_index(c, r0, r1, symmetric):
 def _blocks(x, a, f, bounds):
     """Yield (pos, vals) for every block of the segments of the anchors ``a``.
 
-    ``a`` holds anchor indices and ``bounds`` the window's neighbor bounds
-    (_bounds).  The neighbors of each anchor are cut into segments (see
-    contrast_statistic); segment s holds the count[s] neighbors first[s],
-    first[s] + 1, ... of its anchor, stepping over index skip[s].  vals is a
-    (pairs x segments) block of terms g(x_j - x_i, x_k - x_i), one column
-    per segment, each term doubled for a quadrant-symmetric g (the exact
-    sum of g at (j, k) and at (k, j)), and pos[s] is the position in ``a``
-    of column s's anchor.
+    ``a`` holds anchor indices into ``x`` and ``bounds`` their neighbor
+    bounds, one entry per anchor (_bounds).  The neighbors of each anchor are
+    cut into segments (see contrast_statistic); segment s holds the count[s]
+    neighbors first[s], first[s] + 1, ... of its anchor, stepping over the
+    anchor itself.  vals is a (pairs x segments) block of terms
+    g(x_j - x_i, x_k - x_i), one column per segment, each term doubled for a
+    quadrant-symmetric g (the exact sum of g at (j, k) and at (k, j)), and
+    pos[s] is the position in ``a`` of column s's anchor.
     """
     if f.quadrant_symmetric:   # [lo, first tie) and (last tie, hi); the anchor is in neither
-        lo, hi, below, above = (b[a] for b in bounds)
+        lo, hi, below, above = bounds
         pos = np.arange(len(a)).repeat(2)
         first = np.column_stack([lo, above]).ravel()
         count = np.column_stack([below - lo, hi - above]).ravel()
-        skip = np.full(len(pos), len(x))
     else:                      # the box, skipping the anchor itself
-        lo, hi = (b[a] for b in bounds)
-        pos, first, count, skip = np.arange(len(a)), lo, hi - lo - 1, a
+        lo, hi = bounds
+        pos, first, count = np.arange(len(a)), lo, hi - lo - 1
     anchor = a[pos]
     order = np.argsort(count, kind="stable")
     for grp in np.split(order, np.flatnonzero(np.diff(count[order])) + 1):
@@ -433,11 +441,14 @@ def _blocks(x, a, f, bounds):
             for b in range(0, len(grp), per_block):
                 s = grp[b:b + per_block]
                 nb = first[s] + np.arange(c)[:, None]
-                nb += nb >= skip[s]
+                if not f.quadrant_symmetric:
+                    nb += nb >= anchor[s]
                 d = x[nb] - x[anchor[s]]
                 vals = np.asarray(f.evaluate(d[pj].ravel(), d[pk].ravel()), dtype=float)
                 vals = vals.reshape(len(pj), len(s))
-                yield pos[s], 2.0 * vals if f.quadrant_symmetric else vals
+                if f.quadrant_symmetric:
+                    vals = np.multiply(vals, 2.0, out=vals if vals.flags.writeable else None)
+                yield pos[s], vals
 
 
 def _bounds(x, f) -> tuple:
@@ -445,7 +456,7 @@ def _bounds(x, f) -> tuple:
 
     [lo, hi) is the box [x - H, x + H]; for a quadrant-symmetric g, [below,
     above) also gives the run of ties with the anchor, which cuts the box
-    into its backward and forward segments.
+    into its backward and forward segments.  Each bound is nondecreasing.
     """
     H = f.support_radius
     lo = np.searchsorted(x, x - H, side="left")
@@ -493,8 +504,97 @@ def _anchor_sums(x, a, f, bounds) -> list:
     sums, certified = _join(*(np.concatenate(c) for c in zip(*cols)), len(a))
     redo = np.flatnonzero(~certified)
     if len(redo):
-        sums[redo] = _exact_anchor_sums(x, a[redo], f, bounds)
+        sums[redo] = _exact_anchor_sums(x, a[redo], f, tuple(b[redo] for b in bounds))
     return sums.tolist()
+
+
+@dataclass
+class _Queued:
+    """A window whose anchors wait for their runs; those below ``next`` are summed."""
+
+    x: np.ndarray
+    bounds: tuple
+    T: float
+    slot: int                # its place among the statistics
+    next: int = 0
+    partials: list = field(default_factory=list)
+
+
+def _run(queue, size, f, out) -> None:
+    """Sum the next ``size`` queued anchors as one run; finish the windows it completes.
+
+    Each window the run reaches places the times its anchors' boxes span,
+    unshifted, in the run's index space, and its anchors and their bounds
+    are offset by where those times start there.  The windows a run
+    completes leave the queue, each statistic written to ``out``.
+    """
+    xs, anchors, bounds, taken = [], [], [], []
+    offset, left = 0, size
+    for w in queue:
+        if not left:
+            break
+        a0 = w.next
+        a1 = min(len(w.x), a0 + left)
+        base, top = int(w.bounds[0][a0]), int(w.bounds[1][a1 - 1])   # bounds are sorted
+        shift = offset - base
+        xs.append(w.x[base:top])
+        anchors.append(np.arange(a0 + shift, a1 + shift))
+        bounds.append([b[a0:a1] + shift for b in w.bounds])
+        taken.append((w, a1))
+        offset += top - base
+        left -= a1 - a0
+    sums = _anchor_sums(np.concatenate(xs), np.concatenate(anchors), f,
+                        tuple(map(np.concatenate, zip(*bounds))))
+    i = done = 0
+    for w, a1 in taken:
+        w.partials += sums[i:i + a1 - w.next]
+        i += a1 - w.next
+        w.next = a1
+        if a1 == len(w.x):
+            out[w.slot] = math.fsum(w.partials) / w.T
+            done += 1
+    del queue[:done]
+
+
+def contrast_statistics(windows: Iterable[EventSeries], f: OddTestFunction) -> list:
+    """contrast_statistic of every window in ``windows``, in order, in one pass.
+
+    The windows are read one at a time, and each is checked as it is read:
+    one with no usable triples warns EmptyWindowWarning and its statistic
+    is 0.0, and one that would form more than PAIR_BUDGET pairs raises
+    PairBudgetExceeded before g is evaluated on it.  Its anchors then join
+    one queue, which is summed in runs of _RUN_ANCHORS anchors, so a run
+    can take the tail of one window and the heads of the next few; once a
+    window's last anchor is summed its partials are fsum-reduced and
+    divided by its own T.  Every anchor's sum is correctly rounded and
+    depends only on its own window's times, so each statistic is, bit for
+    bit, contrast_statistic on that window alone.  Beyond the blocks, memory
+    holds the windows still queued: the last one read and those before it
+    that its run has not finished.
+    """
+    out, queue, queued = [], [], 0
+    for series in windows:
+        x = np.asarray(series.times, dtype=float)
+        T = series.window_end
+        out.append(0.0)
+        if T <= 0 or len(x) < 3:
+            warnings.warn("window has no usable triples; statistic is 0",
+                          EmptyWindowWarning, stacklevel=2)
+            continue
+        bounds = _bounds(x, f)
+        pairs = _pair_count(bounds)
+        if pairs > PAIR_BUDGET:
+            raise PairBudgetExceeded(
+                f"{len(x)} events with support radius {f.support_radius:g} form {pairs:.3g} "
+                f"pairs, above the budget of {PAIR_BUDGET:.0e}")
+        queue.append(_Queued(x, bounds, T, len(out) - 1))
+        queued += len(x)
+        while queued >= _RUN_ANCHORS:
+            _run(queue, _RUN_ANCHORS, f, out)
+            queued -= _RUN_ANCHORS
+    if queued:
+        _run(queue, queued, f, out)
+    return out
 
 
 def contrast_statistic(series: EventSeries, f: OddTestFunction) -> float:
@@ -520,24 +620,13 @@ def contrast_statistic(series: EventSeries, f: OddTestFunction) -> float:
     module docstring has both).  The anchor partials are fsum-reduced, so the
     result does not depend on the segments, the runs, the blocking or the
     path an anchor took.
+
+    This is contrast_statistics on one window.  There a run can also hold
+    anchors of other windows; since each anchor's sum is the correctly
+    rounded sum of its own window's terms, and the times are never shifted,
+    that sharing cannot move a bit either.
     """
-    x = np.asarray(series.times, dtype=float)
-    n = len(x)
-    T = series.window_end
-    if T <= 0 or n < 3:
-        warnings.warn("window has no usable triples; statistic is 0",
-                      EmptyWindowWarning, stacklevel=2)
-        return 0.0
-    bounds = _bounds(x, f)
-    pairs = _pair_count(bounds)
-    if pairs > PAIR_BUDGET:
-        raise PairBudgetExceeded(
-            f"{n} events with support radius {f.support_radius:g} form {pairs:.3g} pairs, "
-            f"above the budget of {PAIR_BUDGET:.0e}")
-    partials = []
-    for a0 in range(0, n, _RUN_ANCHORS):
-        partials += _anchor_sums(x, np.arange(a0, min(n, a0 + _RUN_ANCHORS)), f, bounds)
-    return math.fsum(partials) / T
+    return contrast_statistics([series], f)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +690,8 @@ def linearity_scan(params: ModelParams, f: OddTestFunction, T, theta_list,
     """Mean statistic versus theta with a least-squares line through the data.
 
     Each (theta, replicate) cell simulates an independent window (one child
-    stream of ``seed`` per cell) and evaluates the pruned statistic.  The
+    stream of ``seed`` per cell), and every cell's statistic comes from one
+    pass of contrast_statistics, which draws the windows as it goes.  The
     fitted intercept should be consistent with 0 and the slope with mu_{T,g}.
     """
     thetas = np.asarray(theta_list, dtype=float)
@@ -612,15 +702,12 @@ def linearity_scan(params: ModelParams, f: OddTestFunction, T, theta_list,
     if np.any(np.abs(thetas) > 1):
         raise ValueError("theta values must lie in [-1, 1]")
     replicates = int(replicates)
-    means = np.empty(len(thetas))
-    errs = np.empty(len(thetas))
     root = np.random.SeedSequence(seed)   # each theta spawns the next `replicates` children
-    for ti, theta in enumerate(thetas):
-        p = ModelParams(params.nu, params.m, float(theta), params.kernel)
-        vals = replicate_windows(p, T, lambda series: contrast_statistic(series, f),
-                                 replicates, root)
-        means[ti] = vals.mean()
-        errs[ti] = vals.std(ddof=1) / math.sqrt(replicates)
+    windows = [replicate_windows(ModelParams(params.nu, params.m, float(theta), params.kernel),
+                                 T, replicates, root) for theta in thetas]
+    vals = np.reshape(contrast_statistics(chain.from_iterable(windows), f), (len(thetas), -1))
+    means = np.array([row.mean() for row in vals])
+    errs = np.array([row.std(ddof=1) for row in vals]) / math.sqrt(replicates)
     # unweighted LS line; parameter errors propagated from the cell stderrs
     tbar = thetas.mean()
     sxx = float(((thetas - tbar) ** 2).sum())

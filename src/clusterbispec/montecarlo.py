@@ -249,7 +249,8 @@ def mean_periodogram(params: ModelParams, T, omega_list, replicates, seed) -> li
     if np.any(omegas == 0):
         raise ValueError("omega = 0 is intensity-dominated; use nonzero frequencies")
     replicates = int(replicates)
-    values = replicate_windows(params, T, partial(periodogram, omega=omegas), replicates, seed)
+    windows = replicate_windows(params, T, replicates, seed)
+    values = np.array([periodogram(w, omegas) for w in windows])
     return [McEstimate(float(col.mean()), float(col.std(ddof=1) / math.sqrt(replicates)), 0.0)
             for col in values.T]
 

@@ -21,6 +21,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -353,23 +354,21 @@ def simulate_window_batched(params: ModelParams, T, rng, pad_tol=None) -> np.nda
     return _simulate(params, T, rng)[1]
 
 
-def replicate_windows(params: ModelParams, T, statistic, replicates, seed) -> np.ndarray:
-    """``statistic(series)`` on ``replicates`` >= 2 independent windows, in replicate order.
+def replicate_windows(params: ModelParams, T, replicates, seed) -> Iterator[EventSeries]:
+    """``replicates`` >= 2 independent windows of length T, drawn lazily in replicate order.
 
-    Each replicate's window is drawn from its own child of ``seed`` (an
-    integer or a SeedSequence).  Children are spawned from the seed's
-    sequence, so calls that share one SeedSequence continue its child
-    numbering and never reuse a stream.
+    ``replicates`` is checked, and the children of ``seed`` (an integer or a
+    SeedSequence) spawned, when this is called; the windows are drawn only
+    as they are taken, one per ``next``, each from its own child.  Children
+    are spawned from the seed's sequence, so calls that share one
+    SeedSequence continue its child numbering and never reuse a stream.
     """
     if int(replicates) < 2:
         raise ValueError(f"need at least two replicates for a standard error, got {replicates}")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-
-    def window(stream):
-        times = simulate_window_batched(params, T, np.random.default_rng(stream))
-        return EventSeries(times, float(T), {"kind": "replicate"})
-
-    return np.array([statistic(window(s)) for s in root.spawn(int(replicates))])
+    # a generator expression evaluates its first iterable at once: the spawn
+    return (EventSeries(simulate_window_batched(params, T, np.random.default_rng(s)), float(T),
+                        {"kind": "replicate"}) for s in root.spawn(int(replicates)))
 
 
 # ---------------------------------------------------------------------------

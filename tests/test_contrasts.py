@@ -18,6 +18,7 @@ from clusterbispec.contrasts import (
     PairBudgetExceeded,
     antisymmetrize,
     contrast_statistic,
+    contrast_statistics,
     exact_mean,
     linearity_scan,
     quadrant_indicator,
@@ -317,6 +318,83 @@ def test_anchor_runs_do_not_change_statistic(rng, monkeypatch):
         assert [contrast_statistic(s, f).hex() for s in series for f in fs] == expected
 
 
+def _batch_windows(rng):
+    """Windows for the batched statistic: empty, under three events, with
+    ties, simulated, and last one longer than a run of 2**13 anchors."""
+    p = ModelParams(1.0, 0.5, 1.0, Exponential(1.0))
+    return [
+        EventSeries(np.array([]), 5.0),
+        random_series(rng, 120, T=40.0),
+        EventSeries(np.array([0.5, 1.5]), 2.0),
+        clustered_series(rng, 60.0, 40),
+        EventSeries(simulate_window_batched(p, 300.0, rng), 300.0),
+        EventSeries(np.array([1.0, 1.0, 1.0, 2.0]), 3.0),
+        random_series(rng, 3, T=4.0, dup_frac=0.0),
+        EventSeries(simulate_window_batched(p, 4200.0, rng), 4200.0),
+    ]
+
+
+def test_batched_statistics_equal_the_per_window_ones(monkeypatch):
+    # runs that take the anchors of many windows move no bit: each anchor's
+    # sum is correctly rounded.  At runs of 1 and 7 anchors every window of
+    # eight or more events is longer than a run; the 8599-event window is
+    # left out there only to save time
+    windows = _batch_windows(np.random.default_rng(1301))
+    assert len(windows[-1]) > contrasts._RUN_ANCHORS
+
+    def u(a, b):
+        return np.exp(-(a - 1.0) ** 2 - 2.0 * (b - 0.5) ** 2)
+
+    quad = quadrant_indicator(2.0)
+    fs = (smooth_quadrant_bump(4.0), quad, replace(quad, quadrant_symmetric=False),
+          antisymmetrize(u, 3.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptyWindowWarning)
+        expected = [[contrast_statistic(w, f).hex() for w in windows] for f in fs]
+        assert [[v.hex() for v in contrast_statistics(windows, f)] for f in fs] == expected
+        for run in (1, 7, 2**20):
+            monkeypatch.setattr(contrasts, "_RUN_ANCHORS", run)
+            batch = windows if run > len(windows[-1]) else windows[:-1]
+            got = [[v.hex() for v in contrast_statistics(iter(batch), f)] for f in fs]
+            assert got == [e[:len(batch)] for e in expected], run
+
+
+def test_batch_refuses_a_window_over_the_budget_before_evaluating_it(monkeypatch):
+    # windows on the integers, then 1e5 events within one H: g has summed
+    # the first windows' runs, and never sees a lag of the third
+    bump = smooth_quadrant_bump(4.0)
+    lags = None
+
+    def evaluate(t1, t2):
+        if lags is not None:
+            assert np.all(t1 == np.round(t1)), "g evaluated on the window above the budget"
+            lags.append(len(t1))
+        return bump.evaluate(t1, t2)
+
+    g = OddTestFunction(4.0, evaluate, bump.bound, quadrant_symmetric=True)
+    monkeypatch.setattr(contrasts, "_RUN_ANCHORS", 7)
+    lags = []
+    small = EventSeries(np.array([0.0, 1.0, 2.0, 3.0, 5.0, 8.0]), 10.0)
+    windows = [small, small, EventSeries(np.linspace(0.0, 1.0, 10**5), 1.0), small]
+    with pytest.raises(PairBudgetExceeded, match="3.33e\\+14 pairs"):
+        contrast_statistics(windows, g)
+    assert lags
+
+
+def test_batch_warns_once_per_empty_window():
+    g = smooth_quadrant_bump(4.0)
+    full = EventSeries(np.array([0.0, 0.7, 1.1, 2.9, 3.2]), 4.0)
+    windows = [EventSeries(np.array([]), 1.0), full, EventSeries(np.array([0.5, 1.5]), 2.0),
+               full, EventSeries(np.zeros(3), 0.0)]
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        values = contrast_statistics(windows, g)
+    assert sum(issubclass(w.category, EmptyWindowWarning) for w in seen) == 3
+    assert [values[i] for i in (0, 2, 4)] == [0.0, 0.0, 0.0]
+    assert values[1] == values[3] == contrast_statistic(full, g) != 0.0
+    assert contrast_statistics([], g) == []
+
+
 def test_statistic_memory_is_bounded():
     # one T = 1e4 window holds about 8e6 neighbor pairs; materializing them
     # all at once peaks near 1 GB, anchor blocks stay far below 100 MB
@@ -332,6 +410,21 @@ def test_statistic_memory_is_bounded():
         tracemalloc.stop()
     assert peak < 100e6
     assert value.hex() == contrast_statistic(series, replace(g, quadrant_symmetric=False)).hex()
+
+
+def test_scan_memory_is_bounded():
+    # a scan holds only the windows its current run of anchors reaches:
+    # 3 x 50 windows at T = 1e3 peak near 5.5 MB with runs of 2**13 anchors
+    # (17 MB with runs of 2**15), where the bounds of all 150 windows alone
+    # take about 10 MB
+    g = smooth_quadrant_bump(4.0)
+    tracemalloc.start()
+    try:
+        linearity_scan(EXP_PARAMS, g, 1e3, (-1.0, 0.0, 1.0), 50, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_pair_budget_refuses_before_evaluating():
@@ -606,10 +699,9 @@ def test_exact_mean_matches_simulation(exp_odd_grid):
     rng = np.random.default_rng(23)
     for T, reps in ((500.0, 500), (12.0, 2000)):
         target = exact_mean(EXP_PARAMS, g, T, exp_odd_grid).value
-        vals = np.empty(reps)
-        for r in range(reps):
-            times = simulate_window_batched(EXP_PARAMS, T, rng)
-            vals[r] = contrast_statistic(EventSeries(times, T, {}), g)
+        windows = (EventSeries(simulate_window_batched(EXP_PARAMS, T, rng), T, {})
+                   for _ in range(reps))
+        vals = np.array(contrast_statistics(windows, g))
         se = vals.std(ddof=1) / math.sqrt(reps)
         assert abs(vals.mean() - target) < 4 * se, T
 

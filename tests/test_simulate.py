@@ -283,8 +283,8 @@ def test_lomax_window_mean_count_and_periodogram():
     p = ModelParams(1.0, 0.5, 1.0, Lomax(2.0))
     T, reps = 2e4, 60
     omegas = np.array([0.05, 0.3, 1.0, 3.0])
-    stats = replicate_windows(p, T, lambda s: np.concatenate([[len(s)], periodogram(s, omegas)]),
-                              reps, 2)
+    stats = np.array([np.concatenate([[len(s)], periodogram(s, omegas)])
+                      for s in replicate_windows(p, T, reps, 2)])
     target = np.concatenate([[p.lam * T], bartlett(p, omegas).real])
     z = (stats.mean(axis=0) - target) / (stats.std(axis=0, ddof=1) / math.sqrt(reps))
     assert np.all(np.abs(z) < 4.0), z
@@ -328,13 +328,38 @@ def test_batched_engine_matches_law():
 
 def test_replicate_windows_spawns_fresh_streams():
     # calls sharing one SeedSequence continue its children: two calls of four
-    # replicates equal one call of eight
+    # replicates equal one call of eight, even when the second call is made
+    # before the first is drawn
     p = ModelParams(1.0, 0.5, 1.0, Exponential(1.0))
     root = np.random.SeedSequence(4)
-    halves = [replicate_windows(p, 50.0, len, 4, root) for _ in range(2)]
-    whole = replicate_windows(p, 50.0, len, 8, 4)
-    assert np.array_equal(np.concatenate(halves), whole)
-    assert not np.array_equal(halves[0], halves[1])
+    halves = [replicate_windows(p, 50.0, 4, root) for _ in range(2)]
+    halves = [[len(w) for w in half] for half in halves]
+    whole = [len(w) for w in replicate_windows(p, 50.0, 8, 4)]
+    assert halves[0] + halves[1] == whole
+    assert halves[0] != halves[1]
+
+
+def test_replicate_windows_checks_then_draws_lazily(monkeypatch):
+    # fewer than two replicates is refused before any window is drawn, and
+    # each window is drawn when it is taken, one per next
+    drawn = []
+    batched = simulate.simulate_window_batched
+
+    def counting(*args):
+        drawn.append(1)
+        return batched(*args)
+
+    monkeypatch.setattr(simulate, "simulate_window_batched", counting)
+    p = ModelParams(1.0, 0.5, 1.0, Exponential(1.0))
+    for reps in (0, 1, -3):
+        with pytest.raises(ValueError, match="two replicates"):
+            replicate_windows(p, 50.0, reps, 0)
+    windows = replicate_windows(p, 50.0, 3, 0)
+    assert drawn == []
+    for k in range(3):
+        w = next(windows)
+        assert len(drawn) == k + 1 and w.window_end == 50.0
+    assert next(windows, None) is None and len(drawn) == 3
 
 
 # ---------------------------------------------------------------------------
