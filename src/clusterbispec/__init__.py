@@ -38,6 +38,7 @@ from .contrasts import (
     OddTestFunction,
     antisymmetrize,
     contrast_statistic,
+    contrast_statistics,
     exact_mean,
     linearity_scan,
     smooth_quadrant_bump,
@@ -57,7 +58,7 @@ __all__ = [
     "CumulantGrid", "invert_bispectrum", "odd_part", "contrast_mass_DH",
     "mu_g_time", "mu_g_freq",
     "OddTestFunction", "antisymmetrize", "smooth_quadrant_bump",
-    "contrast_statistic", "exact_mean", "linearity_scan",
+    "contrast_statistic", "contrast_statistics", "exact_mean", "linearity_scan",
     "McEstimate", "mc_b_complete", "mc_cluster_m2", "periodogram", "mean_periodogram",
     "MixtureZ", "chi_alpha", "delta_m", "z_from_kernel", "diag_limit_check",
 ]

@@ -568,9 +568,9 @@ def contrast_statistics(windows: Iterable[EventSeries], f: OddTestFunction) -> l
     window's last anchor is summed its partials are fsum-reduced and
     divided by its own T.  Every anchor's sum is correctly rounded and
     depends only on its own window's times, so each statistic is, bit for
-    bit, contrast_statistic on that window alone.  Beyond the blocks, memory
-    holds the windows still queued: the last one read and those before it
-    that its run has not finished.
+    bit, contrast_statistic on that window alone.  Beyond the blocks, only
+    the windows with anchors still queued are held, and after each run
+    fewer than _RUN_ANCHORS anchors are.
     """
     out, queue, queued = [], [], 0
     for series in windows:

@@ -366,7 +366,7 @@ def replicate_windows(params: ModelParams, T, replicates, seed) -> Iterator[Even
     if int(replicates) < 2:
         raise ValueError(f"need at least two replicates for a standard error, got {replicates}")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    # a generator expression evaluates its first iterable at once: the spawn
+    # the spawn runs now: a generator expression evaluates its first iterable at once
     return (EventSeries(simulate_window_batched(params, T, np.random.default_rng(s)), float(T),
                         {"kind": "replicate"}) for s in root.spawn(int(replicates)))
 
