@@ -60,6 +60,14 @@ exact zero, and 2 * g is the exact sum of the two mirrored terms, so the
 exact per-anchor sum, and with it every statistic, is bit-identical to the
 all-pairs sum.
 
+A term is formed from a part per lag and a part per pair, which travel on
+g's evaluate.  The smooth bump's are psi(|d|) = (|d| - H/2)^2, taken once
+per neighbor, and phi(psi_j + psi_k) = exp(-1/(1 - S/r^2)) per pair, with
+the side's sign and the factor 2 applied once per column: on a same-side
+segment that is 2 g bit for bit, up to the sign of a zero term, which no
+sum sees.  Every other g, and a g whose evaluate was replaced, has the
+signed lags as its per-lag part and evaluate itself as its pair part.
+
 The pairs a window will form are counted from the segment bounds before
 any term is evaluated on it; a window above PAIR_BUDGET raises
 PairBudgetExceeded.
@@ -133,10 +141,10 @@ _BOUND_FACTOR = 4 * 2.0**-53
 # 2**15 ran faster still on the C06 scan, at 16 % more process RSS
 _RUN_ANCHORS = 2**13
 # most neighbor pairs one statistic may form: the README's T = 1e4 window
-# (19,669 events, H = 4) forms 1.9e6 pairs in about 0.1 s on a 2-core Xeon
-# VM, about 60 ns a pair.  In the worst case, every anchor summed again by
-# math.fsum, it takes about 0.4 s, about 200 ns a pair, so 1e10 pairs take
-# at most about 35 minutes
+# (19,711 events, H = 4) forms 1.9e6 pairs in about 0.035 s on a 2-core Xeon
+# VM, about 18 ns a pair.  In the worst case, every anchor summed again by
+# math.fsum, it takes about 0.18 s, about 95 ns a pair, so 1e10 pairs take
+# at most about 16 minutes
 PAIR_BUDGET = 10**10
 
 
@@ -230,6 +238,45 @@ def quadrant_indicator(H) -> OddTestFunction:
                    key=("quadrant", float(H)))
 
 
+class _BumpTerms:
+    """The bump's g = s * phi(psi(s t1) + psi(s t2)) + 0.0, s = sign(t1), from
+    psi(t) = (t - c)^2 and phi(S) = exp(-1/(1 - S/r^2)), an exact +0.0 off the
+    open disc S < r^2 (and at NaN).  On a same-side segment s t = |t|, so the
+    statistic takes ``lag`` = psi(|d|) once per neighbor and ``pair`` = phi
+    once per pair (module docstring)."""
+
+    def __init__(self, H):
+        self.c = H / 2.0
+        self.r2 = (H / 2.0) ** 2
+
+    def psi(self, t):
+        v = np.subtract(t, self.c)
+        return np.square(v, out=v)
+
+    def lag(self, d):
+        return self.psi(np.abs(d))
+
+    def pair(self, pj, pk):
+        v = np.add(pj, pk, out=pj)             # pj is the caller's scratch
+        v /= self.r2
+        np.subtract(1.0, v, out=v)
+        inside = v > 0.0                       # the open disc; NaN is off it
+        np.fmax(v, ~inside, out=v)             # 1 off it, not 0: -1/0 = -inf would
+        np.divide(-1.0, v, out=v)              # send numpy's exp down its slow path
+        np.exp(v, out=v)
+        v *= inside                            # off it the term is an exact +0.0
+        return v
+
+    def __call__(self, t1, t2):
+        t1, t2 = np.broadcast_arrays(np.asarray(t1, dtype=float), np.asarray(t2, dtype=float))
+        shape = t1.shape
+        s = np.copysign(1.0, t1.ravel())
+        v = self.pair(self.psi(s * t1.ravel()), self.psi(s * t2.ravel()))
+        v *= s
+        v += 0.0
+        return v.reshape(shape)
+
+
 def smooth_quadrant_bump(H) -> OddTestFunction:
     """Antisymmetrized C-infinity bump seated in the open positive quadrant.
 
@@ -240,41 +287,21 @@ def smooth_quadrant_bump(H) -> OddTestFunction:
     u(tau) wherever t1 <= 0: g is s * u(s * tau) + 0.0 with s = sign(t1),
     the same floating-point values as u(tau) - u(-tau) (a zero stays +0.0)
     from one bump evaluation per point.  On the support sign(t1) = sign(t2),
-    so swapping the lags swaps the two squares of s2: g is quadrant
-    symmetric bit for bit.  ``evaluate`` divides by r^2 and squares
+    so swapping the lags swaps the two terms psi(s t1) + psi(s t2): g is
+    quadrant symmetric bit for bit.  ``evaluate`` divides by r^2 and squares
     distances of up to about 2.5 H^2 inside the box, so an H for which
-    either is not a finite normal double is :class:`Refused`.
+    either is not a finite normal double is :class:`Refused`.  ``evaluate``
+    carries its per-lag and per-pair parts (_BumpTerms), from which
+    contrast_statistic forms its terms.
     """
     H = float(H)
-    c = H / 2.0
     r = H / 2.0
     if not (r * r >= np.finfo(float).tiny and 2.5 * H * H < math.inf):
         raise Refused(f"bump support radius H = {H:g} is out of range: (H/2)^2 and 2.5 H^2 "
                       "must be finite normal doubles (about 3e-154 <= H <= 8.4e153)")
-
-    def evaluate(t1, t2):
-        t1, t2 = np.broadcast_arrays(np.asarray(t1, dtype=float), np.asarray(t2, dtype=float))
-        shape = t1.shape
-        t1, t2 = t1.ravel(), t2.ravel()
-        s = np.copysign(1.0, t1)
-        s2 = np.abs(t1)                        # ((|t1| - c)^2 + (s t2 - c)^2) / r^2, in place
-        s2 -= c
-        np.square(s2, out=s2)
-        v = s * t2
-        v -= c
-        s2 += np.square(v, out=v)
-        s2 /= r**2
-        v = np.subtract(1.0, s2, out=s2)       # 0 off the open disc (and at NaN), where
-        np.fmax(v, 0.0, out=v)                 # -1/0 = -inf and exp(-inf) = +0.0
-        with np.errstate(divide="ignore"):
-            np.divide(-1.0, v, out=v)
-        np.exp(v, out=v)
-        v *= s
-        v += 0.0
-        return v.reshape(shape)
-
     # the two lobes have disjoint supports, so sup|g| = e^-1
-    return OddTestFunction(H, evaluate, math.exp(-1.0), quadrant_symmetric=True, key=("bump", H))
+    return OddTestFunction(H, _BumpTerms(H), math.exp(-1.0), quadrant_symmetric=True,
+                           key=("bump", H))
 
 
 def sign_contrast_function(grid: CumulantGrid, H) -> OddTestFunction:
@@ -329,16 +356,17 @@ def _extract(vals):
     """
     n = len(vals)
     k = (n + 2).bit_length()
-    big = np.abs(vals).max(axis=0)
+    q = np.abs(vals)                 # one scratch block: |x|, then q, then r
+    big = q.max(axis=0)
     ok = (big == 0.0) | ((big >= _EXTRACT_FLOOR) & (big < 2.0 ** (1023 - k)))
     if not ok.all():
         vals = np.where(ok, vals, 0.0)
         big = np.where(ok, big, 0.0)
     sigma = np.ldexp(1.0, np.frexp(big)[1] + k)
-    q = vals + sigma
+    np.add(vals, sigma, out=q)
     q -= sigma
-    r = vals - q
     t = q.sum(axis=0)
+    r = np.subtract(vals, q, out=q)
     lo = r.sum(axis=0)
     beta = (_BOUND_FACTOR * n) * np.abs(r, out=r).sum(axis=0)
     beta[~ok] = np.inf
@@ -405,6 +433,18 @@ def _pair_index(c, r0, r1, symmetric):
     return pj + r0, pk
 
 
+def _split(f):
+    """(lag, pair, sides): a term on a segment is pair(lag(d_j), lag(d_k)) times
+    the factor ``sides`` gives its side (backward, forward), or as it is when
+    ``sides`` is None.  Only the bump's own evaluate, on its same-side segments,
+    has parts of its own; any other g, a replaced evaluate, or the bump's mixed
+    box without its declaration, has the signed lags and evaluate itself.
+    """
+    if f.quadrant_symmetric and isinstance(f.evaluate, _BumpTerms):
+        return f.evaluate.lag, f.evaluate.pair, (-2.0, 2.0)
+    return (lambda d: d), f.evaluate, (2.0, 2.0) if f.quadrant_symmetric else None
+
+
 def _blocks(x, a, f, bounds):
     """Yield (pos, vals) for every block of the segments of the anchors ``a``.
 
@@ -415,17 +455,24 @@ def _blocks(x, a, f, bounds):
     anchor itself.  vals is a (pairs x segments) block of terms
     g(x_j - x_i, x_k - x_i), one column per segment, each term doubled for a
     quadrant-symmetric g (the exact sum of g at (j, k) and at (k, j)), and
-    pos[s] is the position in ``a`` of column s's anchor.
+    pos[s] is the position in ``a`` of column s's anchor.  The terms come
+    from g's split (_split): its per-lag part on the segments' neighbors,
+    its pair part on every pair, and each side's factor once per column.
+    vals may live in this generator's scratch, so it is read before the
+    next block is asked for.
     """
+    lag, pair, sides = _split(f)
     if f.quadrant_symmetric:   # [lo, first tie) and (last tie, hi); the anchor is in neither
         lo, hi, below, above = bounds
         pos = np.arange(len(a)).repeat(2)
         first = np.column_stack([lo, above]).ravel()
         count = np.column_stack([below - lo, hi - above]).ravel()
+        factor = np.tile(sides, len(a))
     else:                      # the box, skipping the anchor itself
         lo, hi = bounds
         pos, first, count = np.arange(len(a)), lo, hi - lo - 1
     anchor = a[pos]
+    work = np.empty(0)         # the gathered parts; each block is read before the next
     order = np.argsort(count, kind="stable")
     for grp in np.split(order, np.flatnonzero(np.diff(count[order])) + 1):
         c = int(count[grp[0]])
@@ -443,11 +490,16 @@ def _blocks(x, a, f, bounds):
                 nb = first[s] + np.arange(c)[:, None]
                 if not f.quadrant_symmetric:
                     nb += nb >= anchor[s]
-                d = x[nb] - x[anchor[s]]
-                vals = np.asarray(f.evaluate(d[pj].ravel(), d[pk].ravel()), dtype=float)
-                vals = vals.reshape(len(pj), len(s))
-                if f.quadrant_symmetric:
-                    vals = np.multiply(vals, 2.0, out=vals if vals.flags.writeable else None)
+                p = lag(x[nb] - x[anchor[s]])
+                n = len(pj) * len(s)
+                if len(work) < 2 * n:
+                    work = np.empty(2 * n)
+                # the indices are in range; mode "wrap" spares take's copy of out
+                pp = [np.take(p, i, axis=0, out=work[h * n:(h + 1) * n].reshape(len(pj), len(s)),
+                              mode="wrap").ravel() for h, i in enumerate((pj, pk))]
+                vals = np.asarray(pair(*pp), dtype=float).reshape(len(pj), len(s))
+                if sides:
+                    vals = np.multiply(vals, factor[s], out=vals if vals.flags.writeable else None)
                 yield pos[s], vals
 
 
@@ -556,6 +608,34 @@ def _run(queue, size, f, out) -> None:
     del queue[:done]
 
 
+def _statistics(windows, f, stacklevel) -> list:
+    """contrast_statistics, warning ``stacklevel`` frames up: at the line that called
+    the public entry point, whichever of the two it was."""
+    out, queue, queued = [], [], 0
+    for series in windows:
+        x = np.asarray(series.times, dtype=float)
+        T = series.window_end
+        out.append(0.0)
+        if T <= 0 or len(x) < 3:
+            warnings.warn("window has no usable triples; statistic is 0",
+                          EmptyWindowWarning, stacklevel=stacklevel)
+            continue
+        bounds = _bounds(x, f)
+        pairs = _pair_count(bounds)
+        if pairs > PAIR_BUDGET:
+            raise PairBudgetExceeded(
+                f"{len(x)} events with support radius {f.support_radius:g} form {pairs:.3g} "
+                f"pairs, above the budget of {PAIR_BUDGET:.0e}")
+        queue.append(_Queued(x, bounds, T, len(out) - 1))
+        queued += len(x)
+        while queued >= _RUN_ANCHORS:
+            _run(queue, _RUN_ANCHORS, f, out)
+            queued -= _RUN_ANCHORS
+    if queued:
+        _run(queue, queued, f, out)
+    return out
+
+
 def contrast_statistics(windows: Iterable[EventSeries], f: OddTestFunction) -> list:
     """contrast_statistic of every window in ``windows``, in order, in one pass.
 
@@ -572,29 +652,7 @@ def contrast_statistics(windows: Iterable[EventSeries], f: OddTestFunction) -> l
     the windows with anchors still queued are held, and after each run
     fewer than _RUN_ANCHORS anchors are.
     """
-    out, queue, queued = [], [], 0
-    for series in windows:
-        x = np.asarray(series.times, dtype=float)
-        T = series.window_end
-        out.append(0.0)
-        if T <= 0 or len(x) < 3:
-            warnings.warn("window has no usable triples; statistic is 0",
-                          EmptyWindowWarning, stacklevel=2)
-            continue
-        bounds = _bounds(x, f)
-        pairs = _pair_count(bounds)
-        if pairs > PAIR_BUDGET:
-            raise PairBudgetExceeded(
-                f"{len(x)} events with support radius {f.support_radius:g} form {pairs:.3g} "
-                f"pairs, above the budget of {PAIR_BUDGET:.0e}")
-        queue.append(_Queued(x, bounds, T, len(out) - 1))
-        queued += len(x)
-        while queued >= _RUN_ANCHORS:
-            _run(queue, _RUN_ANCHORS, f, out)
-            queued -= _RUN_ANCHORS
-    if queued:
-        _run(queue, queued, f, out)
-    return out
+    return _statistics(windows, f, 3)
 
 
 def contrast_statistic(series: EventSeries, f: OddTestFunction) -> float:
@@ -626,7 +684,7 @@ def contrast_statistic(series: EventSeries, f: OddTestFunction) -> float:
     rounded sum of its own window's terms, and the times are never shifted,
     that sharing cannot move a bit either.
     """
-    return contrast_statistics([series], f)[0]
+    return _statistics([series], f, 3)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -653,9 +711,12 @@ def exact_mean(params: ModelParams, f: OddTestFunction, T, c3odd: CumulantGrid) 
     if not (T > 0 and math.isfinite(T)):
         raise ValueError(f"window length T must be positive and finite, got {T}")
 
-    def window(T1, T2):   # overlap / T
-        return np.maximum(0.0, np.minimum(np.minimum(T, T - T1), T - T2)
-                          - np.maximum(np.maximum(0.0, -T1), -T2)) / T
+    def window(t1, t2):   # overlap / T, on a column of lags and a row
+        w = np.minimum(np.minimum(T, T - t1), T - t2)
+        w -= np.maximum(np.maximum(0.0, -t1), -t2)
+        np.maximum(0.0, w, out=w)
+        w /= T
+        return w
 
     odd = odd_part(c3odd)
     mu, mu_T = _g_sums(odd, f, None, window)   # SupportExceedsGrid for a g wider than the grid

@@ -260,15 +260,32 @@ def mu_g_time(grid: CumulantGrid, f) -> float:
 
 
 def _g_sums(odd: CumulantGrid, f, *weights) -> list[float]:
-    """Lattice sums of g * w * c3_odd, one per weight w(tau1, tau2) (None: 1), from one
-    evaluation of g: the one place g meets a lag lattice."""
+    """Lattice sums of g * w * c3_odd, one per weight w (None: 1), from one evaluation
+    of g: the one place g meets a lag lattice.
+
+    g is evaluated on the column x row of lags within [-H, H] only and set into a
+    lattice of zeros, the exact 0.0 it takes outside its box.  A weight takes the
+    column of lags and the row and broadcasts them to the lattice; each product
+    g * w * c3_odd is formed in that one array and summed whole, so every bit is
+    as when g was evaluated on the whole lattice."""
     if f.support_radius > odd.half_width:
         raise SupportExceedsGrid(
             f"support radius {f.support_radius:g} exceeds grid half-width {odd.half_width:g}")
-    T1, T2 = np.broadcast_arrays(odd.lags[:, None], odd.lags[None, :])   # views, no copies
-    g = f.evaluate(T1, T2)
-    return [float(((g if w is None else g * w(T1, T2)) * odd.values).sum() * odd.spacing**2)
-            for w in weights]
+    col, row = odd.lags[:, None], odd.lags[None, :]
+    box = np.flatnonzero(np.abs(odd.lags) <= f.support_radius)            # 0 is a lag
+    box = slice(box[0], box[-1] + 1)
+    g = np.zeros((odd.n, odd.n))
+    g[box, box] = f.evaluate(*np.broadcast_arrays(col[box], row[:, box]))
+    sums = []
+    for w in weights:
+        if w is None:
+            terms = g * odd.values
+        else:                      # w returns a fresh lattice: g * w * c3_odd formed in it
+            terms = w(col, row)
+            terms *= g
+            terms *= odd.values
+        sums.append(float(terms.sum() * odd.spacing**2))
+    return sums
 
 
 @dataclass(frozen=True)

@@ -87,14 +87,24 @@ def pn_weights(m: float, eps: float = PN_TRUNCATION_EPS) -> np.ndarray:
     limit = f"p_n at m = {m:g} needs more than its limit of 1e6 terms to reach tail mass {eps:g}"
     # p_{N+1} = p_1 q^N Gamma(N + 1/2) / (sqrt(pi) Gamma(N + 2)), q = m(2-m); the ratios
     # p_{n+1}/p_n rise with n, so p_{N+1} / (1 - r_{N+1}) bounds the tail past N terms
-    # from below.  Refuse up front when it beats eps by more than the loop's rounding: each
-    # p_n is off by O(n) ulps and sum n p_n <= E K = (2-m) / (2(1-m)), so a margin of
-    # 8 sqrt(pi) / (1-m) ulps of 1 refuses no m the loop accepts (its check is the backstop).
+    # from below.  The loop sums the terms of its rounded p_1 and q, which add up exactly to
+    # 1 + dev (to first order, dev = d1 + dq / (2 (1-m)(2-m)) with d1 = p_1's relative
+    # rounding and dq = q's absolute one, both exact rationals).  Refuse up front when the
+    # N-term sum 1 + dev - tail falls short of 1 - eps by more than the loop's own rounding
+    # (three roundings a term, weighted by the tail past it, into a compensated total): that
+    # stayed within 1.4 ulps of the doubles below 1 (2^-53) at every m measured near the
+    # edge, and the margin is 16 of them.  Where it does not decide, the loop runs and its
+    # own check refuses.
     n_max = 10**6
     log_next = (math.log(p[0]) + n_max * math.log(factor) + math.lgamma(n_max + 0.5)
                 - math.lgamma(n_max + 2.0) - 0.5 * math.log(math.pi))
     ratio = (2 * n_max + 1) * factor / (2 * (n_max + 2))
-    if math.exp(log_next) / (1.0 - ratio) > eps + 8 * math.sqrt(math.pi) * 2.0**-52 / (1.0 - m):
+    (mn, md), (pn, pd), (qn, qd) = (v.as_integer_ratio() for v in (m, p[0], factor))
+    two_m = 2 * md - mn                                          # (2 - m) md
+    d1 = (2 * pn * md - pd * two_m) / (pd * two_m)              # exact, then rounded once
+    dq = (qn * md * md - qd * mn * two_m) / (qd * md * md)
+    dev = d1 + dq / (2.0 * (1.0 - m) * (2.0 - m))
+    if math.exp(log_next) / (1.0 - ratio) - dev > eps + 16 * 2.0**-53:
         raise Refused(limit)
     while total + carry < 1.0 - eps:
         n = len(p)

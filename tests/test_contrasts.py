@@ -130,6 +130,46 @@ def test_bump_evaluates_every_accepted_H(H):
     assert v[0] > 0.0 and v[1] == -v[0] and v[2] == 0.0
 
 
+def _split_against_evaluate(g, a, b):
+    """Same-sign lag pairs (a, b): the statistic's split, s * pair(lag(a), lag(b)) with
+    s the side's sign, against evaluate, bit for bit once +0.0 is added; and the term
+    the statistic sums, the side's factor times the pair part, against 2 g."""
+    lag, pair, sides = contrasts._split(g)
+    s = np.copysign(1.0, a)
+    assert np.array_equal(s, np.copysign(1.0, b))
+    part = pair(lag(a), lag(b))
+    want = g.evaluate(a, b)
+    assert np.array_equal((s * part + 0.0).view(np.int64), want.view(np.int64))
+    assert np.array_equal(np.where(s < 0, sides[0], sides[1]) * part, 2.0 * want)
+    return want
+
+
+def test_bump_split_rings_and_edges():
+    # S = r^2 exactly, the ring where the bump falls to subnormals and to 0, lags
+    # at +-H and just above 0, at H = 4 and at both ends of the accepted range
+    rim = np.linspace(3.99, 4.0, 4001)   # psi(2) + psi(b) crosses r^2 = 4 at b = 4
+    a = np.concatenate([[2.0, 4.0, 4.0, 5e-324, 5e-324, 1e-300, 2.0, 3.0], np.full(len(rim), 2.0)])
+    b = np.concatenate([[4.0, 2.0, 4.0, 5e-324, 2.0, 2.0, 2.0, 2.5], rim])
+    for H in (3e-154, 4.0, 8.4e153):
+        g = smooth_quadrant_bump(H)
+        for sign in (1.0, -1.0):
+            v = _split_against_evaluate(g, sign * a * (H / 4.0), sign * b * (H / 4.0))
+            assert v[0] == v[1] == v[2] == 0.0 and v[6] != 0.0
+    v = np.abs(_split_against_evaluate(smooth_quadrant_bump(4.0), 2.0 * np.ones(len(rim)), rim))
+    tiny = np.finfo(float).tiny
+    assert np.any((v > 0.0) & (v < tiny)) and np.any(v == 0.0) and np.any(v >= tiny)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([3e-154, 1e-100, 1.0, 4.0, 1e100, 8.4e153]),
+       st.lists(st.tuples(st.floats(0.0, 1.0, exclude_min=True), st.floats(0.0, 1.0, exclude_min=True)),
+                min_size=1, max_size=20),
+       st.sampled_from([1.0, -1.0]))
+def test_bump_split_equals_evaluate(H, points, sign):
+    a, b = (sign * H * np.array(col) for col in zip(*points))
+    _split_against_evaluate(smooth_quadrant_bump(H), a, b)
+
+
 def test_test_functions_broadcast_before_masking(exp_odd_grid):
     # a column of lags against a row: the inputs broadcast before the box mask
     # is applied, with the bits of the same call on full arrays
@@ -393,6 +433,56 @@ def test_batch_warns_once_per_empty_window():
     assert [values[i] for i in (0, 2, 4)] == [0.0, 0.0, 0.0]
     assert values[1] == values[3] == contrast_statistic(full, g) != 0.0
     assert contrast_statistics([], g) == []
+
+
+def test_replaced_evaluate_is_called():
+    # a g whose evaluate was replaced, by a plain wrapper or by one that copies the
+    # bump's attributes, is evaluated through the wrapper, with the bump's bits
+    import functools
+
+    bump = smooth_quadrant_bump(4.0)
+    series = random_series(np.random.default_rng(2801), 150, T=40.0)
+    calls = []
+
+    def plain(a, b):
+        calls.append(len(a))
+        return bump.evaluate(a, b)
+
+    @functools.wraps(bump.evaluate)
+    def wrapped(a, b):
+        calls.append(len(a))
+        return bump.evaluate(a, b)
+
+    want = contrast_statistic(series, bump)
+    for wrapper in (plain, wrapped):
+        g = replace(bump, evaluate=wrapper, key=("wrapped", wrapper))
+        calls.clear()   # the quadrant_symmetric probe
+        assert contrast_statistic(series, g).hex() == want.hex()
+        assert sum(calls) == contrasts._pair_count(contrasts._bounds(series.times, g))
+
+
+def test_statistic_raises_no_floating_point_error():
+    # no lane is divided by zero or overflows, and none is invalid, on windows with
+    # ties, lags of exactly +-H and S = r^2 on the rim of the bump's disc
+    windows = _batch_windows(np.random.default_rng(1301))
+    windows.append(EventSeries(np.array([0.0, 2.0, 4.0, 6.0, 8.0]), 10.0))
+    quad = quadrant_indicator(2.0)
+    for f in (smooth_quadrant_bump(4.0), quad, replace(quad, quadrant_symmetric=False)):
+        with np.errstate(divide="raise", over="raise", invalid="raise"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", EmptyWindowWarning)
+            contrast_statistics(windows, f)
+
+
+def test_empty_window_warning_names_the_callers_line():
+    # both entry points warn at the line that called them, here
+    g = smooth_quadrant_bump(2.0)
+    short = EventSeries(np.array([0.1, 0.2]), 1.0)
+    for call in (lambda: contrast_statistic(short, g), lambda: contrast_statistics([short], g)):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            call()
+        assert [(w.category, w.filename) for w in seen] == [(EmptyWindowWarning, __file__)]
 
 
 def test_statistic_memory_is_bounded():

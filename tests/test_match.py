@@ -221,6 +221,20 @@ def test_pn_refused_at_once_from_its_edge():
         assert time.perf_counter() - start < 0.01, m
 
 
+def test_pn_refused_at_once_across_the_edge_band():
+    # from m = 0.99593 the 1e6-term sum of the loop's own rounded terms falls short of
+    # 1 - eps by 80 ulps (2^-53) or more, and the loop ran to its limit (about 0.5 s)
+    # before refusing; the up-front check now sees it.  0.9959 keeps its table, and so
+    # does 0.995929, just past the refused 0.995928, whose rounded q lifts its sum
+    for m in np.round(np.arange(0.99593, 0.995995, 1e-5), 5):
+        start = time.perf_counter()
+        with pytest.raises(Refused, match="limit of 1e6 terms"):
+            pn_weights(float(m))
+        assert time.perf_counter() - start < 0.05, m
+    assert len(pn_weights(0.9959)) == 986053
+    assert len(pn_weights(0.995929)) == 999155
+
+
 def test_pn_sum_is_compensated():
     # with a compensated total the recurrence stops at the first term whose exact
     # partial sum reaches 1 - eps, to an ulp of 1, and accepts every m up to the
