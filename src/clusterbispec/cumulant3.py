@@ -16,6 +16,7 @@ mean of any bounded jointly odd local contrast of support radius H.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import warnings
@@ -238,11 +239,21 @@ def _reflect_index(n: int) -> np.ndarray:
 
 
 def odd_part(grid: CumulantGrid) -> CumulantGrid:
-    """Antisymmetrize about the origin; exactly odd on the periodic lattice."""
+    """Antisymmetrize about the origin; exactly odd on the periodic lattice.
+
+    A grid made here is its own odd part bit for bit, so its odd part is a copy
+    sharing its read-only values, not formed again.  The mark that says so is
+    an attribute outside the fields, so == and hash do not see it.
+    """
+    if getattr(grid, "_odd", False):
+        twin = copy.copy(grid)
+        object.__setattr__(twin, "meta", dict(grid.meta))
+        return twin
     r = _reflect_index(grid.n)
-    odd = 0.5 * (grid.values - grid.values[np.ix_(r, r)])
-    return CumulantGrid(grid.half_width, grid.n, odd, grid.spacing,
-                        grid.imag_residue, meta=dict(grid.meta))
+    odd = CumulantGrid(grid.half_width, grid.n, 0.5 * (grid.values - grid.values[np.ix_(r, r)]),
+                       grid.spacing, grid.imag_residue, meta=dict(grid.meta))
+    object.__setattr__(odd, "_odd", True)
+    return odd
 
 
 def contrast_mass_DH(grid: CumulantGrid, H: float) -> float:

@@ -312,7 +312,9 @@ class EvenTable:
     validation, the cosine transform by trapezoid sums in bounded frequency
     blocks, the draw (|X| by inverse CDF, then a fair sign) and the tail
     inversion; ``==`` and ``hash`` see the arrays.  A draw interpolates the CDF
-    linearly, so the sampled law is uniform within each cell, while the
+    linearly, bit for bit as ``np.interp`` would, finding its cell through a
+    guide table (built at the first draw) with a binary search in a crowded
+    bin, so the sampled law is uniform within each cell, while the
     transform integrates the piecewise-linear density: a reloaded
     ``match:lomax:1.5:0.5`` (through its table) transforms 6.3e-6 from the live
     one (exact) at |w| = 20 and up to 2.6e-4 below it, 1.8e-3 at 100, 2.2e-3 at 1000.
@@ -332,9 +334,10 @@ class EvenTable:
         if vals.shape != xs.shape or not np.all(np.isfinite(vals)) or np.any(vals < 0.0):
             raise InvalidKernel("tabulated density: one finite, non-negative value a knot")
         dx = readonly(np.diff(xs)) if self.spacing is None else self.spacing
-        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * dx)])
-        if not cdf[-1] > 0.0:
-            raise InvalidKernel("tabulated density has no mass")
+        with np.errstate(over="ignore"):   # a mass past the double range is refused below
+            cdf = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * dx)])
+        if not 0.0 < cdf[-1] < math.inf:
+            raise InvalidKernel("tabulated density has no mass, or more than a float holds")
         for name, a in (("values", vals), ("spacing", dx), ("grid", xs), ("cdf", readonly(cdf)),
                         ("_unit_cdf", cdf / cdf[-1]), ("_key", array_key(xs, vals))):
             object.__setattr__(self, name, a)
@@ -346,8 +349,46 @@ class EvenTable:
         return vals.astype(complex) if np.ndim(omega) else complex(vals)
 
     def sample(self, rng, size=None):
-        mag = np.interp(rng.random(size), self._unit_cdf, self.grid)
+        u = np.asarray(rng.random(size))
+        mag = self._inverse_cdf(u.ravel()).reshape(u.shape)
         return np.where(rng.random(size) < 0.5, -1.0, 1.0) * mag
+
+    @functools.cached_property
+    def _guide(self):
+        """(G, lo, crowded, slope) of the draw (Chen & Asau; Devroye 1986, III.2.4).
+
+        G is a power of two with at least four bins a knot, so u * G is exact;
+        lo[b] is the last knot whose unit CDF is <= b / G, crowded[b] says bin b
+        holds more than one knot, and slope is each cell's, formed as np.interp
+        forms it (a flat cell's is never used: no u falls in one).
+        """
+        xp = self._unit_cdf
+        bins = 1 << (4 * xp.size - 1).bit_length()
+        lo = np.searchsorted(xp, np.arange(bins + 1) / bins, side="right") - 1
+        with np.errstate(divide="ignore", over="ignore"):
+            slope = np.diff(self.grid) / np.diff(xp)
+        return bins, lo[:-1], np.diff(lo) > 1, slope
+
+    def _inverse_cdf(self, u):
+        """np.interp(u, unit CDF, grid) for u in [0, 1), bit for bit.
+
+        The cell j is the last knot with CDF <= u: the bin's lo, or the knot
+        after it if u reaches it, or a binary search in a crowded bin.  The value
+        is x_j where u is a knot, else slope_j (u - cdf_j) + x_j, as np.interp
+        forms them.  Off the knots that value is in [0, inf] (slope_j >= 0 and
+        u > cdf_j), so np.interp's fallback for a NaN value never applies.
+        """
+        bins, lo, crowded, slope = self._guide
+        xp, fp = self._unit_cdf, self.grid
+        b = (u * bins).astype(np.intp)
+        j = lo[b]
+        j += u >= xp[j + 1]
+        far = np.flatnonzero(crowded[b])
+        j[far] = np.searchsorted(xp, u[far], side="right") - 1
+        x0, f0 = xp[j], fp[j]
+        with np.errstate(invalid="ignore"):   # an infinite slope times 0 at a knot
+            out = slope[j] * (u - x0) + f0
+        return np.where(u == x0, f0, out)
 
     def tail_quantile(self, eps):
         tail = 2.0 * (self.cdf[-1] - self.cdf)   # P(|X| > x_k)

@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 _CHUNK = 200_000
+_BLOCK = 2**14   # members a walk of _w_product: its phasors stay in cache
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,7 @@ def _finite(omega, name) -> np.ndarray:
     return w
 
 
-def _phasors(x, omega):
+def _phasors(x, omega, x_max=None):
     """Yield (k, e^{-i omega[k] x}) for every flat index k of omega, by |omega| upward.
 
     Every phasor formed, of a frequency or of a step, is kept by value, and a
@@ -126,11 +127,15 @@ def _phasors(x, omega):
       exactly v;
     - otherwise its own complex exponential.
 
-    A negative frequency yields the conjugate, and 0 yields ones.
+    A negative frequency yields the conjugate, and 0 yields ones.  The near-step
+    test uses ``x_max``, max|x| when not given: walks over blocks of one set of
+    points that share it take the same decisions, so each point gets the bits
+    the walk over the whole set gives it.
     """
     x = np.asarray(x, dtype=float)
     w = np.asarray(omega, dtype=float).ravel()
-    x_max = float(np.abs(x).max(initial=0.0))
+    if x_max is None:
+        x_max = float(np.abs(x).max(initial=0.0))
     formed = {}
     keys = []  # the formed values > 0, sorted
 
@@ -177,16 +182,25 @@ def _w_product(freqs, offs, cid, batch):
     """[prod_j W(freq_j)] per cluster, W(w) = sum of e^{-i w x} over its points.
 
     sample_clusters_batch puts the roots first, at offset exactly 0, so each
-    cluster's W is 1 plus the sum over its other members, by owner.
+    cluster's W is 1 plus the sum over its other members, by owner.  The
+    members are walked in blocks of _BLOCK that share the chunk's max|x|, and
+    each frequency's sums are added up member by member in member order from
+    0.0 (``np.add.at``, as ``bincount`` does); the products then run in the
+    walk's order.
     """
     owner, x = cid[batch:], offs[batch:]
+    x_max = float(np.abs(x).max(initial=0.0))
+    sums = np.zeros((np.size(freqs), batch), dtype=complex)
+    for start in range(0, max(len(x), 1), _BLOCK):   # one walk, if empty, for its order
+        block = slice(start, start + _BLOCK)
+        order = []
+        for k, e in _phasors(x[block], freqs, x_max):
+            np.add.at(sums[k], owner[block], e)
+            order.append(k)
     prod = np.ones(batch, dtype=complex)
-    w = np.empty(batch, dtype=complex)
-    for _, e in _phasors(x, freqs):
-        w.real = np.bincount(owner, e.real, batch)
-        w.real += 1.0
-        w.imag = np.bincount(owner, e.imag, batch)
-        prod *= w
+    for k in order:
+        sums[k].real += 1.0
+        prod *= sums[k]
     return [prod]
 
 

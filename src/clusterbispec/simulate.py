@@ -170,8 +170,9 @@ def sample_clusters_batch(n_clusters, m, kernel, rng):
             offs = np.concatenate(offs)
             ids = np.concatenate(ids)
             return offs, ids, np.concatenate(ups)
-        cur_id = np.repeat(cur_id, counts)
-        up = np.repeat(cur, counts)
+        parent = np.repeat(np.arange(len(cur)), counts)
+        cur_id = cur_id.take(parent)
+        up = cur.take(parent)
         cur = up + kernel.sample(rng, n_children)
         offs.append(cur)
         ids.append(cur_id)

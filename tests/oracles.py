@@ -12,6 +12,10 @@
 - ``w_product_prefix``: the per-cluster product of cluster transforms W(w)
   from one exponential per (frequency, member), members sorted by cluster
   and each W a difference of cumulative sums;
+- ``w_product_bincount``: the same product from one phasor walk over all of
+  a chunk's members, each W summed by ``np.bincount``;
+- ``even_table_sample_interp``: a tabulated law's draw with ``np.interp``
+  inverting its CDF;
 - ``full_lattice_inversion`` and ``full_lattice_mu_g_freq``: the lag
   inversion and the frequency route of mu_g with B_fac evaluated at every
   cell of the full meshgrid, in centered order, shifted for the FFT.
@@ -21,7 +25,8 @@ import math
 
 import numpy as np
 
-from clusterbispec.kernels import Exponential, Kernel, SymmetricLaplace, UniformHalf
+from clusterbispec.kernels import EvenTable, Exponential, Kernel, SymmetricLaplace, UniformHalf
+from clusterbispec.montecarlo import _phasors
 from clusterbispec.simulate import EventSeries, ModelParams
 from clusterbispec.spectra import b_factorial
 
@@ -97,6 +102,29 @@ def w_product_prefix(freqs, offs, cid, batch):
         cs = np.concatenate([[0.0 + 0.0j], np.cumsum(np.exp(-1j * float(w) * offs))])
         prod *= cs[bounds[1:]] - cs[bounds[:-1]]
     return [prod]
+
+
+def w_product_bincount(freqs, offs, cid, batch):
+    """[prod_j W(freq_j)] per cluster from one walk over all members at once.
+
+    Takes the arguments of ``montecarlo._w_product``; each W is 1 plus the
+    bincount of the members' phasors by owner, the roots at offset 0 aside.
+    """
+    owner, x = cid[batch:], offs[batch:]
+    prod = np.ones(batch, dtype=complex)
+    w = np.empty(batch, dtype=complex)
+    for _, e in _phasors(x, freqs):
+        w.real = np.bincount(owner, e.real, batch)
+        w.real += 1.0
+        w.imag = np.bincount(owner, e.imag, batch)
+        prod *= w
+    return [prod]
+
+
+def even_table_sample_interp(table: EvenTable, rng, size=None):
+    """``EvenTable.sample`` by np.interp on the unit CDF, then a fair sign."""
+    mag = np.interp(rng.random(size), table._unit_cdf, table.grid)
+    return np.where(rng.random(size) < 0.5, -1.0, 1.0) * mag
 
 
 def full_lattice_inversion(params: ModelParams, half_width: float, n: int):

@@ -158,6 +158,19 @@ def test_odd_part_projection(exp_grid):
     assert np.max(np.abs(odd.values + odd.values[np.ix_(refl, refl)])) == 0.0
 
 
+def test_odd_part_of_its_own_grid_is_not_formed_again(exp_grid):
+    # a grid odd_part made is its own odd part bit for bit: its odd part is an equal
+    # grid on the same read-only values, and the mark saying so is no field
+    odd = odd_part(exp_grid)
+    twin = odd_part(odd)
+    assert twin is not odd and twin.values is odd.values and twin.meta is not odd.meta
+    assert twin == odd and hash(twin) == hash(odd) and repr(twin) == repr(odd)
+    formed = odd_part(CumulantGrid(odd.half_width, odd.n, odd.values, odd.spacing,
+                                   odd.imag_residue, dict(odd.meta)))
+    assert formed.values is not odd.values and formed.values.tobytes() == odd.values.tobytes()
+    assert formed == odd
+
+
 def test_odd_part_of_even_grid_is_zero(matched_grid):
     # build an exactly even grid by symmetrizing, then antisymmetrize
     n = matched_grid.n

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -24,6 +24,7 @@ from clusterbispec.cumulant3 import invert_bispectrum
 from clusterbispec.kernels import (
     CHUNK_CELLS,
     TRANSFORM_TOL,
+    EvenTable,
     Exponential,
     InvalidKernel,
     Kernel,
@@ -43,7 +44,7 @@ from clusterbispec.kernels import (
 from clusterbispec.match import (MatchSpec, build_matched_kernel, load_matched_kernel,
                                  save_matched_kernel)
 from clusterbispec.simulate import ModelParams
-from oracles import UnsupportedKernelScaling, scale_kernel
+from oracles import UnsupportedKernelScaling, even_table_sample_interp, scale_kernel
 
 OMEGA_GRID = np.linspace(-50.0, 50.0, 64)
 LOMAX_ALPHAS = (0.05, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 10.0)
@@ -511,6 +512,89 @@ def test_sampler_matches_cdf(kernels, rng):
         assert dist <= 0.01, name
 
 
+class _Uniforms:
+    """A generator whose every random(size) call hands out the given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        return float(self.u[0]) if size is None else self.u[:size].copy()
+
+
+def _edge_uniforms(table):
+    """u at each knot of the unit CDF and an ulp either side, at every dyadic bin
+    edge up to twice the finest a guide of four bins a knot needs and an ulp below
+    it, at 0.0 and at 1 - 2^-53."""
+    knots = table._unit_cdf
+    finest = 2 << (4 * knots.size - 1).bit_length()
+    edges = np.arange(finest) / finest
+    u = np.concatenate([knots, np.nextafter(knots, 0.0), np.nextafter(knots, 1.0),
+                        edges, np.nextafter(edges, 0.0), [0.0, 1.0 - 2.0**-53]])
+    return np.clip(u, 0.0, 1.0 - 2.0**-53)
+
+
+def _assert_draws_match_interp(table):
+    # u * G is exact only for a power of two G; a guide of another size finds the
+    # right cell for all but a few u a knot's ulp below a bin edge, which draws
+    # seldom meet, so its size is checked here
+    bins = table._guide[0]
+    assert bins & (bins - 1) == 0 and bins >= 4 * table.grid.size
+    u = _edge_uniforms(table)
+    for size in (None, 0, 1, len(u)):
+        got = table.sample(_Uniforms(u), size)
+        want = even_table_sample_interp(table, _Uniforms(u), size)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), size
+    for size in (None, 0, 1, 10**5):
+        got = table.sample(np.random.default_rng(5), size)
+        want = even_table_sample_interp(table, np.random.default_rng(5), size)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), size
+
+
+def _fixed_tables():
+    x = np.linspace(0.0, 8.0, 2049)
+    return {
+        "two knots": EvenTable(np.array([1.0, 0.5]), 0.75),
+        "infinite slopes": EvenTable(np.array([0.0, 1e-320, 3e-320, 1.0, 0.5]), 0.5),
+        "uhalf rho": build_matched_kernel(MatchSpec(UniformHalf(1.0), m=0.5))._rho,
+        "exp rho": build_matched_kernel(MatchSpec(Exponential(1.0), m=0.5))._rho,
+        "lomax rho": build_matched_kernel(MatchSpec(Lomax(1.5), m=0.5))._rho,
+        "tab": TabulatedSymmetric(np.exp(-x) / 2.0 / (1.0 - np.exp(-8.0)), x[1] - x[0]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_fixed_tables()))
+def test_table_draw_is_np_interp_bit_for_bit(name):
+    # the guide table finds np.interp's cell and forms its value: the uhalf table's
+    # last knot sits at nextafter(a), 4097 knots, a guide of 2^15 bins
+    _assert_draws_match_interp(_fixed_tables()[name])
+
+
+@st.composite
+def _even_tables(draw):
+    """Tables of 2 to 40 knots, with runs of zero-valued knots (flat CDF stretches)
+    and subnormal densities (cells whose slope overflows to inf)."""
+    n = draw(st.integers(2, 40))
+    value = st.one_of(st.just(0.0), st.floats(5e-324, 1e3), st.floats(0.5, 2.0))
+    values = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    step = st.floats(1e-9, 10.0)
+    steps = draw(st.one_of(st.none(), st.lists(step, min_size=n - 1, max_size=n - 1)))
+    try:
+        if steps is None:
+            return EvenTable(values, draw(step))
+        return EvenTable(values, grid=np.concatenate([[0.0], np.cumsum(steps)]))
+    except InvalidKernel:   # no mass, or knots that rounding left unordered
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_even_tables())
+def test_table_draw_is_np_interp_bit_for_bit_on_random_tables(table):
+    _assert_draws_match_interp(table)
+
+
 # ---------------------------------------------------------------------------
 # tails, scaling, grammar
 # ---------------------------------------------------------------------------
@@ -634,6 +718,12 @@ def test_tabulated_rejects_bad_density():
         TabulatedSymmetric(np.array([1.0, -0.2, 0.1]), 0.5)
     with pytest.raises(InvalidKernel):
         TabulatedSymmetric(np.array([5.0, 5.0, 5.0]), 1.0)  # mass far from 1
+
+
+def test_table_mass_must_fit_a_float():
+    # a CDF past the double range left a NaN unit CDF, and draws from it
+    with pytest.raises(InvalidKernel, match="no mass, or more"):
+        EvenTable(np.full(4, 1e308), 1.0)
 
 
 def test_tabulated_equality_and_hash_by_value():

@@ -1,16 +1,18 @@
 """Monte-Carlo oracles against the closed forms, plus the validate suites."""
 
 import gc
+import hashlib
+import json
 import math
 import weakref
 
 import numpy as np
 import pytest
 
-from oracles import periodogram_direct, w_product_prefix
+from oracles import periodogram_direct, w_product_bincount, w_product_prefix
 
 from clusterbispec import montecarlo
-from clusterbispec.kernels import Exponential, Lomax, UniformHalf
+from clusterbispec.kernels import Exponential, Lomax, UniformHalf, kernel_from_spec
 from clusterbispec.montecarlo import (
     cluster_size_moments,
     mc_b_complete,
@@ -140,6 +142,67 @@ def test_cluster_chunks_bound_their_members(m, n, chunks, monkeypatch):
     moments = cluster_size_moments(ModelParams(1.0, m, 1.0, Exponential(1.0)), n, 0)
     assert batches == chunks
     assert moments["mean_size"].value == 1.0
+
+
+W_FREQS = [
+    np.array([0.3, 0.7, -1.0]),
+    np.array([0.0, -0.7, 0.3, 0.3, -0.3]),   # 0, negatives and repeats
+    np.linspace(0.4, 6.4, 16),               # steps an ulp apart: near steps
+    np.array([1.0, 1.0 + 2**-40, -(2.0 + 2**-40)]),
+    np.zeros(0),
+]
+
+
+@pytest.mark.parametrize("kernel", [Exponential(1.0), Lomax(1.5)])
+@pytest.mark.parametrize("freqs", W_FREQS, ids=range(len(W_FREQS)))
+def test_blocked_w_product_keeps_the_bits_of_one_walk(kernel, freqs):
+    # members walked in blocks that share the chunk's max|x| and summed by np.add.at
+    # give the bits of one walk over the whole chunk summed by bincount
+    batch = 2 * montecarlo._BLOCK
+    offs, cid, _ = sample_clusters_batch(batch, 0.6, kernel, np.random.default_rng(31))
+    assert len(offs) - batch > 2 * montecarlo._BLOCK   # the members span at least 3 blocks
+    for chunk in ((offs, cid), (np.zeros(batch), np.arange(batch))):   # and no children
+        (blocked,), (whole,) = (f(freqs, *chunk, batch)
+                                for f in (montecarlo._w_product, w_product_bincount))
+        assert blocked.tobytes() == whole.tobytes()
+
+
+def test_blocks_take_the_chunks_near_step_decisions():
+    # the step from 1.5 + delta to 2.0 is 0.5 - delta, a near step of the formed 0.5
+    # in a block whose max|x| is small and its own exponential in the chunk, whose
+    # max|x| is not; every block decides as the chunk does, and keeps its bits
+    batch = 2 * montecarlo._BLOCK
+    offs, cid, _ = sample_clusters_batch(batch, 0.6, Lomax(1.5), np.random.default_rng(31))
+    x = np.abs(offs[batch:])
+    least = min(x[s:s + montecarlo._BLOCK].max() for s in range(0, len(x), montecarlo._BLOCK))
+    assert x.max() > 4.0 * least
+    freqs = np.array([0.5, 1.5 + 2.0**-27 / math.sqrt(x.max() * least), 2.0])
+    (blocked,), (whole,) = (f(freqs, offs, cid, batch)
+                            for f in (montecarlo._w_product, w_product_bincount))
+    assert blocked.tobytes() == whole.tobytes()
+
+
+SUITE_PINS = {   # SHA-256 of json.dumps of each quick report at seed 0
+    "bispectrum": "37de93562e240b88c1cdcb17709e2e1687cd9138015765e10cc68dac5054c4aa",
+    "bartlett": "85f03fd55873e0dac4a783e55d5f8994503dda5e4af91a3dad4cd175c85dcb9f",
+    "moments": "80e682848466ecf4e40c6e66ec9fa7bf3b4fc727598c443caf64552f45249b08",
+}
+
+
+@pytest.mark.parametrize("suite", montecarlo.SUITES)
+def test_validate_suite_reports_keep_their_bits(suite):
+    report = json.dumps(validate_suite(suite, "quick", seed=0))
+    assert hashlib.sha256(report.encode()).hexdigest() == SUITE_PINS[suite]
+
+
+@pytest.mark.parametrize("spec, pin", [
+    ("lomax:1.5", "a7124c9273d7673740aec4075ed8efd8a44595d76b173aa345a30f8e87286bec"),
+    ("match:exp:1:0.5", "90d0d430d39d4c130ee466751d82184d074ec7f9474653c3e9f7657c719dcd79"),
+])
+def test_mc_b_complete_keeps_its_bits(spec, pin):
+    est = mc_b_complete(ModelParams(1.0, 0.5, 1.0, kernel_from_spec(spec)), 0.3, 0.7, 10**5, 7)
+    parts = np.array([est.value.real, est.value.imag, est.stderr_re, est.stderr_im])
+    assert hashlib.sha256(parts.tobytes()).hexdigest() == pin
 
 
 def test_mc_requires_enough_clusters():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from clusterbispec import simulate
-from clusterbispec.kernels import Exponential, Lomax, UniformHalf
+from clusterbispec.kernels import Exponential, Lomax, UniformHalf, kernel_from_spec
 from clusterbispec.montecarlo import periodogram
 from clusterbispec.simulate import (
     ClusterSizeCapExceeded,
@@ -96,6 +96,17 @@ def test_cluster_size_cap_is_per_cluster_not_per_batch(rng, monkeypatch):
     assert len(offs) > 10 and np.bincount(cid).max() <= 10
     digest = hashlib.sha256(b"".join(a.tobytes() for a in (offs, cid, up))).hexdigest()
     assert digest == "596057ab16060b9401bcdce64111e2c21fe7029e4d8d670651851a087921269e"
+
+
+@pytest.mark.parametrize("spec, pin", [
+    ("lomax:1.5", "721a658ce7cecfbaf8fef578b1afee385d06ae9856efff4a109ee3f98484fba0"),
+    ("match:exp:1:0.5", "bdb3a218d9ac7f5c6b5a11fbace6b4b659d2cde68df22734dea0ffb62808ed04"),
+])
+def test_cluster_batches_keep_their_bits(spec, pin):
+    offs, cid, up = sample_clusters_batch(5000, 0.5, kernel_from_spec(spec),
+                                          np.random.default_rng(29))
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in (offs, cid, up))).hexdigest()
+    assert digest == pin
 
 
 # ---------------------------------------------------------------------------
