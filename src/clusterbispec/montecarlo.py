@@ -13,7 +13,10 @@ of one already formed is that phasor times 1 - i d x, with no exponential:
 at that size the factor is the exponential's own rounded value, so a grid
 whose steps differ by an ulp costs one exponential for all of them.  The
 periodogram and the cluster transforms W(w) both sum those phasors; a
-non-finite frequency is refused before any window or cluster is drawn.
+non-finite frequency is refused before any window or cluster is drawn.  The
+cluster transforms walk a chunk's members in blocks of 2^14, whose phasors
+stay in cache; every block tests near steps against the chunk's max|x|, so
+it takes the chunk's decisions and each member's phasor keeps its bits.
 """
 
 from __future__ import annotations
