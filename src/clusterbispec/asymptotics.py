@@ -34,7 +34,6 @@ __all__ = [
     "AlphaOutOfRange",
     "NonMonotoneKernel",
     "c_alpha",
-    "s_alpha",
     "chi_alpha",
     "delta_m",
     "z_from_kernel",
@@ -79,13 +78,6 @@ def c_alpha(alpha: float) -> float:
     if not (0.0 < alpha < 2.0 and alpha != 1.0):
         raise AlphaOutOfRange(f"C(alpha) needs alpha in (0, 1) or (1, 2), got {alpha}")
     return (math.pi / 2.0) / (math.gamma(alpha) * math.cos(math.pi * alpha / 2.0))
-
-
-def s_alpha(alpha: float) -> float:
-    """S(alpha) = (pi/2) / (Gamma(alpha) sin(pi alpha / 2)), alpha in (0, 2)."""
-    if not 0.0 < alpha < 2.0:
-        raise AlphaOutOfRange(f"S(alpha) needs alpha in (0, 2), got {alpha}")
-    return (math.pi / 2.0) / (math.gamma(alpha) * math.sin(math.pi * alpha / 2.0))
 
 
 def chi_alpha(alpha: float) -> float:
@@ -148,14 +140,6 @@ class DiagLimitReport:
             object.__setattr__(self, name, readonly(getattr(self, name), dtype))
         object.__setattr__(self, "_key", array_key(self.t_values, self.im_values, self.ratios,
                                                    self.underflow))
-
-    def summary(self) -> str:
-        lines = [f"regime={self.regime} power={self.power:g} limit={self.limit:g} "
-                 f"converged={self.converged}"]
-        for t, v, r, u in zip(self.t_values, self.im_values, self.ratios, self.underflow):
-            tag = " (underflow)" if u else ""
-            lines.append(f"  t={t:<10g} ImB={v:+.6e} ratio={r:.6f}{tag}")
-        return "\n".join(lines)
 
 
 def diag_limit_check(params: ModelParams, t_list=None) -> DiagLimitReport:

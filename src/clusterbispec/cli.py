@@ -39,7 +39,7 @@ from . import __version__
 from .cumulant3 import GRID_BUDGET
 from .kernels import Kernel, Refused, kernel_from_spec
 from .montecarlo import SUITES
-from .simulate import ModelParams, write_json
+from .simulate import ModelParams, write_columns, write_json
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main"]
 
@@ -301,12 +301,6 @@ def _model(cfg: RunConfig, theta: float) -> ModelParams:
     return ModelParams(cfg.options["nu"], cfg.options["m"], theta, cfg.kernel)
 
 
-def _emit_grid(grid, cfg, stem):
-    out = Path(cfg.out_dir) / f"{stem}.{cfg.format}"
-    grid.write_csv(out) if cfg.format == "csv" else grid.write_json(out)
-    return [str(out)]
-
-
 def run(cfg: RunConfig) -> int:
     """Execute a config; writes artifacts plus a manifest.
 
@@ -324,36 +318,42 @@ def run(cfg: RunConfig) -> int:
     outputs, exit_code, opt, record = [], 0, cfg.options, {}
 
     if cfg.command == "simulate":
-        from .simulate import simulate_window, write_events
+        from .simulate import simulate_window
 
         series = simulate_window(_model(cfg, opt["theta"]), opt["T"], cfg.seed)
         path = out_dir / "events.csv"
-        write_events(series, path)
+        write_columns(path, ["t"], series.times)
         outputs.append(str(path))
         record["window"] = {key: series.provenance[key] for key in (
             "near_immigrants", "far_proposals", "far_clusters")}
 
-    elif cfg.command == "spectrum":
-        params = _model(cfg, theta=0.0)
-        w = np.linspace(-opt["omega_max"], opt["omega_max"], opt["n"])
-        vals = np.asarray(spectra.bartlett(params, w), dtype=complex)
-        grid = spectra.SpectralGrid(1, w, vals, meta={"quantity": "bartlett"})
-        outputs += _emit_grid(grid, cfg, "spectrum")
-
-    elif cfg.command == "bispectrum":
+    elif cfg.command in ("spectrum", "bispectrum"):
         params = _model(cfg, theta=0.0)
         axis = np.linspace(-opt["omega_max"], opt["omega_max"], opt["n"])
-        w1, w2 = axis[:, None], axis[None, :]   # a column and a row: only w1 + w2 fills n^2 cells
-        vals = (spectra.b_factorial(params, w1, w2) if opt["factorial"]
-                else spectra.b_complete(params, w1, w2, form=opt["form"]))
-        freqs = np.column_stack([np.repeat(axis, axis.size), np.tile(axis, axis.size)])
-        grid = spectra.SpectralGrid(2, freqs, np.asarray(vals).ravel(), meta={
-            "quantity": "b_factorial" if opt["factorial"] else "b_complete",
-            "form": opt["form"],
-            "max_abs_im": float(np.max(np.abs(np.asarray(vals).imag))),
-            "envelope": spectra.envelope(params),
-        })
-        outputs += _emit_grid(grid, cfg, "bispectrum")
+        if cfg.command == "spectrum":
+            vals = np.asarray(spectra.bartlett(params, axis), dtype=complex)
+            freqs, header, meta = axis, ["w"], {"quantity": "bartlett"}
+        else:
+            w1, w2 = axis[:, None], axis[None, :]   # a column and a row: only w1 + w2 fills n^2
+            vals = np.asarray(spectra.b_factorial(params, w1, w2) if opt["factorial"]
+                              else spectra.b_complete(params, w1, w2, form=opt["form"])).ravel()
+            freqs = np.column_stack([np.repeat(axis, axis.size), np.tile(axis, axis.size)])
+            header = ["w1", "w2"]
+            meta = {"quantity": "b_factorial" if opt["factorial"] else "b_complete",
+                    "form": opt["form"], "max_abs_im": float(np.max(np.abs(vals.imag))),
+                    "envelope": spectra.envelope(params)}
+        bad = np.count_nonzero(~np.isfinite(vals))
+        if bad:   # refused before the file is opened
+            raise Refused(f"{cfg.command} grid: {bad} of {vals.size} values are not finite "
+                          f"(nu = {params.nu!r}, m = {params.m!r})")
+        path = out_dir / f"{cfg.command}.{cfg.format}"
+        if cfg.format == "csv":
+            write_columns(path, [*header, "re", "im"], *freqs.reshape(vals.size, -1).T,
+                          vals.real, vals.imag)
+        else:
+            write_json(path, {"dims": freqs.ndim, "frequencies": freqs.tolist(),
+                              "re": vals.real.tolist(), "im": vals.imag.tolist(), "meta": meta})
+        outputs.append(str(path))
 
     elif cfg.command == "invert":
         params = _model(cfg, theta=0.0)
@@ -363,8 +363,9 @@ def run(cfg: RunConfig) -> int:
                   "exceeds 1e-6 of max", file=sys.stderr)
         cpath, jpath = out_dir / "c3.csv", out_dir / "c3_meta.json"
         grid.write_csv(cpath)
-        grid.write_meta_json(jpath)
-        outputs += [str(cpath), str(jpath)]
+        outputs += [str(cpath), write_json(jpath, {
+            "half_width": grid.half_width, "n": grid.n, "spacing": grid.spacing,
+            "imag_residue": grid.imag_residue, "meta": grid.meta})]
 
     elif cfg.command == "match":
         from .match import MatchSpec, build_matched_kernel, save_matched_kernel

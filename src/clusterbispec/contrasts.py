@@ -28,8 +28,8 @@ bound beta on its rounding.  An anchor's columns are joined by TwoSum into
 T + L, rounded once to s = fl(T + L), and s is kept when the enclosure of
 the exact sum, T + L +- beta, lies strictly inside s's rounding interval
 (part II of the same series: rounding to nearest).  Integer-valued terms,
-as the quadrant indicator's, give beta = 0, so their exact cancellations
-certify as +0.0.
+as those of the tests' quadrant indicator, give beta = 0, so their exact
+cancellations certify as +0.0.
 
 Every other anchor -- a tie or a near-tie the bound cannot resolve,
 subnormal-range or non-finite terms -- is summed again by math.fsum over its
@@ -77,7 +77,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Hashable, Iterable
 
@@ -92,7 +92,6 @@ __all__ = [
     "EmptyWindowWarning",
     "PairBudgetExceeded",
     "antisymmetrize",
-    "quadrant_indicator",
     "smooth_quadrant_bump",
     "sign_contrast_function",
     "contrast_statistic",
@@ -218,24 +217,6 @@ def antisymmetrize(u, H, bound=None) -> OddTestFunction:
         P1, P2 = np.meshgrid(probe, probe, indexing="ij")
         bound = 2.0 * float(np.max(np.abs(np.asarray(u(P1, P2), dtype=float))))
     return OddTestFunction(H, evaluate, float(bound))
-
-
-def quadrant_indicator(H) -> OddTestFunction:
-    """+1 on the open (+,+) quadrant of the box, -1 on its reflection.
-
-    On a window without ties its statistic is exactly 0.0, so mu_{T,g} = 0
-    for every stationary process: anchor i with f_i forward and b_i backward
-    lags within H adds 2 (C(f_i, 2) - C(b_i, 2)), and the sums over i of
-    C(f_i, 2) and of C(b_i, 2) both count the triples of span at most H, by
-    their first and by their last event.  Its integer terms make it the test
-    function of the exact-summation checks, not an orientation contrast.
-    """
-
-    def u(t1, t2):
-        return ((t1 > 0) & (t2 > 0)).astype(float)
-
-    return replace(antisymmetrize(u, H, bound=1.0), quadrant_symmetric=True,
-                   key=("quadrant", float(H)))
 
 
 class _BumpTerms:

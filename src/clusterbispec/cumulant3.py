@@ -26,7 +26,7 @@ from itertools import product
 import numpy as np
 
 from .kernels import Refused, array_key, readonly
-from .simulate import ModelParams, write_json
+from .simulate import ModelParams
 from .spectra import b_factorial, envelope
 
 __all__ = [
@@ -120,9 +120,6 @@ class CumulantGrid:
     def lags(self) -> np.ndarray:
         return (np.arange(self.n) - self.n // 2) * self.spacing
 
-    def total_integral(self) -> float:
-        return float(self.values.sum() * self.spacing**2)
-
     def write_csv(self, path):
         """Rows tau1, tau2, c3, c3_odd by ``repr``, as ``write_columns`` writes them, with
         each of the n distinct lags formatted once rather than at each of its 2n cells."""
@@ -132,10 +129,6 @@ class CumulantGrid:
         with open(path, "w") as fh:
             fh.write("tau1,tau2,c3,c3_odd\n")
             fh.writelines("%s,%s,%s,%s\n" % (*t, c, o) for t, c, o in zip(product(lag, lag), c3, odd))
-
-    def write_meta_json(self, path):
-        write_json(path, {"half_width": self.half_width, "n": self.n, "spacing": self.spacing,
-                          "imag_residue": self.imag_residue, "meta": self.meta})
 
 
 def default_half_width(params: ModelParams) -> float:

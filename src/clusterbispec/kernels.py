@@ -286,8 +286,11 @@ class SymmetricLaplace(Kernel):
         return 0.5 * self.beta * np.exp(-self.beta * np.abs(x))
 
     def transform(self, omega):
+        # no beta^2, which under- or overflows at the ends of the rate range; a
+        # (w / beta)^2 past the double range gives the limit 0
         w = np.asarray(omega, dtype=float)
-        return (self.beta**2 / (self.beta**2 + w**2)).astype(complex)
+        with np.errstate(over="ignore"):
+            return (1.0 / (1.0 + (w / self.beta) ** 2)).astype(complex)
 
     def survival(self, x):
         x = np.asarray(x, dtype=float)

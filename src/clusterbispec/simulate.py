@@ -41,7 +41,6 @@ __all__ = [
     "simulate_window_batched",
     "replicate_windows",
     "ingest_events",
-    "write_events",
     "read_columns",
     "write_columns",
 ]
@@ -79,7 +78,8 @@ class ModelParams:
     """Branching model: immigrant rate nu, branching ratio m, sign bias theta.
 
     theta = +1 is the forward one-sided process, theta = -1 its reflection,
-    theta = 0 the reversible sign-symmetrized null.
+    theta = 0 the reversible sign-symmetrized null.  A pair whose intensity
+    lam = nu / (1 - m) overflows is refused.
     """
 
     nu: float
@@ -92,6 +92,9 @@ class ModelParams:
             raise ValueError(f"immigrant rate nu must be positive, got {self.nu}")
         if not (0.0 < self.m < 1.0):
             raise ValueError(f"branching ratio m must lie strictly in (0, 1), got {self.m}")
+        if not math.isfinite(self.lam):
+            raise Refused(f"stationary intensity nu / (1 - m) overflows at nu = {self.nu!r}, "
+                          f"m = {self.m!r}")
         if not (-1.0 <= self.theta <= 1.0):
             raise ValueError(f"sign bias theta must lie in [-1, 1], got {self.theta}")
         if not isinstance(self.kernel, Kernel):
@@ -393,11 +396,6 @@ def ingest_events(path) -> EventSeries:
         return EventSeries(times, 0.0, {"kind": "ingested", "path": str(path)})
     times = np.sort(times, kind="stable")
     return EventSeries(times, float(times[-1]), {"kind": "ingested", "path": str(path)})
-
-
-def write_events(series: EventSeries, path) -> None:
-    """Write a series in the ingestion format (header 't', one time per line)."""
-    write_columns(path, ["t"], series.times)
 
 
 def read_columns(path, header) -> np.ndarray:

@@ -20,14 +20,11 @@ and w1+w2; t and 2t; omega), a negative one as that lookup's conjugate, exact si
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .simulate import ModelParams, write_columns, write_json
+from .simulate import ModelParams
 
 __all__ = [
-    "SpectralGrid",
     "bartlett",
     "b_complete",
     "b_factorial",
@@ -35,32 +32,6 @@ __all__ = [
     "borel_factorial3",
     "envelope",
 ]
-
-
-@dataclass
-class SpectralGrid:
-    """Frequencies (1D or 2D) with complex values."""
-
-    dims: int
-    frequencies: np.ndarray  # (k,) for dims=1, (k, 2) for dims=2
-    values: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.dims not in (1, 2):
-            raise ValueError("dims must be 1 or 2")
-        if np.any(~np.isfinite(self.values)):
-            raise ValueError("grid values must be finite")
-
-    def write_csv(self, path):
-        freqs = np.reshape(self.frequencies, (len(self.values), self.dims)).T
-        write_columns(path, ["w1", "w2", "re", "im"] if self.dims == 2 else ["w", "re", "im"],
-                      *freqs, self.values.real, self.values.imag)
-
-    def write_json(self, path):
-        write_json(path, {"dims": self.dims, "frequencies": np.asarray(self.frequencies).tolist(),
-                          "re": self.values.real.tolist(), "im": self.values.imag.tolist(),
-                          "meta": self.meta})
 
 
 def _hhat(params: ModelParams, *ws) -> list:

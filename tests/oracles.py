@@ -3,6 +3,8 @@
 - ``contrast_statistic_bruteforce``: the O(n^3) triple sum, every ordered
   triple of distinct indices, each anchor's nonzero terms summed by
   ``math.fsum``; it shares no code with the pruned statistic it checks;
+- ``quadrant_indicator``: the integer-valued odd test function of the
+  exact-summation checks;
 - ``scale_kernel``: the time-scale map h(t) -> beta * h(beta * t) for the
   families closed under it;
 - ``scale_check``: B_fac under a scaled kernel against B_fac at scaled
@@ -22,9 +24,11 @@
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
+from clusterbispec.contrasts import OddTestFunction, antisymmetrize
 from clusterbispec.kernels import EvenTable, Exponential, Kernel, SymmetricLaplace, UniformHalf
 from clusterbispec.montecarlo import _phasors
 from clusterbispec.simulate import EventSeries, ModelParams
@@ -49,6 +53,24 @@ def contrast_statistic_bruteforce(series: EventSeries, f) -> float:
         vals[idx, idx] = 0.0
         partials.append(math.fsum(vals[vals != 0.0].tolist()))
     return math.fsum(partials) / series.window_end
+
+
+def quadrant_indicator(H) -> OddTestFunction:
+    """+1 on the open (+,+) quadrant of the box, -1 on its reflection.
+
+    On a window without ties its statistic is exactly 0.0, so mu_{T,g} = 0
+    for every stationary process: anchor i with f_i forward and b_i backward
+    lags within H adds 2 (C(f_i, 2) - C(b_i, 2)), and the sums over i of
+    C(f_i, 2) and of C(b_i, 2) both count the triples of span at most H, by
+    their first and by their last event.  Its integer terms make it the test
+    function of the exact-summation checks, not an orientation contrast.
+    """
+
+    def u(t1, t2):
+        return ((t1 > 0) & (t2 > 0)).astype(float)
+
+    return replace(antisymmetrize(u, H, bound=1.0), quadrant_symmetric=True,
+                   key=("quadrant", float(H)))
 
 
 class UnsupportedKernelScaling(ValueError):

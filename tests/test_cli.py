@@ -1,6 +1,7 @@
 """Command-line surface: validation, dispatch, manifests, reproducibility."""
 
 import ast
+import hashlib
 import importlib
 import json
 import math
@@ -14,7 +15,7 @@ import pytest
 import clusterbispec
 from clusterbispec.cli import COMMANDS, GLOBAL_OPTIONS, ConfigError, RunConfig, main, parse_config
 from clusterbispec.kernels import Refused
-from clusterbispec.simulate import write_json
+from clusterbispec.simulate import write_columns, write_json
 
 
 def run_cli(tmp_path, *args):
@@ -314,6 +315,11 @@ REFUSED_WHILE_RUNNING = {   # argv ({tmp}: the run's folder) -> the refusal's te
                                     "mixing moments (1e+300, inf, nan) leave the double range"),
     "asym-uhalf-moments-underflow": (["asym-check", "--m", "0.5", "--kernel", "uhalf:1e-300"],
                                      "mixing moments (1e-300, 0.0, 0.0) leave the double range"),
+    "mc-intensity-overflows": (["mc-validate", "--suite", "bispectrum", "--m", "0.5",
+                                "--kernel", "exp:1", "--nu", "1e308"],
+                               "nu / (1 - m) overflows at nu = 1e+308"),
+    "asym-intensity-overflows": (["asym-check", "--m", "0.5", "--kernel", "exp:1",
+                                  "--nu", "1e308"], "nu / (1 - m) overflows at nu = 1e+308"),
 }
 
 
@@ -337,6 +343,26 @@ def test_named_refusals_exit_2(case, tmp_path, capsys, monkeypatch):
     (line,) = err.splitlines()
     assert line.startswith("config error: ") and expected in line
     assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command, n", [("spectrum", "9"), ("bispectrum", "8")])
+def test_a_grid_that_overflows_is_refused_before_it_is_written(command, n, fmt, tmp_path,
+                                                               capsys):
+    # lam = 1e299 is finite, but lam / (1 - m)^2 at w = 0 is not: numpy warns
+    # of the overflow, then the grid is refused by name and nothing is written
+    assert run_cli(tmp_path, "--format", fmt, command, "--nu", "1e290", "--m", "0.999999999",
+                   "--kernel", "exp:1", "--n", n) == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(f"config error: {command} grid: ") and "not finite" in last
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_laplace_rate_at_the_bottom_of_the_range_gives_its_spectrum(tmp_path):
+    assert run_cli(tmp_path, "spectrum", "--m", "1e-300", "--kernel", "slap:1e-200",
+                   "--omega-max", "1e-300", "--n", "2") == 0
+    rows = (tmp_path / "spectrum.csv").read_text().splitlines()
+    assert rows == ["w,re,im", "-1e-300,1.0,0.0", "1e-300,1.0,0.0"]
 
 
 class UnseenRefusal(Refused):
@@ -401,15 +427,46 @@ def test_cli_imports_one_exception_type():
             if isinstance(obj, type) and issubclass(obj, BaseException)] == [Refused]
 
 
+def readme_command_lines() -> list[list[str]]:
+    """The argv of each ``clusterbispec ...`` line of README.md, in README order."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return [shlex.split(line)[1:] for line in readme.read_text().splitlines()
+            if line.startswith("clusterbispec ")]
+
+
 def test_readme_command_lines_parse():
     # every documented command line parses (nothing runs): a line that stops
     # parsing fails here, not only in the benchmark that runs them
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    lines = [shlex.split(line)[1:] for line in readme.read_text().splitlines()
-             if line.startswith("clusterbispec ")]
+    lines = readme_command_lines()
     assert {argv[0] for argv in lines} == set(COMMANDS)
     for argv in lines:
         parse_config(argv)
+
+
+README_ARTIFACT_PINS = {   # (README line, extra flags) -> the SHA-256 of each artifact
+    ("simulate", ()): {
+        "events.csv": "9f1df2845c8265d05849cf7fb15b67b5a9cdc47d5b0c89fcc5839376b19898ac"},
+    ("spectrum", ()): {
+        "spectrum.csv": "e391e7e40f08e2dd81270ba264ada5e3d6891a5f82e4c607e4f35784a0db87aa"},
+    ("spectrum", ("--format", "json")): {
+        "spectrum.json": "b6dc90cfd260bdd43e780a2bb02cab47fa167c74dd812ca87a1af1ae39a6c9af"},
+    ("bispectrum", ()): {
+        "bispectrum.csv": "6ceebcc5c3ea8744de0b785b836fb7ee10c22453d74b87a4fe349c121b876d4b"},
+    ("bispectrum", ("--format", "json")): {
+        "bispectrum.json": "9faf6cf26485e9185ef80dcd48fec9e978fb59bbcd7a3aa87840ea99c3cdbc75"},
+    ("invert", ()): {
+        "c3.csv": "272fb5345e0f55086c2e682b779d10e5d6158ef8879cc19a95b7e548baaf67fa",
+        "c3_meta.json": "cb8376962a5407b3411ae2997d12f904112ae287f6cdf2e145d0d3483708725c"},
+}
+
+
+@pytest.mark.parametrize("line, extra", README_ARTIFACT_PINS)
+def test_readme_lines_keep_their_artifacts(line, extra, tmp_path):
+    (argv,) = [argv for argv in readme_command_lines() if argv[0] == line]
+    assert run_cli(tmp_path, *argv, *extra) == 0
+    pins = README_ARTIFACT_PINS[line, extra]
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in pins} == pins
 
 
 @pytest.mark.parametrize("half_width", ["1e-200", "1e200"])
@@ -522,15 +579,16 @@ def test_bispectrum_grid_is_the_meshgrid_evaluation(tmp_path, fmt, extra):
     W1, W2 = np.meshgrid(axis, axis, indexing="ij")
     vals = np.asarray(spectra.b_factorial(p, W1, W2) if extra == ["--factorial"]
                       else spectra.b_complete(p, W1, W2, form=extra[1]))
-    want = spectra.SpectralGrid(2, np.column_stack([W1.ravel(), W2.ravel()]), vals.ravel())
+    want = tmp_path / f"want.{fmt}"
     if fmt == "csv":
-        want.write_csv(tmp_path / "want.csv")
-        assert (tmp_path / "bispectrum.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        write_columns(want, ["w1", "w2", "re", "im"], W1, W2, vals.real, vals.imag)
     else:
         doc = json.loads((tmp_path / "bispectrum.json").read_text())
-        assert doc["frequencies"] == want.frequencies.tolist()
-        assert (doc["re"], doc["im"]) == (vals.real.ravel().tolist(), vals.imag.ravel().tolist())
+        freqs = np.column_stack([W1.ravel(), W2.ravel()]).tolist()
+        write_json(want, {"dims": 2, "frequencies": freqs, "re": vals.real.ravel().tolist(),
+                          "im": vals.imag.ravel().tolist(), "meta": doc["meta"]})
         assert doc["meta"]["max_abs_im"] == float(np.max(np.abs(vals.imag)))
+    assert (tmp_path / f"bispectrum.{fmt}").read_bytes() == want.read_bytes()
 
 
 def test_spectrum_csv_output(tmp_path):

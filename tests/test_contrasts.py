@@ -21,7 +21,6 @@ from clusterbispec.contrasts import (
     contrast_statistics,
     exact_mean,
     linearity_scan,
-    quadrant_indicator,
     sign_contrast_function,
     smooth_quadrant_bump,
 )
@@ -29,7 +28,7 @@ from clusterbispec.cumulant3 import invert_bispectrum, mu_g_time, odd_part
 from clusterbispec.kernels import Exponential, Refused, kernel_from_spec
 from clusterbispec.match import MatchSpec, build_matched_kernel
 from clusterbispec.simulate import EventSeries, ModelParams, simulate_window_batched
-from oracles import contrast_statistic_bruteforce
+from oracles import contrast_statistic_bruteforce, quadrant_indicator
 
 EXP_PARAMS = ModelParams(1.0, 0.5, 1.0, Exponential(1.0))
 

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,6 +200,16 @@ def test_symmetric_transforms_are_real(kernels):
     for name in ("slap", "tab"):
         vals = kernels[name].transform(OMEGA_GRID)
         assert np.max(np.abs(vals.imag)) < 1e-10, name
+
+
+@pytest.mark.parametrize("beta", [1e-200, 1e-154, 1.0, 1e154, 1e300])
+def test_laplace_transform_over_the_whole_rate_range(beta):
+    # beta^2 under- or overflows at the ends of this range, so the transform must not form it
+    k = SymmetricLaplace(beta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = k.transform(np.array([0.0, beta, -beta, math.inf]))
+    assert vals.tolist() == [1.0, 0.5, 0.5, 0.0]
 
 
 def test_uniform_transform_closed_form():

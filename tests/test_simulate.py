@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from clusterbispec import simulate
-from clusterbispec.kernels import Exponential, Lomax, UniformHalf, kernel_from_spec
+from clusterbispec.kernels import Exponential, Lomax, Refused, UniformHalf, kernel_from_spec
 from clusterbispec.montecarlo import periodogram
 from clusterbispec.simulate import (
     ClusterSizeCapExceeded,
@@ -25,7 +25,6 @@ from clusterbispec.simulate import (
     simulate_window,
     simulate_window_batched,
     write_columns,
-    write_events,
 )
 
 
@@ -38,6 +37,11 @@ def test_model_params_validation():
     with pytest.raises(ValueError):
         ModelParams(1.0, 0.5, 1.5, k)
     assert ModelParams(1.0, 0.5, 0.0, k).lam == pytest.approx(2.0)
+    # a finite nu whose intensity nu / (1 - m) overflows is refused by name
+    for nu, m in ((1e308, 0.5), (1e300, 1.0 - 2.0**-53)):
+        with pytest.raises(Refused, match="nu / \\(1 - m\\) overflows"):
+            ModelParams(nu, m, 0.0, k)
+    assert ModelParams(1e290, 0.999999999, 0.0, k).lam == pytest.approx(1e299, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +438,7 @@ def test_write_then_ingest_round_trip(tmp_path):
     p = ModelParams(1.0, 0.5, 1.0, Exponential(1.0))
     series = simulate_window(p, 100.0, seed=5)
     path = tmp_path / "events.csv"
-    write_events(series, path)
+    write_columns(path, ["t"], series.times)
     back = replace(ingest_events(path), window_end=100.0)
     assert np.array_equal(back.times, series.times) and back.window_end == 100.0
 

@@ -214,24 +214,6 @@ def test_scale_check():
         scale_check(params(Lomax(1.5)), 2.0, 1.0, 1.0)
 
 
-def test_spectral_grid_csv_stderr_columns(tmp_path):
-    from clusterbispec.spectra import SpectralGrid
-
-    freqs = np.column_stack([np.array([0.5, 1.0]), np.array([1.5, -1.0])])
-    grid = SpectralGrid(2, freqs, np.array([1 + 2j, 3 - 4j]))
-    path = tmp_path / "grid.csv"
-    grid.write_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "w1,w2,re,im"
-    first = [float(v) for v in lines[1].split(",")]
-    assert first == [0.5, 1.5, 1.0, 2.0]
-    jpath = tmp_path / "grid.json"
-    grid.write_json(jpath)
-    import json
-    doc = json.loads(jpath.read_text())
-    assert doc["im"] == [2.0, -4.0]
-
-
 # ---------------------------------------------------------------------------
 # the bytes of every closed form, and one transform lookup per argument
 # ---------------------------------------------------------------------------
